@@ -1,6 +1,6 @@
 """Solvers for optimal dynamic principal-agent contracts.
 
-Full-information benchmark by Lagrange multiplier and adaptive quadrature,
+Full-information benchmark by Lagrange multiplier on closed-form integrals,
 second-best value by a Howard iteration on the free-boundary HJB problem,
 forward Monte Carlo cross-checks, and a CSV-emitting command line front end.
 """
@@ -23,6 +23,7 @@ from .first_best import (
 from .hjbvi import (
     Grid,
     NoConvergence,
+    NonMonotoneScheme,
     SecondBestSolution,
     discretize,
     hamiltonian_max,
@@ -41,7 +42,6 @@ from .model import (
     InvalidParam,
     InvalidParams,
     ModelParams,
-    UnsupportedFamily,
     default_params,
     ratio_inverse,
     validate,

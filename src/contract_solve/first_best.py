@@ -9,17 +9,19 @@ where the multiplier m solves G(m) = x, G being the discounted agent payoff
 
     G(m) = int_0^inf e^{-lam s} [U(R_s) - h(A_s)] ds.
 
-G is strictly increasing in m, so the multiplier is found by bracketed
-bisection. The principal offers the contract iff the discounted surplus
-I(x) = int_0^inf e^{-delta s} (phi(A_s) - R_s) ds is positive; I is
-decreasing in x and its zero crossing is the largest reservation value at
-which the contract is ever offered.
+The principal offers the contract iff the discounted surplus
+I(m) = int_0^inf e^{-delta s} (phi(A_s) - R_s) ds is positive. G is
+increasing and I decreasing in m, so the multiplier and the largest
+reservation value at which the contract is ever offered each come from one
+bracketed bisection. Production evaluates both integrals in closed form,
+split at the time the effort clamp releases.
 
-All integrands decay exponentially; integration truncates where an explicit
-tail bound drops below 1e-10 and proceeds by adaptive composite 15-point
-Gauss-Legendre panels. Schedule factors are evaluated in log space:
-e^{(lam-delta) t} alone overflows long before the truncation cap, while
-log R_t and A_t are linear in t.
+reservation_integral computes G a second way, by adaptive composite 15-point
+Gauss-Legendre quadrature truncated where an explicit tail bound drops below
+1e-10. No production path calls it; it is the independent route the tests
+compare the closed form against. Schedule factors are evaluated in log
+space: e^{(lam-delta) t} alone overflows long before the truncation cap,
+while log R_t and A_t are linear in t.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ModelParams, UnsupportedFamily, ratio_inverse
+from .model import ModelParams
 
 T_CAP = 1e4  # hard ceiling on the truncation horizon
 _TAIL = 1e-10  # tail mass allowed beyond the truncation point
@@ -119,25 +121,15 @@ def _log_growth(params, lambda_lag, t):
 def _schedule_pieces(params: ModelParams, lambda_lag: float, t):
     """(rent, effort, ln_rent) at times t, stable for arbitrarily large t."""
     ln_y = _log_growth(params, lambda_lag, t)
-    if params.parametric:
-        fam_u = params.utility
-        fam_phi, fam_h = params.effort_impact, params.effort_cost
-        ln_rent = (ln_y - math.log(fam_u.p * fam_u.c)) / (fam_u.p - 1.0)
-        rent = np.exp(ln_rent)
-        effort = np.maximum(
-            0.0,
-            (math.log(fam_phi.phi_max * fam_phi.alpha / fam_h.beta) + ln_y)
-            / (fam_phi.alpha + fam_h.beta),
-        )
-        return rent, effort, ln_rent
-    # generic family: direct evaluation with the growth factor capped so the
-    # exponential cannot overflow; the cap only bites where the e^{-lam s}
-    # discount has already annihilated the integrand
-    y = np.exp(np.minimum(ln_y, 644.0))
-    rent = params.du_inv(y)
-    effort = np.maximum(0.0, ratio_inverse(params, y))
-    with np.errstate(divide="ignore"):
-        ln_rent = np.log(rent)
+    fam_u = params.utility
+    fam_phi, fam_h = params.effort_impact, params.effort_cost
+    ln_rent = (ln_y - math.log(fam_u.p * fam_u.c)) / (fam_u.p - 1.0)
+    rent = np.exp(ln_rent)
+    effort = np.maximum(
+        0.0,
+        (math.log(fam_phi.phi_max * fam_phi.alpha / fam_h.beta) + ln_y)
+        / (fam_phi.alpha + fam_h.beta),
+    )
     return rent, effort, ln_rent
 
 
@@ -166,11 +158,7 @@ def _truncation_time(bound: float, exp_rate: float, div_rate: float) -> float:
 def _effort_kink_time(params: ModelParams, lambda_lag: float) -> float:
     """Time at which the effort clamp releases (A_t crosses 0), or 0.0."""
     fam_phi, fam_h = params.effort_impact, params.effort_cost
-    if params.parametric:
-        gap = math.log(lambda_lag * fam_h.beta / (fam_phi.phi_max * fam_phi.alpha))
-    else:
-        ratio0 = float(params.cost_impact_ratio(0.0))
-        gap = math.log(lambda_lag * ratio0)
+    gap = math.log(lambda_lag * fam_h.beta / (fam_phi.phi_max * fam_phi.alpha))
     if gap <= 0.0 or params.lam == params.delta:
         return 0.0
     return gap / (params.lam - params.delta)
@@ -202,33 +190,24 @@ def _cost_bound(params: ModelParams, lambda_lag: float) -> float:
 def reservation_integral(params: ModelParams, lambda_lag: float) -> float:
     """G(m) = int_0^inf e^{-lam s} [U(R_s) - h(A_s)] ds by adaptive quadrature.
 
-    Strictly increasing in m; absolute error <= 1e-8.
+    The test oracle for closed_form_G; strictly increasing in m, absolute
+    error <= 1e-8.
     """
     if lambda_lag <= 0.0:
         raise ValueError("lambda_lag must be positive")
     lam = params.lam
+    p, c = params.utility.p, params.utility.c
+    beta = params.effort_cost.beta
 
-    if params.parametric:
-        fam_u = params.utility
-        fam_h = params.effort_cost
-        p, c = fam_u.p, fam_u.c
-        beta = fam_h.beta
-
-        def integrand(s):
-            _, effort, ln_rent = _schedule_pieces(params, lambda_lag, s)
-            util = c * np.exp(-lam * s + p * ln_rent)
-            cost = np.where(
-                effort > 0.0,
-                np.exp(-lam * s + beta * effort) - np.exp(-lam * s),
-                0.0,
-            )
-            return util - cost
-
-    else:
-
-        def integrand(s):
-            rent, effort, _ = _schedule_pieces(params, lambda_lag, s)
-            return np.exp(-lam * s) * (params.u(rent) - params.h(effort))
+    def integrand(s):
+        _, effort, ln_rent = _schedule_pieces(params, lambda_lag, s)
+        util = c * np.exp(-lam * s + p * ln_rent)
+        cost = np.where(
+            effort > 0.0,
+            np.exp(-lam * s + beta * effort) - np.exp(-lam * s),
+            0.0,
+        )
+        return util - cost
 
     t_star = _truncation_time(
         _cost_bound(params, lambda_lag),
@@ -239,7 +218,7 @@ def reservation_integral(params: ModelParams, lambda_lag: float) -> float:
 
 
 def closed_form_G(params: ModelParams, lambda_lag: float) -> float:
-    """Piecewise closed form of G for the parametric family.
+    """Piecewise closed form of G, the production route.
 
     Writing q = phi_max alpha / (beta m):
 
@@ -252,8 +231,6 @@ def closed_form_G(params: ModelParams, lambda_lag: float) -> float:
     """
     if lambda_lag <= 0.0:
         raise ValueError("lambda_lag must be positive")
-    if not params.parametric:
-        raise UnsupportedFamily("closed form exists only for the parametric family")
     lam, delta = params.lam, params.delta
     fam_u, fam_phi, fam_h = params.utility, params.effort_impact, params.effort_cost
     p, c = fam_u.p, fam_u.c
@@ -273,65 +250,75 @@ def closed_form_G(params: ModelParams, lambda_lag: float) -> float:
     )
 
 
-def solve_lagrange(params: ModelParams, x: float, tol: float = 1e-9) -> float:
-    """Multiplier m with |G(m) - x| <= tol, by bracket expansion then bisection.
+def _bracket_bisect(f, target: float, tol: float, what: str) -> float:
+    """m > 0 with |f(m) - target| <= tol.
 
-    Roots the quadrature route (reservation_integral), which is the G that
-    callers re-evaluate when checking the fixed point. Accepts x >= 0: G
-    ranges below 0 for small m, so x = 0 is solvable even though the
-    contract itself only binds for positive reservation values.
+    f must lie below target for small m and above it for large m. Grows a
+    bracket from m = 1 by factors of 8 within [1e-12, 1e12], then bisects it.
     """
-    if not (x >= 0.0):
-        raise ValueError("reservation value x must be >= 0")
-
-    def g(m):
-        return reservation_integral(params, m)
-
     lo = hi = 1.0
-    g_lo = g_hi = g(1.0)
-    while g_lo > x:
+    f_lo = f_hi = f(1.0)
+    while f_lo > target:
         lo /= 8.0
         if lo < 1e-12:
-            raise BracketFailure(f"no lower bracket above 1e-12 for x={x}")
-        g_lo = g(lo)
-    while g_hi < x:
+            raise BracketFailure(f"no lower bracket above 1e-12 for {what}")
+        f_lo = f(lo)
+    while f_hi < target:
         hi *= 8.0
         if hi > 1e12:
-            raise BracketFailure(f"no upper bracket below 1e12 for x={x}")
-        g_hi = g(hi)
+            raise BracketFailure(f"no upper bracket below 1e12 for {what}")
+        f_hi = f(hi)
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid - x) <= tol:
+        f_mid = f(mid)
+        if abs(f_mid - target) <= tol:
             return mid
-        if g_mid < x:
+        if f_mid < target:
             lo = mid
         else:
             hi = mid
     raise BracketFailure("bisection did not reach tolerance in 200 steps")
 
 
-def _offer_integral(params: ModelParams, lambda_lag: float) -> float:
-    """I = int_0^inf e^{-delta s} (phi(A_s) - R_s) ds, the offer criterion.
+def solve_lagrange(params: ModelParams, x: float, tol: float = 1e-9) -> float:
+    """Multiplier m with |G(m) - x| <= tol, by bisection on closed_form_G.
 
-    The factor phi(A_s) - R_s is bounded by phi_max + R_0 in absolute value
-    (phi is bounded, R decreasing), which gives the truncation tail bound at
-    this integral's own discount rate.
+    Accepts x >= 0: G ranges below 0 for small m, so x = 0 is solvable even
+    though the contract itself only binds for positive reservation values.
     """
-    delta = params.delta
+    if not (x >= 0.0):
+        raise ValueError("reservation value x must be >= 0")
+    return _bracket_bisect(lambda m: closed_form_G(params, m), x, tol, f"x={x}")
 
-    def integrand(s):
-        rent, effort, ln_rent = _schedule_pieces(params, lambda_lag, s)
-        surplus = np.exp(-delta * s) * params.phi(effort)
-        if params.parametric:
-            return surplus - np.exp(-delta * s + ln_rent)
-        return surplus - np.exp(-delta * s) * rent
 
-    rent0, _, _ = _schedule_pieces(params, lambda_lag, 0.0)
-    bound = params.effort_impact.phi_max + float(rent0)
-    t_star = _truncation_time(bound, exp_rate=delta, div_rate=delta)
-    return _adaptive_gauss_legendre(integrand, _integration_breakpoints(params, lambda_lag, t_star))
+def _offer_integral(params: ModelParams, lambda_lag: float) -> float:
+    """Closed form of I(m) = int_0^inf e^{-delta s} (phi(A_s) - R_s) ds, the offer criterion.
+
+    With q = phi_max alpha / (beta m), gamma = alpha / (alpha + beta) and
+    mu = lam - delta, I = E - (p c m)^{1/(1-p)} / (delta + mu/(1-p)), where
+    the effort term splits at the kink like closed_form_G:
+
+        m <= phi_max alpha / beta:  E = phi_max [1/delta - q^{-gamma} / (delta + gamma mu)]
+        m  > phi_max alpha / beta:  E = phi_max q^{delta/mu} [1/delta - 1/(delta + gamma mu)]
+                                    (E = 0 when lam = delta: effort stays clamped forever)
+
+    Decreasing in m.
+    """
+    lam, delta = params.lam, params.delta
+    fam_u, fam_phi, fam_h = params.utility, params.effort_impact, params.effort_cost
+    p, c = fam_u.p, fam_u.c
+    alpha, beta, phi_max = fam_phi.alpha, fam_h.beta, fam_phi.phi_max
+
+    mu = lam - delta
+    gamma = alpha / (alpha + beta)
+    rent = (p * c * lambda_lag) ** (1.0 / (1.0 - p)) / (delta + mu / (1.0 - p))
+    q = phi_max * alpha / (beta * lambda_lag)
+    if lambda_lag <= phi_max * alpha / beta:
+        return phi_max * (1.0 / delta - q ** -gamma / (delta + gamma * mu)) - rent
+    if lam == delta:
+        return -rent
+    return phi_max * q ** (delta / mu) * (1.0 / delta - 1.0 / (delta + gamma * mu)) - rent
 
 
 def principal_value_fb(params: ModelParams, x: float) -> FirstBestSolution:
@@ -367,29 +354,14 @@ def principal_value_fb(params: ModelParams, x: float) -> FirstBestSolution:
 def continuation_boundary(params: ModelParams, tol: float = 1e-4) -> float:
     """Largest reservation value at which the contract is still offered.
 
-    Bisection on x -> I(x), which is decreasing in x; resolved to tol in x.
+    Roots the decreasing surplus m -> I(m) once and returns G at the root.
+    The surplus falls with the reservation value at rate dI/dx = -m (the
+    envelope theorem), so stopping at |I(m)| / m <= tol resolves x to tol to
+    first order.
     """
-
-    def offer(x):
-        return _offer_integral(params, solve_lagrange(params, x))
-
-    lo = min(1.0, max(params.x_reserve, 0.1))
-    if offer(lo) <= 0.0:
-        while lo > 1e-6:
-            lo /= 4.0
-            if offer(lo) > 0.0:
-                break
-        else:
-            raise BracketFailure("surplus is non-positive down to x ~ 0")
-    hi = 2.0 * lo
-    while offer(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e3:
-            raise BracketFailure("surplus stays positive up to x = 1e3")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if offer(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    m = _bracket_bisect(lambda m: -_offer_integral(params, m) / m, 0.0, tol,
+                        "the offer boundary")
+    x_max = closed_form_G(params, m)
+    if x_max < 0.0:
+        raise BracketFailure("surplus is non-positive at every reservation value x >= 0")
+    return x_max

@@ -82,6 +82,10 @@ class NoConvergence(RuntimeError):
         self.residual = residual
 
 
+class NonMonotoneScheme(RuntimeError):
+    """The discretized operator of a policy evaluation is not a monotone scheme."""
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform nodes x_i = i dx on [0, x_max]."""
@@ -326,9 +330,12 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     # monotone scheme: non-positive off-diagonals, dominance margin delta
     # (checked with relative slack: when 2 D/dx^2 is huge its ulp can absorb
     # the delta term, which does not threaten the elimination)
-    assert np.all(lower <= 0.0) and np.all(upper <= 0.0)
-    assert np.all(np.isfinite(diag)) and np.all(diag > 0.0)
-    assert np.all(diag + lower + upper >= -1e-9 * diag)
+    if not (np.all(lower <= 0.0) and np.all(upper <= 0.0)):
+        raise NonMonotoneScheme("positive off-diagonal coefficient")
+    if not (np.all(np.isfinite(diag)) and np.all(diag > 0.0)):
+        raise NonMonotoneScheme("non-finite or non-positive diagonal")
+    if not np.all(diag + lower + upper >= -1e-9 * diag):
+        raise NonMonotoneScheme("rows lost diagonal dominance")
 
     lower = np.where(stop_i, 0.0, lower)
     diag = np.where(stop_i, 1.0, diag)

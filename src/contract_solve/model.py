@@ -3,22 +3,21 @@
 The principal pays a rent stream to an agent whose effort a moves expected
 output through a bounded concave impact function phi, at a convex private
 cost h, while the agent values consumption through a strictly concave
-utility U satisfying Inada conditions. The default parametric family is
+utility U satisfying Inada conditions. The model family is
 
     phi(a) = phi_max * (1 - exp(-alpha a))
     h(a)   = exp(beta a) - 1
     U(x)   = c * x**p,  0 < p < 1
 
 for which every derivative and inverse used downstream is available in
-closed form. A generic family built from raw callables is also supported;
-its inverses fall back to bisection on the guaranteed-monotone maps.
+closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,18 +51,12 @@ class InvalidParams(ValueError):
         super().__init__(f"invalid parameters: {msg}")
 
 
-class UnsupportedFamily(ValueError):
-    """An operation that needs the parametric family was given a generic one."""
-
-
 @dataclass(frozen=True)
 class EffortImpact:
     """phi(a) = phi_max * (1 - exp(-alpha a)): bounded, increasing, concave."""
 
     phi_max: float = 3.0
     alpha: float = 0.1
-
-    parametric = True
 
     def __call__(self, a):
         return self.phi_max * -np.expm1(-self.alpha * np.asarray(a, dtype=float))
@@ -77,8 +70,6 @@ class EffortCost:
     """h(a) = exp(beta a) - 1: increasing, strictly convex, h(0) = 0."""
 
     beta: float = 0.1
-
-    parametric = True
 
     def __call__(self, a):
         return np.expm1(self.beta * np.asarray(a, dtype=float))
@@ -94,8 +85,6 @@ class AgentUtility:
     c: float = 1.0
     p: float = 0.25
 
-    parametric = True
-
     def __call__(self, x):
         return self.c * np.asarray(x, dtype=float) ** self.p
 
@@ -108,89 +97,6 @@ class AgentUtility:
     def deriv_inverse(self, y):
         # (U')^{-1}(y) = (y / (p c))^{1/(p-1)}, decreasing on (0, inf)
         return (np.asarray(y, dtype=float) / (self.p * self.c)) ** (1.0 / (self.p - 1.0))
-
-
-class GenericEffortImpact:
-    """Effort impact from raw callables (value and derivative)."""
-
-    parametric = False
-
-    def __init__(self, f: Callable, df: Callable, phi_max: float):
-        self._f, self._df = f, df
-        self.phi_max = float(phi_max)
-
-    def __call__(self, a):
-        return self._f(np.asarray(a, dtype=float))
-
-    def deriv(self, a):
-        return self._df(np.asarray(a, dtype=float))
-
-
-class GenericEffortCost:
-    parametric = False
-
-    def __init__(self, f: Callable, df: Callable):
-        self._f, self._df = f, df
-
-    def __call__(self, a):
-        return self._f(np.asarray(a, dtype=float))
-
-    def deriv(self, a):
-        return self._df(np.asarray(a, dtype=float))
-
-
-class GenericUtility:
-    """Utility from raw callables; missing inverses are bisected on demand."""
-
-    parametric = False
-
-    def __init__(self, f, df, inverse=None, deriv_inverse=None):
-        self._f, self._df = f, df
-        self._inv, self._dinv = inverse, deriv_inverse
-
-    def __call__(self, x):
-        return self._f(np.asarray(x, dtype=float))
-
-    def deriv(self, x):
-        return self._df(np.asarray(x, dtype=float))
-
-    def inverse(self, y):
-        if self._inv is not None:
-            return self._inv(np.asarray(y, dtype=float))
-        return _invert_scalar_map(self._f, y, increasing=True)
-
-    def deriv_inverse(self, y):
-        if self._dinv is not None:
-            return self._dinv(np.asarray(y, dtype=float))
-        return _invert_scalar_map(self._df, y, increasing=False)
-
-
-def _invert_scalar_map(f, y, increasing, lo=1e-300, hi=1.0, iters=200):
-    """Bisection inverse of a monotone map on (0, inf); vectorizes over y."""
-
-    def solve_one(target):
-        a, b = lo, hi
-        fb = f(b)
-        # grow the upper end until the target is enclosed
-        while (fb < target) == increasing and b < 1e12:
-            b *= 4.0
-            fb = f(b)
-        fa = f(a)
-        if (fa > target) == increasing:
-            # target below the map's reachable range at the tiny end
-            return a
-        for _ in range(iters):
-            m = 0.5 * (a + b)
-            if (f(m) < target) == increasing:
-                a = m
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    y_arr = np.asarray(y, dtype=float)
-    if y_arr.ndim == 0:
-        return float(solve_one(float(y_arr)))
-    return np.array([solve_one(float(t)) for t in y_arr.ravel()]).reshape(y_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -238,14 +144,6 @@ class ModelParams:
     def cost_impact_ratio(self, a):
         """h'(a) / phi'(a): strictly increasing since h is convex and phi concave."""
         return self.dh(a) / self.dphi(a)
-
-    @property
-    def parametric(self):
-        return (
-            self.effort_impact.parametric
-            and self.effort_cost.parametric
-            and self.utility.parametric
-        )
 
 
 def validate(raw) -> ModelParams:
@@ -308,24 +206,16 @@ def default_params() -> ModelParams:
 
 
 def ratio_inverse(params: ModelParams, y):
-    """(h'/phi')^{-1}(y) for y > 0.
+    """(h'/phi')^{-1}(y) = (1/(alpha+beta)) * ln(phi_max * alpha * y / beta) for y > 0.
 
-    Closed form for the parametric family:
-        (1/(alpha+beta)) * ln(phi_max * alpha * y / beta).
     The result may be negative; callers clamp at zero where effort must be
-    non-negative. Generic families are inverted by bisection on the increasing
-    ratio map, which only reaches values >= ratio(0), so the generic route
-    returns 0 for targets at or below that point.
+    non-negative.
     """
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0):
         raise ValueError("ratio_inverse requires y > 0")
-    if params.parametric:
-        fam_phi, fam_h = params.effort_impact, params.effort_cost
-        out = (1.0 / (fam_phi.alpha + fam_h.beta)) * np.log(
-            fam_phi.phi_max * fam_phi.alpha * y_arr / fam_h.beta
-        )
-        return float(out) if out.ndim == 0 else out
-    return _invert_scalar_map(
-        lambda a: params.cost_impact_ratio(a), y_arr, increasing=True, lo=0.0, hi=1.0
+    fam_phi, fam_h = params.effort_impact, params.effort_cost
+    out = (1.0 / (fam_phi.alpha + fam_h.beta)) * np.log(
+        fam_phi.phi_max * fam_phi.alpha * y_arr / fam_h.beta
     )
+    return float(out) if out.ndim == 0 else out

@@ -22,13 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load
-from .first_best import (
-    BracketFailure,
-    QuadratureFailure,
-    continuation_boundary,
-    principal_value_fb,
-)
-from .hjbvi import Grid, NoConvergence, howard_solve
+from .first_best import BracketFailure, continuation_boundary, principal_value_fb
+from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
 from .model import ModelParams
 from .simulate import PolicyOutOfRange, SimConfig, simulate_paths
 
@@ -40,7 +35,8 @@ subcommands:
   second-best   sb_solution.csv
   simulate      paths.csv
   voi           voi.csv
-  report        all of the above plus sweep.csv
+  sweep         sweep.csv
+  report        all of the above
 
 The CONTRACT_SOLVE_OUT environment variable overrides --out. --set may be
 repeated; keys are the config-file keys.
@@ -134,7 +130,7 @@ def _solve_sb(cfg: RunConfig):
                         max_iter=cfg.howard_max_iter)
 
 
-def _run_first_best(cfg: RunConfig, outdir):
+def _run_first_best(cfg: RunConfig, outdir, timings):
     t0 = time.perf_counter()
     xs = np.linspace(cfg.fb_x_min, cfg.fb_x_max, cfg.fb_x_n)
     rows = []
@@ -152,12 +148,12 @@ def _run_first_best(cfg: RunConfig, outdir):
     diag = {
         "schedule_x": cfg.params.x_reserve,
         "schedule_lambda_lag": anchor.lambda_lag,
-        "fb_seconds": time.perf_counter() - t0,
     }
+    timings["fb_seconds"] = time.perf_counter() - t0
     return ["fb_value.csv", "fb_schedule.csv"], diag
 
 
-def _run_second_best(cfg: RunConfig, outdir, solution=None):
+def _run_second_best(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     sol = solution if solution is not None else _solve_sb(cfg)
     g = sol.grid
@@ -169,12 +165,12 @@ def _run_second_best(cfg: RunConfig, outdir, solution=None):
         "iterations": sol.iterations,
         "residual": sol.residual,
         "k_growth": sol.k_growth,
-        "sb_seconds": time.perf_counter() - t0,
     }
+    timings["sb_seconds"] = time.perf_counter() - t0
     return ["sb_solution.csv"], diag, sol
 
 
-def _run_simulate(cfg: RunConfig, outdir, solution=None):
+def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     sol = solution if solution is not None else _solve_sb(cfg)
     if not (0.0 < cfg.sim_x0 < sol.b_hat):
@@ -205,12 +201,12 @@ def _run_simulate(cfg: RunConfig, outdir, solution=None):
         "n_censored": sum(b.censored for b in bundles),
         "censoring_bias_bound": float(np.exp(-cfg.params.delta * cfg.sim_horizon)
                                       * (sol.k_growth + cfg.params.u_inv(sol.grid.x_max))),
-        "sim_seconds": time.perf_counter() - t0,
     }
+    timings["sim_seconds"] = time.perf_counter() - t0
     return ["paths.csv"], diag, sol
 
 
-def _run_voi(cfg: RunConfig, outdir, solution=None):
+def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     sol = solution if solution is not None else _solve_sb(cfg)
     xs = np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
@@ -218,16 +214,25 @@ def _run_voi(cfg: RunConfig, outdir, solution=None):
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
               zip(table.x, table.v_fb, table.v_sb, table.voi))
-    diag = {"voi_min": float(table.voi.min()), "voi_seconds": time.perf_counter() - t0}
+    diag = {"voi_min": float(table.voi.min())}
+    timings["voi_seconds"] = time.perf_counter() - t0
     return ["voi.csv"], diag, sol
 
 
-def _run_sweep(cfg: RunConfig, outdir):
+def _run_sweep(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     if not cfg.sweep_sigmas:
         raise ConfigError("sweep.sigmas must list at least one sigma")
-    solved, failures = sigma_sweep(cfg.params, cfg.sweep_sigmas, grid=_grid(cfg),
-                                   tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+    # a solve of cfg itself (same grid, tol and max_iter) stands in for the
+    # sweep's solve at cfg's own sigma
+    reused = {cfg.params.sigma: solution} if solution is not None else {}
+    rest = [sg for sg in cfg.sweep_sigmas if sg not in reused]
+    solved, failures = [], []
+    if rest:
+        solved, failures = sigma_sweep(cfg.params, rest, grid=_grid(cfg),
+                                       tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+    done = {**dict(solved), **reused}
+    solved = [(sg, done[sg]) for sg in cfg.sweep_sigmas if sg in done]
 
     def rows():
         for sg, sol in solved:
@@ -238,17 +243,17 @@ def _run_sweep(cfg: RunConfig, outdir):
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
         "sweep_failures": [f"{sg}: {msg}" for sg, msg in failures],
-        "sweep_seconds": time.perf_counter() - t0,
     }
+    timings["sweep_seconds"] = time.perf_counter() - t0
     return ["sweep.csv"], diag
 
 
-def _run_report(cfg: RunConfig, outdir):
-    files, diag = _run_first_best(cfg, outdir)
-    sb_files, sb_diag, sol = _run_second_best(cfg, outdir)
-    voi_files, voi_diag, _ = _run_voi(cfg, outdir, solution=sol)
-    sweep_files, sweep_diag = _run_sweep(cfg, outdir)
-    sim_files, sim_diag, _ = _run_simulate(cfg, outdir, solution=sol)
+def _run_report(cfg: RunConfig, outdir, timings):
+    files, diag = _run_first_best(cfg, outdir, timings)
+    sb_files, sb_diag, sol = _run_second_best(cfg, outdir, timings)
+    voi_files, voi_diag, _ = _run_voi(cfg, outdir, timings, solution=sol)
+    sweep_files, sweep_diag = _run_sweep(cfg, outdir, timings, solution=sol)
+    sim_files, sim_diag, _ = _run_simulate(cfg, outdir, timings, solution=sol)
     for d in (sb_diag, voi_diag, sweep_diag, sim_diag):
         diag.update(d)
     return files + sb_files + voi_files + sweep_files + sim_files, diag
@@ -260,7 +265,7 @@ def _parse_argv(argv):
     sub = argv[0]
     if sub in ("-h", "--help", "help"):
         return None, None, None, None
-    if sub not in ("first-best", "second-best", "simulate", "voi", "report"):
+    if sub not in ("first-best", "second-best", "simulate", "voi", "sweep", "report"):
         raise ConfigError(f"unknown subcommand {sub!r}")
     config_path = None
     out_dir = None
@@ -305,19 +310,21 @@ def cli_dispatch(argv) -> int:
         return 1
 
     os.makedirs(out_dir, exist_ok=True)
+    timings = {}
     runners = {
-        "first-best": lambda: _run_first_best(cfg, out_dir),
-        "second-best": lambda: _run_second_best(cfg, out_dir)[:2],
-        "simulate": lambda: _run_simulate(cfg, out_dir)[:2],
-        "voi": lambda: _run_voi(cfg, out_dir)[:2],
-        "report": lambda: _run_report(cfg, out_dir),
+        "first-best": lambda: _run_first_best(cfg, out_dir, timings),
+        "second-best": lambda: _run_second_best(cfg, out_dir, timings)[:2],
+        "simulate": lambda: _run_simulate(cfg, out_dir, timings)[:2],
+        "voi": lambda: _run_voi(cfg, out_dir, timings)[:2],
+        "sweep": lambda: _run_sweep(cfg, out_dir, timings),
+        "report": lambda: _run_report(cfg, out_dir, timings),
     }
     try:
         files, diag = runners[sub]()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoConvergence, QuadratureFailure, BracketFailure, PolicyOutOfRange) as exc:
+    except (NoConvergence, NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
@@ -327,7 +334,7 @@ def cli_dispatch(argv) -> int:
         "config": cfg.snapshot,
         "files": sorted(files + ["manifest.json"]),
         "diagnostics": diag,
-        "timings": {"total_seconds": time.perf_counter() - t_start},
+        "timings": {**timings, "total_seconds": time.perf_counter() - t_start},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
               newline="") as fh:

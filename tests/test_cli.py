@@ -7,11 +7,13 @@ import pytest
 from contract_solve import (
     ConfigError,
     Grid,
+    NonMonotoneScheme,
     cli_dispatch,
     load,
     sigma_sweep,
     value_of_information,
 )
+from contract_solve import hjbvi
 from contract_solve.config import parse_lines, parse_overrides
 
 # keep every dispatch cheap: coarse grid, few paths, short profiles
@@ -143,11 +145,19 @@ class TestDispatch:
         assert code == 1
         assert "sigma" in capsys.readouterr().err
 
-    def test_solver_failure_exit_code(self, tmp_path, capsys):
+    def test_solver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         code = cli_dispatch(["second-best", "--out", str(tmp_path),
                              "--set", "grid.n=201", "--set", "howard.max_iter=5"])
         assert code == 2
         assert "NoConvergence" in capsys.readouterr().err
+
+        def broken(*args):
+            raise NonMonotoneScheme("non-finite or non-positive diagonal")
+
+        monkeypatch.setattr(hjbvi, "_evaluate", broken)
+        code = cli_dispatch(["second-best", "--out", str(tmp_path), "--set", "grid.n=201"])
+        assert code == 2
+        assert "NonMonotoneScheme" in capsys.readouterr().err
 
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
         code = cli_dispatch(["simulate", "--out", str(tmp_path), *FAST,
@@ -155,10 +165,19 @@ class TestDispatch:
         assert code == 1
         assert "sim.x0" in capsys.readouterr().err
 
-    def test_empty_sweep_rejected(self, tmp_path):
+    def test_empty_sweep_rejected(self, tmp_path, capsys):
         code = cli_dispatch(["sweep", "--out", str(tmp_path), *FAST,
                              "--set", "sweep.sigmas="])
         assert code == 1
+        assert "sweep.sigmas" in capsys.readouterr().err
+
+    def test_sweep_outputs(self, tmp_path):
+        out = tmp_path / "sw"
+        assert cli_dispatch(["sweep", "--out", str(out), *FAST]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "sweep.csv"]
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "sigma,x,w"
+        assert len(lines) == 1 + 2 * 201
 
     def test_first_best_outputs(self, tmp_path, capsys):
         out = tmp_path / "fb"
@@ -229,3 +248,9 @@ class TestPathsCsv:
                  "voi.csv", "sweep.csv", "paths.csv"]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # wall-clock numbers live under "timings"; everything else must repeat
+        manifests = [json.loads((out / "manifest.json").read_text())
+                     for out in (out1, out2)]
+        for manifest in manifests:
+            del manifest["timings"]
+        assert manifests[0] == manifests[1]

@@ -16,20 +16,21 @@ from contract_solve import (
     validate,
     DEFAULTS,
 )
+from contract_solve.first_best import _offer_integral
 
 from .helpers import invert_increasing, newton_invert
 
 LAG_GRID = (0.5, 1.0, 3.0, 10.0)
 
 
-def _G_quad_oracle(params, lambda_lag):
-    """G by mpmath quadrature of the defining integral, split at the effort kink.
+def _mp_discounted(params, lambda_lag, rate, flow):
+    """int_0^inf e^{-rate s} flow(R_s, A_s) ds by mpmath quadrature, split at
+    the effort kink.
 
     The rent/effort schedules themselves are exercised elsewhere against
     their own optimality conditions; this oracle only makes the integration
-    route independent of the package quadrature.
+    route independent of the package's closed forms and quadrature.
     """
-    lam = params.lam
 
     def rent(s):
         return float(schedules(params, lambda_lag, float(s))[0])
@@ -39,16 +40,29 @@ def _G_quad_oracle(params, lambda_lag):
 
     def f(s):
         s = float(s)
-        return math.exp(-lam * s) * (params.u(rent(s)) - params.h(effort(s)))
+        return math.exp(-rate * s) * flow(rent(s), effort(s))
 
     points = [0.0]
     if effort(0.0) == 0.0 and effort(300.0) > 0.0:
         # effort is clamped at zero up to a kink time; locate it by bisection
         points.append(invert_increasing(effort, 1e-300, lo=0.0, hi=1.0))
-    points += [50.0, 300.0]  # integrand decays like e^{-(lam-0.06)s} beyond
+    # every integrand here decays at least like e^{-0.08 s}: the tail past 600 is negligible
+    points += [50.0, 300.0, 600.0]
     with mp.workdps(25):
         val = mp.quad(f, sorted(points))
     return float(val)
+
+
+def _G_quad_oracle(params, lambda_lag):
+    """G(m) = int_0^inf e^{-lam s} [U(R_s) - h(A_s)] ds."""
+    return _mp_discounted(params, lambda_lag, params.lam,
+                          lambda r, a: params.u(r) - params.h(a))
+
+
+def _I_quad_oracle(params, lambda_lag):
+    """I(m) = int_0^inf e^{-delta s} (phi(A_s) - R_s) ds."""
+    return _mp_discounted(params, lambda_lag, params.delta,
+                          lambda r, a: params.phi(a) - r)
 
 
 def test_lagrange_anchor(params):
@@ -148,6 +162,25 @@ def test_offer_decision_and_boundary(params):
     assert below.value > 0.0
     # value is continuous through the boundary
     assert abs(principal_value_fb(params, xb - 1e-3).value) < 1e-2
+
+
+@pytest.mark.parametrize("lam", [DEFAULTS["lambda"], DEFAULTS["delta"]])
+def test_offer_integral_against_mpmath(lam):
+    # lam == delta keeps effort clamped forever beyond the kink
+    p = validate(dict(DEFAULTS, **{"lambda": lam}))
+    for x in (0.5, 2.0, 4.0):
+        sol = principal_value_fb(p, x)
+        assert sol.tau_star is TauStar.INFINITY
+        assert sol.value == pytest.approx(_I_quad_oracle(p, sol.lambda_lag), abs=1e-8)
+    # both sides of the kink, including surplus that is negative
+    for m in LAG_GRID:
+        assert _offer_integral(p, m) == pytest.approx(_I_quad_oracle(p, m), abs=1e-8)
+
+
+def test_boundary_within_tolerance_of_oracle_sign_change(params):
+    xb = continuation_boundary(params)
+    assert _I_quad_oracle(params, solve_lagrange(params, xb - 1e-4)) > 0.0
+    assert _I_quad_oracle(params, solve_lagrange(params, xb + 1e-4)) < 0.0
 
 
 def test_value_non_increasing(params):

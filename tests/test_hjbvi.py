@@ -6,11 +6,13 @@ import pytest
 from contract_solve import (
     Grid,
     NoConvergence,
+    NonMonotoneScheme,
     discretize,
     hamiltonian_max,
     howard_solve,
     residual_check,
 )
+from contract_solve.hjbvi import _evaluate
 
 from .helpers import golden_max, grid_argmax
 
@@ -178,6 +180,15 @@ class TestHowardSolve:
             howard_solve(params, g, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
+
+    def test_non_monotone_scheme_raises(self, params):
+        g = Grid.make(x_max=1.0, n=21)
+        r = np.full(g.n, 0.1)
+        r[5] = np.inf  # U(r) = inf makes that row's diagonal infinite
+        a = np.full(g.n, 1.0)
+        stop = np.zeros(g.n, dtype=bool)
+        with pytest.raises(NonMonotoneScheme):
+            _evaluate(params, g, r, a, stop, -g.x**4)
 
 
 class TestRobustness:
