@@ -20,8 +20,8 @@ stopping region empties out (the contact boundary escapes to the truncation
 boundary and tracks it when x_max moves, the signature of a truncation
 artifact). The uniformly parabolic operator is the one with an interior
 free boundary, a concave value hump, and x_max-robust output, so its
-coefficient is used throughout: in the Hamiltonian scan, in the assembled
-rows, and in the a = 0 comparison of the effort maximizer.
+coefficient is used throughout: in the effort maximizer's first-order
+condition, in the assembled rows, and in its a = 0 comparison.
 
 Discretization is the standard monotone scheme: central second differences
 for the diffusion, first differences upwinded on the drift sign. Each
@@ -29,7 +29,8 @@ policy-iteration round evaluates the current policy exactly (one
 tridiagonal solve, with stopped nodes replaced by identity rows) and then
 improves it node by node. The rent maximizer is closed form,
 r* = (U')^{-1}(-1/w') when w' < 0; the effort maximizer has no closed form
-and is found by a log-spaced scan refined with golden-section steps.
+and is the root of its first-order condition, found by safeguarded Newton
+steps (see _best_effort).
 
 The drift sign depends on the policy and the policy on the slope, whose
 upwind side depends on the drift sign. The improvement step therefore tries
@@ -58,7 +59,6 @@ elimination untouched, so stopped nodes carry w_i = -U^{-1}(x_i) bitwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,10 +66,9 @@ import numpy as np
 from .model import ModelParams
 
 _R_CAP = 1e12  # transient guard: keeps U(r) finite while iterates are wild
-_A_LO, _A_HI, _A_SCAN_N = 1e-4, 50.0, 512
-_A_SCAN = np.geomspace(_A_LO, _A_HI, _A_SCAN_N)
-_GOLDEN_STEPS = 48  # shrinks the scan bracket below 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_A_HI = 50.0  # effort domain is [0, _A_HI]
+_NEWTON_STEPS = 100  # safeguarded Newton: bisection alone needs ~60 steps
+_EPS = np.finfo(float).eps
 _COARSE_LIMIT = 401  # grids at most this size are solved from a cold start
 
 
@@ -116,6 +115,7 @@ class SecondBestSolution:
     k_growth: float  # smallest K with |w| <= K + U^{-1}(x) on the grid
     iterations: int
     residual: float
+    effort_convex_nodes: int  # effort maximizations on the w'' >= 0 branch, all sweeps
 
 
 def _diffusion(params: ModelParams, a):
@@ -137,55 +137,98 @@ def _effort_objective(params: ModelParams, a, dw, d2w):
 
 
 def _best_effort(params: ModelParams, dw, d2w):
-    """argmax_{a >= 0} of the a-part of the Hamiltonian, per node.
+    """argmax over a in [0, _A_HI] of the a-part of the Hamiltonian, per node.
 
-    Coarse log-spaced scan to locate the basin, golden-section refinement
-    inside the bracketing scan cell, then comparison with the a = 0 payoff
-    D(0) d2w (phi(0) = h(0) = 0, but the diffusion floor stays on). Using
-    the same operator in the comparison as in the assembled rows matters:
-    evaluating a = 0 as a payoff of exactly zero while the rows keep the
-    floor makes improvement and evaluation disagree at nodes where both
-    are close, and the iteration can cycle there instead of converging.
+    The objective is f(a) = D(a) w'' + h(a) w' + phi(a), with
+    D(a) = D0 e^{2ka}, k = alpha + beta and D0 = 1/2 (sigma beta/(phi_max alpha))^2.
+    Its first-order condition is the sign of a three-term exponential sum:
+
+        e^{-beta a} f'(a) = q(a) = A e^{(2 alpha + beta) a} + B + C e^{-k a},
+        A = 2 k D0 w'',  B = beta w',  C = phi_max alpha > 0.
+
+    When w'' < 0, q is strictly decreasing, so f is unimodal on the real
+    line and its maximizer on [0, _A_HI] is the root of q clamped to the
+    interval. When w'' >= 0, q is convex with its minimum at
+    a_m = ln(C k / (A (2 alpha + beta))) / (3 alpha + 2 beta) (a_m = +inf
+    when w'' = 0), so q has at most two roots; the interior local maximum of
+    f is the first down-crossing, left of a_m, and it is compared with the
+    cap a = _A_HI. In both cases the root is taken on a bracket inside
+    [0, _A_HI] where q strictly decreases, by Newton steps that fall back to
+    bisection whenever they leave the bracket, so it is exact to round-off.
+
+    The winner is then compared with the a = 0 payoff D(0) w''
+    (phi(0) = h(0) = 0, but the diffusion floor stays on). Using the same
+    operator in the comparison as in the assembled rows matters: evaluating
+    a = 0 as a payoff of exactly zero while the rows keep the floor makes
+    improvement and evaluation disagree at nodes where both are close, and
+    the iteration can cycle there instead of converging.
+
+    Returns (a, f(a), n_convex), n_convex being the number of nodes that
+    took the w'' >= 0 branch.
     """
-    scan = (
-        _diffusion(params, _A_SCAN)[:, None] * d2w[None, :]
-        + params.h(_A_SCAN)[:, None] * dw[None, :]
-        + params.phi(_A_SCAN)[:, None]
-    )
-    j = np.argmax(scan, axis=0)
-    lo = np.where(j > 0, _A_SCAN[np.maximum(j - 1, 0)], 1e-9)
-    hi = _A_SCAN[np.minimum(j + 1, _A_SCAN_N - 1)]
+    alpha, phi_max = params.effort_impact.alpha, params.effort_impact.phi_max
+    beta = params.effort_cost.beta
+    k = alpha + beta
+    m = 2.0 * alpha + beta
+    d0 = 0.5 * (params.sigma * beta / (phi_max * alpha)) ** 2
+    A = 2.0 * k * d0 * d2w
+    B = beta * dw
+    C = phi_max * alpha
 
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = _effort_objective(params, x1, dw, d2w)
-    f2 = _effort_objective(params, x2, dw, d2w)
-    for _ in range(_GOLDEN_STEPS):
-        take_left = f1 >= f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
-        width = hi - lo
-        x1_new = np.where(take_left, hi - _INVPHI * width, x2)
-        x2_new = np.where(take_left, x1, lo + _INVPHI * width)
-        probe = np.where(take_left, x1_new, x2_new)
-        f_probe = _effort_objective(params, probe, dw, d2w)
-        f1, f2 = np.where(take_left, f_probe, f2), np.where(take_left, f1, f_probe)
-        x1, x2 = x1_new, x2_new
-    a = 0.5 * (lo + hi)
+    convex = d2w >= 0.0
+    hi = np.full(A.shape, _A_HI)
+    pos = A > 0.0
+    hi[pos] = ((np.log(C * k / m) - np.log(A[pos])) / (m + k)).clip(0.0, _A_HI)
+    q_lo = A + B + C
+    q_hi = A * np.exp(m * hi) + B + C * np.exp(-k * hi)
+    # q <= 0 at 0: f falls from a = 0 (convex case: until its local minimum,
+    # so the cap is compared below). q >= 0 at hi: f never falls on [0, _A_HI].
+    a = np.where(q_lo <= 0.0, 0.0, _A_HI)
+
+    # safeguarded Newton on the nodes whose bracket [0, hi] straddles the
+    # root, started from the left end, where q > 0
+    idx = np.flatnonzero((q_lo > 0.0) & (q_hi < 0.0))
+    lo, hi, Ai, Bi = np.zeros(idx.size), hi[idx], A[idx], B[idx]
+    t = lo
+    for _ in range(_NEWTON_STEPS):
+        if idx.size == 0:
+            break
+        em, ek = np.exp(m * t), C * np.exp(-k * t)
+        qt = Ai * em + Bi + ek
+        above = qt > 0.0
+        lo = np.where(above, t, lo)
+        hi = np.where(above, hi, t)
+        newton = t - qt / (m * Ai * em - k * ek)  # q' < 0 on the bracket
+        tol = 2.0 * _EPS * np.maximum(t, 1.0)
+        done = (np.abs(newton - t) <= tol) | (hi - lo <= tol)
+        a[idx[done]] = np.clip(newton[done], lo[done], hi[done])
+        t = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        keep = ~done
+        idx, lo, hi, Ai, Bi, t = idx[keep], lo[keep], hi[keep], Ai[keep], Bi[keep], t[keep]
+    a[idx] = t
+
     g = _effort_objective(params, a, dw, d2w)
+    g_cap = _effort_objective(params, _A_HI, dw, d2w)
+    cap = convex & (g_cap > g)
+    a = np.where(cap, _A_HI, a)
+    g = np.where(cap, g_cap, g)
     g0 = _diffusion(params, np.zeros_like(a)) * d2w
     better = g > g0
-    return np.where(better, a, 0.0), np.where(better, g, g0)
+    return np.where(better, a, 0.0), np.where(better, g, g0), int(np.count_nonzero(convex))
 
 
 def _best_response(params: ModelParams, x, dw, d2w):
-    """Joint maximizer over (r, a) at one slope: H, r, a and the drift b."""
+    """Joint maximizer over (r, a) at one slope.
+
+    Returns H, r, a, the drift b and the number of nodes that took the
+    convex branch of the effort maximizer.
+    """
     r = _rent_candidate(params, dw)
-    a, g_a = _best_effort(params, dw, d2w)
+    a, g_a, n_convex = _best_effort(params, dw, d2w)
     u_r = params.u(r)
     h_val = g_a + (params.lam * x - u_r) * dw - r
     b = params.lam * x - u_r + params.h(a)
-    return h_val, r, a, b
+    return h_val, r, a, b, n_convex
 
 
 def hamiltonian_max(params: ModelParams, x: float, dw: float, d2w: float):
@@ -196,7 +239,7 @@ def hamiltonian_max(params: ModelParams, x: float, dw: float, d2w: float):
     """
     if x < 0.0:
         raise ValueError("x must be >= 0")
-    h_val, r, a, _ = _best_response(
+    h_val, r, a, _, _ = _best_response(
         params,
         np.asarray([x], dtype=float),
         np.asarray([dw], dtype=float),
@@ -228,20 +271,22 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
              r_cur: np.ndarray, a_cur: np.ndarray):
     """One policy-improvement sweep: per-node best action against w.
 
-    Candidates per node: the closed-form/scan maximizer at each one-sided
-    slope (kept only when the drift it induces points to that side), the
-    r = 0 fallback (drift lam x + h(a) >= 0 makes the forward side always
-    consistent), and the incumbent policy. Keeping the incumbent bounds how
-    much a sweep can lower the discrete Hamiltonian at any node (by the tie
-    margin below, a few ulps), which is what keeps the iteration monotone in
-    practice: the one-sided maximizers can both land on the wrong drift sign
-    near a drift sign change, and without the incumbent the sweep would
-    replace a good policy with a much worse one there and the iteration can
-    cycle.
+    Candidates per node: the closed-form rent and Newton effort maximizers
+    (see _best_effort) at each one-sided slope (kept only when the drift it
+    induces points to that side), the r = 0 fallback (drift
+    lam x + h(a) >= 0 makes the forward side always consistent), and the
+    incumbent policy. Keeping the incumbent bounds how much a sweep can
+    lower the discrete Hamiltonian at any node (by the tie margin below, a
+    few ulps), which is what keeps the iteration monotone in practice: the
+    one-sided maximizers can both land on the wrong drift sign near a drift
+    sign change, and without the incumbent the sweep would replace a good
+    policy with a much worse one there and the iteration can cycle.
 
-    Returns (r, a, stop) over the whole grid. Boundary nodes get one-sided
-    policies for reporting; stop[0] is pinned False (the state is absorbed
-    at 0 with zero settlement) and stop[n-1] True (truncation convention).
+    Returns (r, a, stop, n_convex) over the whole grid, n_convex counting
+    the effort maximizations that took the w'' >= 0 branch. Boundary nodes
+    get one-sided policies for reporting; stop[0] is pinned False (the state
+    is absorbed at 0 with zero settlement) and stop[n-1] True (truncation
+    convention).
     """
     dx = grid.dx
     xi = grid.x[1:-1]
@@ -250,8 +295,8 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
     dw_b = (wi - w[:-2]) / dx
     d2w = (w[2:] - 2.0 * wi + w[:-2]) / dx**2
 
-    h_f, r_f, a_f, b_f = _best_response(params, xi, dw_f, d2w)
-    h_b, r_b, a_b, b_b = _best_response(params, xi, dw_b, d2w)
+    h_f, r_f, a_f, b_f, n_f = _best_response(params, xi, dw_f, d2w)
+    h_b, r_b, a_b, b_b, n_b = _best_response(params, xi, dw_b, d2w)
     h_0 = h_f + params.u(r_f) * dw_f + r_f
 
     ri, ai = r_cur[1:-1], a_cur[1:-1]
@@ -303,7 +348,7 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
     a[0], a[-1] = edge[2]
     stop[0] = False
     stop[-1] = True
-    return r, a, stop
+    return r, a, stop, n_f + n_b + edge[4]
 
 
 def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
@@ -406,10 +451,10 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop,
                  tol: float, max_sweeps: int):
     """Run policy iteration on one grid from the given starting policy.
 
-    Returns (w, r, a, stop, sweeps). Converged when the policy reproduces
-    itself exactly, or when the value moved less than tol while the stop
-    set stayed fixed and the pointwise defect is within its reporting
-    bound. A value step below tol with the contact boundary still moving
+    Returns (w, r, a, stop, sweeps, n_convex), n_convex summed over the
+    sweeps. Converged when the policy reproduces itself exactly, or when
+    the value moved less than tol while the stop set stayed fixed and the
+    pointwise defect is within its reporting bound. A value step below tol with the contact boundary still moving
     is not convergence: near its fixed point the boundary recedes one node
     per sweep with value steps of the same size as tol, and declaring
     convergence mid-recession leaves a junction defect orders of magnitude
@@ -417,9 +462,11 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop,
     """
     w_prev = None
     w = None
+    n_convex = 0
     for it in range(1, max_sweeps + 1):
         w = _evaluate(params, grid, r, a, stop, psi)
-        r_new, a_new, stop_new = _improve(params, grid, w, psi, r, a)
+        r_new, a_new, stop_new, n = _improve(params, grid, w, psi, r, a)
+        n_convex += n
         same_policy = (
             np.array_equal(r_new, r) and np.array_equal(a_new, a)
             and np.array_equal(stop_new, stop)
@@ -433,7 +480,7 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop,
         r, a, stop = r_new, a_new, stop_new
         w_prev = w
         if same_policy or small_step:
-            return w, r, a, stop, it
+            return w, r, a, stop, it, n_convex
 
     residual = _max_defect(params, grid, w, r, a, stop, psi)
     raise NoConvergence(iterations=max_sweeps, residual=residual)
@@ -452,6 +499,7 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = 1e-9,
     the discrete Hamiltonian.
     """
     used = 0
+    n_convex = 0
     level = None
     w = r = a = stop = None
     for size in _level_sizes(grid.n):
@@ -470,12 +518,13 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = 1e-9,
             stop[0] = False
             stop[-1] = True
         try:
-            w, r, a, stop, sweeps = _solve_level(
+            w, r, a, stop, sweeps, n = _solve_level(
                 params, level, psi, r, a, stop, tol, max_iter - used)
         except NoConvergence as err:
             raise NoConvergence(iterations=used + err.iterations,
                                 residual=err.residual) from None
         used += sweeps
+        n_convex += n
 
     psi = -params.u_inv(grid.x)
     first_stop = int(np.argmax(stop))
@@ -484,5 +533,5 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = 1e-9,
     return SecondBestSolution(
         grid=grid, w=w, r_star=r, a_star=a, stop=stop,
         b_hat=float(grid.x[first_stop]), k_growth=k_growth,
-        iterations=used, residual=residual,
+        iterations=used, residual=residual, effort_convex_nodes=n_convex,
     )

@@ -43,22 +43,31 @@ repeated; keys are the config-file keys.
 """
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return f"{float(value):.17g}"
+_CSV_BLOCK = 4096  # rows per %-format; bounds the text held in memory at once
+_CSV_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # other dtypes: "%s"
 
 
-def write_csv(path, header, rows) -> None:
-    """One header row plus data rows, LF endings, 17 significant digits."""
+def write_csv(path, header, blocks) -> None:
+    """One header row plus data rows, LF endings, 17 significant digits.
+
+    blocks is an iterable of column tuples: each yields equal-length columns
+    (arrays or sequences) whose rows are written in order. Each column's
+    dtype picks its format: "%d" for integers and bools (1/0), "%.17g" for
+    floats (the same bytes as f"{x:.17g}"), "%s" otherwise. At most
+    _CSV_BLOCK rows are formatted by one % operation.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            row = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\n"
+            width = len(columns)
+            for start in range(0, len(columns[0]), _CSV_BLOCK):
+                parts = [col[start:start + _CSV_BLOCK].tolist() for col in columns]
+                flat = [None] * (len(parts[0]) * width)
+                for j, part in enumerate(parts):
+                    flat[j::width] = part
+                fh.write((row * len(parts[0])) % tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -133,18 +142,18 @@ def _solve_sb(cfg: RunConfig):
 def _run_first_best(cfg: RunConfig, outdir, timings):
     t0 = time.perf_counter()
     xs = np.linspace(cfg.fb_x_min, cfg.fb_x_max, cfg.fb_x_n)
-    rows = []
-    for x in xs:
-        sol = principal_value_fb(cfg.params, float(x))
-        rows.append((x, sol.lambda_lag, sol.tau_star.value, sol.value))
+    sols = [principal_value_fb(cfg.params, float(x)) for x in xs]
     write_csv(os.path.join(outdir, "fb_value.csv"),
-              ("x", "lambda_lag", "tau_star", "value"), rows)
+              ("x", "lambda_lag", "tau_star", "value"),
+              [(xs, [s.lambda_lag for s in sols], [s.tau_star.value for s in sols],
+                [s.value for s in sols])])
 
     anchor = principal_value_fb(cfg.params, cfg.params.x_reserve)
     ts = np.linspace(0.0, cfg.fb_t_max, cfg.fb_t_n)
-    sched = [(t, anchor.rent(t), anchor.effort(t), anchor.h_profile(t)) for t in ts]
     write_csv(os.path.join(outdir, "fb_schedule.csv"),
-              ("t", "rent", "effort", "H"), sched)
+              ("t", "rent", "effort", "H"),
+              [(ts, [anchor.rent(t) for t in ts], [anchor.effort(t) for t in ts],
+                [anchor.h_profile(t) for t in ts])])
     diag = {
         "schedule_x": cfg.params.x_reserve,
         "schedule_lambda_lag": anchor.lambda_lag,
@@ -157,14 +166,15 @@ def _run_second_best(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     sol = solution if solution is not None else _solve_sb(cfg)
     g = sol.grid
-    rows = zip(g.x, sol.w, sol.r_star, sol.a_star, sol.stop.astype(int))
     write_csv(os.path.join(outdir, "sb_solution.csv"),
-              ("x", "w", "r_star", "a_star", "stop"), rows)
+              ("x", "w", "r_star", "a_star", "stop"),
+              [(g.x, sol.w, sol.r_star, sol.a_star, sol.stop)])
     diag = {
         "b_hat": sol.b_hat,
         "iterations": sol.iterations,
         "residual": sol.residual,
         "k_growth": sol.k_growth,
+        "effort_convex_nodes": sol.effort_convex_nodes,
     }
     timings["sb_seconds"] = time.perf_counter() - t0
     return ["sb_solution.csv"], diag, sol
@@ -180,17 +190,16 @@ def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
     bundles = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
 
-    def rows():
+    def blocks():
         for b in bundles:
             n = b.w_increments.size
-            last = n if not b.censored else -1  # stopped flag only on a real stop
-            for k in range(n + 1):
-                dw = b.w_increments[k - 1] if k > 0 else 0.0
-                yield (b.path_id, b.times[k], b.j_path[k], b.x_path[k], dw,
-                       1 if k == last else 0)
+            stopped = np.zeros(n + 1, dtype=int)
+            stopped[n] = not b.censored  # stopped flag only on a real stop
+            yield (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
+                   np.concatenate(([0.0], b.w_increments)), stopped)
 
     write_csv(os.path.join(outdir, "paths.csv"),
-              ("path_id", "t", "j", "x", "dw", "stopped"), rows())
+              ("path_id", "t", "j", "x", "dw", "stopped"), blocks())
     payoffs = np.array([b.discounted_payoff for b in bundles])
     diag = {
         "x0": cfg.sim_x0,
@@ -213,7 +222,7 @@ def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
     table = value_of_information(cfg.params, xs, solution=sol)
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
-              zip(table.x, table.v_fb, table.v_sb, table.voi))
+              [(table.x, table.v_fb, table.v_sb, table.voi)])
     diag = {"voi_min": float(table.voi.min())}
     timings["voi_seconds"] = time.perf_counter() - t0
     return ["voi.csv"], diag, sol
@@ -234,12 +243,8 @@ def _run_sweep(cfg: RunConfig, outdir, timings, solution=None):
     done = {**dict(solved), **reused}
     solved = [(sg, done[sg]) for sg in cfg.sweep_sigmas if sg in done]
 
-    def rows():
-        for sg, sol in solved:
-            for x, w in zip(sol.grid.x, sol.w):
-                yield (sg, x, w)
-
-    write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"), rows())
+    write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
+              [(np.full(sol.grid.n, sg), sol.grid.x, sol.w) for sg, sol in solved])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
         "sweep_failures": [f"{sg}: {msg}" for sg, msg in failures],

@@ -205,6 +205,7 @@ class TestDispatch:
         assert manifest["subcommand"] == "report"
         assert manifest["config"]["grid.n"] == "201"
         assert "diagnostics" in manifest and "timings" in manifest
+        assert manifest["diagnostics"]["effort_convex_nodes"] > 0
 
     def test_csv_number_format_round_trips(self, tmp_path):
         out = tmp_path / "sb"

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contract_solve import (
     Grid,
@@ -12,16 +14,27 @@ from contract_solve import (
     howard_solve,
     residual_check,
 )
-from contract_solve.hjbvi import _evaluate
+from contract_solve.hjbvi import _best_effort, _evaluate
 
 from .helpers import golden_max, grid_argmax
 
 
+def _effort_value(params, a, dw, d2w):
+    """f(a) = D(a) w'' + h(a) w' + phi(a), D(a) = 1/2 (sigma h'(a)/phi'(a))^2."""
+    return 0.5 * (params.sigma * params.dh(a) / params.dphi(a)) ** 2 * d2w \
+        + params.h(a) * dw + params.phi(a)
+
+
+def _effort_slope(params, a, dw, d2w):
+    """f'(a); for this family (h'/phi')' = (alpha + beta) h'/phi'."""
+    k = params.effort_impact.alpha + params.effort_cost.beta
+    ratio = params.dh(a) / params.dphi(a)
+    return k * (params.sigma * ratio) ** 2 * d2w + params.dh(a) * dw + params.dphi(a)
+
+
 def _joint_hamiltonian(params, x, dw, d2w):
     """Brute-force sup of the Hamiltonian, exploiting (r, a) separability."""
-    diffusion = lambda a: 0.5 * (params.sigma * params.dh(a) / params.dphi(a)) ** 2
-    _, best_a = grid_argmax(
-        lambda a: diffusion(a) * d2w + params.h(a) * dw + params.phi(a), 0.0, 50.0, 200_001)
+    _, best_a = grid_argmax(lambda a: _effort_value(params, a, dw, d2w), 0.0, 50.0, 200_001)
     _, best_r = grid_argmax(lambda r: -params.u(r) * dw - r, 0.0, 5.0, 200_001)
     return best_a + best_r + params.lam * x * dw
 
@@ -57,6 +70,53 @@ class TestHamiltonianMax:
             brute = _joint_hamiltonian(params, x, dw, d2w)
             assert val >= brute - 1e-9
             assert val == pytest.approx(brute, abs=1e-6)
+        # w'' >= 0: from interior maxima (tiny w'') to the effort cap, where
+        # the values reach ~1e9 and rounding scales with them
+        for _ in range(12):
+            x = rng.uniform(0.0, 1.0)
+            dw = rng.uniform(-3.0, 1.0)
+            d2w = 10.0 ** rng.uniform(-9.0, 1.0)
+            val, _, _ = hamiltonian_max(params, x, dw, d2w)
+            brute = _joint_hamiltonian(params, x, dw, d2w)
+            assert val >= brute - 1e-9 * max(1.0, abs(brute))
+            assert val == pytest.approx(brute, rel=1e-12, abs=1e-6)
+        assert hamiltonian_max(params, 0.5, -1.0, 0.0)[0] == pytest.approx(
+            _joint_hamiltonian(params, 0.5, -1.0, 0.0), abs=1e-6)
+
+
+_SLOPE = st.floats(min_value=-5.0, max_value=2.0)
+_CURVATURE = st.one_of(st.floats(min_value=-50.0, max_value=50.0),
+                       st.floats(min_value=-1e-6, max_value=1e-6))
+
+
+class TestBestEffort:
+    """The effort maximizer against brute force and its first-order condition."""
+
+    @given(dw=_SLOPE, d2w=_CURVATURE)
+    @settings(max_examples=150, deadline=None)
+    def test_never_beaten_by_grid_and_stationary_inside(self, params, dw, d2w):
+        a, g, _ = _best_effort(params, np.array([dw]), np.array([d2w]))
+        a, g = float(a[0]), float(g[0])
+        assert 0.0 <= a <= 50.0
+        f_a = _effort_value(params, a, dw, d2w)
+        assert g == pytest.approx(f_a, rel=1e-13, abs=1e-13)
+        _, brute = grid_argmax(lambda t: _effort_value(params, t, dw, d2w), 0.0, 50.0, 200_001)
+        assert f_a >= brute - 1e-12 * max(1.0, abs(f_a))
+        if 0.0 < a < 50.0:
+            slope = _effort_slope(params, a, dw, d2w)
+            assert abs(slope) < 1e-9 * max(1.0, abs(float(params.dphi(a))))
+
+    @given(dw=_SLOPE, d2w=st.floats(min_value=1.0, max_value=1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_large_positive_curvature_sits_at_cap(self, params, dw, d2w):
+        a, _, n_convex = _best_effort(params, np.array([dw]), np.array([d2w]))
+        assert a[0] == 50.0
+        assert n_convex == 1
+
+    def test_convex_count(self, params):
+        d2w = np.array([-2.0, -1e-300, 0.0, 1e-300, 3.0])
+        _, _, n_convex = _best_effort(params, np.full(5, -1.0), d2w)
+        assert n_convex == 3
 
 
 class TestDiscretize:
@@ -131,6 +191,11 @@ class TestHowardSolve:
         interior = ~sb.stop
         interior[0] = False
         assert np.all(sb.a_star[interior] > 0.0)
+
+    def test_convex_branch_counted(self, sb):
+        # interior nodes get two effort maximizations per sweep, the two ends one
+        assert isinstance(sb.effort_convex_nodes, int)
+        assert 0 < sb.effort_convex_nodes <= 2 * sb.grid.n * sb.iterations
 
     def test_converged_residual(self, params, grid, sb):
         assert sb.residual <= 1e-8
