@@ -63,4 +63,5 @@ from .simulate import (
     reconstruct_noise,
     reconstruct_state,
     simulate_paths,
+    summarize_paths,
 )

@@ -9,6 +9,7 @@ default would be worse than an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import DEFAULTS, ModelParams, validate
@@ -152,6 +153,9 @@ def build(raw) -> RunConfig:
         raise ConfigError("sim.dt must be > 0")
     if not values["sim.horizon"] > 0.0:
         raise ConfigError("sim.horizon must be > 0")
+    # SimConfig.n_steps = round(horizon / dt), and round(0.5) is 0
+    if not 0.5 < values["sim.horizon"] / values["sim.dt"] < math.inf:
+        raise ConfigError("sim.horizon / sim.dt must round to a finite number of Euler steps >= 1")
     if values["sim.n_paths"] < 1:
         raise ConfigError("sim.n_paths must be >= 1")
     if not 0 <= values["sim.seed"] < 2**64:
@@ -161,10 +165,14 @@ def build(raw) -> RunConfig:
     for key in ("fb.x_n", "fb.t_n", "voi.x_n"):
         if values[key] < 2:
             raise ConfigError(f"{key} must be >= 2")
+    if not values["fb.x_min"] >= 0.0:
+        raise ConfigError("fb.x_min must be >= 0")
     if values["fb.x_max"] <= values["fb.x_min"]:
         raise ConfigError("fb.x_max must exceed fb.x_min")
-    if not values["voi.x_max"] > 0.0:
-        raise ConfigError("voi.x_max must be > 0")
+    if not values["fb.t_max"] > 0.0:
+        raise ConfigError("fb.t_max must be > 0")
+    if not 0.0 < values["voi.x_max"] <= values["grid.x_max"]:
+        raise ConfigError("voi.x_max must lie in (0, grid.x_max]")
 
     snapshot = {key: f"{val:.17g}" for key, val in model_raw.items()}
     for key in _REGISTRY:
@@ -176,27 +184,9 @@ def build(raw) -> RunConfig:
         else:
             snapshot[key] = f"{val:.17g}"
 
-    return RunConfig(
-        params=params,
-        grid_x_max=values["grid.x_max"],
-        grid_n=values["grid.n"],
-        howard_tol=values["howard.tol"],
-        howard_max_iter=values["howard.max_iter"],
-        sim_dt=values["sim.dt"],
-        sim_horizon=values["sim.horizon"],
-        sim_n_paths=values["sim.n_paths"],
-        sim_seed=values["sim.seed"],
-        sim_x0=values["sim.x0"],
-        sweep_sigmas=values["sweep.sigmas"],
-        fb_x_min=values["fb.x_min"],
-        fb_x_max=values["fb.x_max"],
-        fb_x_n=values["fb.x_n"],
-        fb_t_max=values["fb.t_max"],
-        fb_t_n=values["fb.t_n"],
-        voi_x_max=values["voi.x_max"],
-        voi_x_n=values["voi.x_n"],
-        snapshot=snapshot,
-    )
+    # RunConfig's fields are the registry keys with '.' spelled '_'
+    fields = {key.replace(".", "_"): val for key, val in values.items()}
+    return RunConfig(params=params, snapshot=snapshot, **fields)
 
 
 def load(path=None, overrides=()) -> RunConfig:

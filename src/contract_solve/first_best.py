@@ -121,14 +121,12 @@ def _log_growth(params, lambda_lag, t):
 def _schedule_pieces(params: ModelParams, lambda_lag: float, t):
     """(rent, effort, ln_rent) at times t, stable for arbitrarily large t."""
     ln_y = _log_growth(params, lambda_lag, t)
-    fam_u = params.utility
-    fam_phi, fam_h = params.effort_impact, params.effort_cost
-    ln_rent = (ln_y - math.log(fam_u.p * fam_u.c)) / (fam_u.p - 1.0)
+    ln_rent = (ln_y - math.log(params.p * params.c)) / (params.p - 1.0)
     rent = np.exp(ln_rent)
     effort = np.maximum(
         0.0,
-        (math.log(fam_phi.phi_max * fam_phi.alpha / fam_h.beta) + ln_y)
-        / (fam_phi.alpha + fam_h.beta),
+        (math.log(params.phi_max * params.alpha / params.beta) + ln_y)
+        / (params.alpha + params.beta),
     )
     return rent, effort, ln_rent
 
@@ -157,8 +155,7 @@ def _truncation_time(bound: float, exp_rate: float, div_rate: float) -> float:
 
 def _effort_kink_time(params: ModelParams, lambda_lag: float) -> float:
     """Time at which the effort clamp releases (A_t crosses 0), or 0.0."""
-    fam_phi, fam_h = params.effort_impact, params.effort_cost
-    gap = math.log(lambda_lag * fam_h.beta / (fam_phi.phi_max * fam_phi.alpha))
+    gap = math.log(lambda_lag * params.beta / (params.phi_max * params.alpha))
     if gap <= 0.0 or params.lam == params.delta:
         return 0.0
     return gap / (params.lam - params.delta)
@@ -184,7 +181,7 @@ def _cost_bound(params: ModelParams, lambda_lag: float) -> float:
     rent0, _, _ = _schedule_pieces(params, lambda_lag, 0.0)
     _, effort_cap, _ = _schedule_pieces(params, lambda_lag, T_CAP)
     with np.errstate(over="ignore"):
-        return params.effort_impact.phi_max + float(rent0) + float(params.h(effort_cap))
+        return params.phi_max + float(rent0) + float(params.h(effort_cap))
 
 
 def reservation_integral(params: ModelParams, lambda_lag: float) -> float:
@@ -196,8 +193,7 @@ def reservation_integral(params: ModelParams, lambda_lag: float) -> float:
     if lambda_lag <= 0.0:
         raise ValueError("lambda_lag must be positive")
     lam = params.lam
-    p, c = params.utility.p, params.utility.c
-    beta = params.effort_cost.beta
+    p, c, beta = params.p, params.c, params.beta
 
     def integrand(s):
         _, effort, ln_rent = _schedule_pieces(params, lambda_lag, s)
@@ -232,9 +228,8 @@ def closed_form_G(params: ModelParams, lambda_lag: float) -> float:
     if lambda_lag <= 0.0:
         raise ValueError("lambda_lag must be positive")
     lam, delta = params.lam, params.delta
-    fam_u, fam_phi, fam_h = params.utility, params.effort_impact, params.effort_cost
-    p, c = fam_u.p, fam_u.c
-    alpha, beta, phi_max = fam_phi.alpha, fam_h.beta, fam_phi.phi_max
+    p, c = params.p, params.c
+    alpha, beta, phi_max = params.alpha, params.beta, params.phi_max
 
     ppm1 = p / (p - 1.0)
     term1 = c / ((p * c * lambda_lag) ** ppm1 * (lam - ppm1 * (lam - delta)))
@@ -306,9 +301,8 @@ def _offer_integral(params: ModelParams, lambda_lag: float) -> float:
     Decreasing in m.
     """
     lam, delta = params.lam, params.delta
-    fam_u, fam_phi, fam_h = params.utility, params.effort_impact, params.effort_cost
-    p, c = fam_u.p, fam_u.c
-    alpha, beta, phi_max = fam_phi.alpha, fam_h.beta, fam_phi.phi_max
+    p, c = params.p, params.c
+    alpha, beta, phi_max = params.alpha, params.beta, params.phi_max
 
     mu = lam - delta
     gamma = alpha / (alpha + beta)

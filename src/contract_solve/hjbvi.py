@@ -166,8 +166,7 @@ def _best_effort(params: ModelParams, dw, d2w):
     Returns (a, f(a), n_convex), n_convex being the number of nodes that
     took the w'' >= 0 branch.
     """
-    alpha, phi_max = params.effort_impact.alpha, params.effort_impact.phi_max
-    beta = params.effort_cost.beta
+    alpha, beta, phi_max = params.alpha, params.beta, params.phi_max
     k = alpha + beta
     m = 2.0 * alpha + beta
     d0 = 0.5 * (params.sigma * beta / (phi_max * alpha)) ** 2
@@ -454,11 +453,11 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop,
     Returns (w, r, a, stop, sweeps, n_convex), n_convex summed over the
     sweeps. Converged when the policy reproduces itself exactly, or when
     the value moved less than tol while the stop set stayed fixed and the
-    pointwise defect is within its reporting bound. A value step below tol with the contact boundary still moving
-    is not convergence: near its fixed point the boundary recedes one node
-    per sweep with value steps of the same size as tol, and declaring
-    convergence mid-recession leaves a junction defect orders of magnitude
-    above the value step.
+    pointwise defect is within its reporting bound. A value step below tol
+    with the contact boundary still moving is not convergence: near its
+    fixed point the boundary recedes one node per sweep with value steps of
+    the same size as tol, and declaring convergence mid-recession leaves a
+    junction defect orders of magnitude above the value step.
     """
     w_prev = None
     w = None

@@ -3,14 +3,16 @@
 The principal pays a rent stream to an agent whose effort a moves expected
 output through a bounded concave impact function phi, at a convex private
 cost h, while the agent values consumption through a strictly concave
-utility U satisfying Inada conditions. The model family is
+utility U satisfying Inada conditions. The model has one parametric form,
 
     phi(a) = phi_max * (1 - exp(-alpha a))
     h(a)   = exp(beta a) - 1
     U(x)   = c * x**p,  0 < p < 1
 
 for which every derivative and inverse used downstream is available in
-closed form.
+closed form. ModelParams is a flat record of the nine scalars (phi_max,
+alpha, beta, c, p, lam, delta, sigma, x_reserve) with these primitives as
+methods; the solvers' closed forms read its fields directly.
 """
 
 from __future__ import annotations
@@ -52,94 +54,52 @@ class InvalidParams(ValueError):
 
 
 @dataclass(frozen=True)
-class EffortImpact:
-    """phi(a) = phi_max * (1 - exp(-alpha a)): bounded, increasing, concave."""
-
-    phi_max: float = 3.0
-    alpha: float = 0.1
-
-    def __call__(self, a):
-        return self.phi_max * -np.expm1(-self.alpha * np.asarray(a, dtype=float))
-
-    def deriv(self, a):
-        return self.phi_max * self.alpha * np.exp(-self.alpha * np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class EffortCost:
-    """h(a) = exp(beta a) - 1: increasing, strictly convex, h(0) = 0."""
-
-    beta: float = 0.1
-
-    def __call__(self, a):
-        return np.expm1(self.beta * np.asarray(a, dtype=float))
-
-    def deriv(self, a):
-        return self.beta * np.exp(self.beta * np.asarray(a, dtype=float))
-
-
-@dataclass(frozen=True)
-class AgentUtility:
-    """U(x) = c x**p with 0 < p < 1: strictly concave, Inada at 0 and infinity."""
-
-    c: float = 1.0
-    p: float = 0.25
-
-    def __call__(self, x):
-        return self.c * np.asarray(x, dtype=float) ** self.p
-
-    def deriv(self, x):
-        return self.c * self.p * np.asarray(x, dtype=float) ** (self.p - 1.0)
-
-    def inverse(self, y):
-        return (np.asarray(y, dtype=float) / self.c) ** (1.0 / self.p)
-
-    def deriv_inverse(self, y):
-        # (U')^{-1}(y) = (y / (p c))^{1/(p-1)}, decreasing on (0, inf)
-        return (np.asarray(y, dtype=float) / (self.p * self.c)) ** (1.0 / (self.p - 1.0))
-
-
-@dataclass(frozen=True)
 class ModelParams:
-    """Validated primitives plus discount rates, volatility and reservation value.
+    """The nine model scalars, with phi, h, U and their derivatives as methods.
 
-    Immutable after construction; safe to share freely. lam >= delta > 0 is the
-    standing impatience assumption (the principal discounts no faster than the
-    agent), sigma > 0 keeps output informative about effort.
+    validate() is the checked constructor; dataclasses.replace derives
+    variants. lam >= delta > 0 is the standing impatience assumption (the
+    principal discounts no faster than the agent), sigma > 0 keeps output
+    informative about effort.
     """
 
-    effort_impact: EffortImpact
-    effort_cost: EffortCost
-    utility: AgentUtility
+    phi_max: float
+    alpha: float
+    beta: float
+    c: float
+    p: float
     lam: float
     delta: float
     sigma: float
     x_reserve: float
 
-    # convenience passthroughs, so callers read params.phi(a) etc.
     def phi(self, a):
-        return self.effort_impact(a)
+        """phi(a) = phi_max (1 - e^{-alpha a}): bounded, increasing, concave."""
+        return self.phi_max * -np.expm1(-self.alpha * np.asarray(a, dtype=float))
 
     def dphi(self, a):
-        return self.effort_impact.deriv(a)
+        return self.phi_max * self.alpha * np.exp(-self.alpha * np.asarray(a, dtype=float))
 
     def h(self, a):
-        return self.effort_cost(a)
+        """h(a) = e^{beta a} - 1: increasing, strictly convex, h(0) = 0."""
+        return np.expm1(self.beta * np.asarray(a, dtype=float))
 
     def dh(self, a):
-        return self.effort_cost.deriv(a)
+        return self.beta * np.exp(self.beta * np.asarray(a, dtype=float))
 
     def u(self, x):
-        return self.utility(x)
+        """U(x) = c x^p with 0 < p < 1: strictly concave, Inada at 0 and infinity."""
+        return self.c * np.asarray(x, dtype=float) ** self.p
 
     def du(self, x):
-        return self.utility.deriv(x)
+        return self.c * self.p * np.asarray(x, dtype=float) ** (self.p - 1.0)
 
     def u_inv(self, y):
-        return self.utility.inverse(y)
+        return (np.asarray(y, dtype=float) / self.c) ** (1.0 / self.p)
 
     def du_inv(self, y):
-        return self.utility.deriv_inverse(y)
+        # (U')^{-1}(y) = (y / (p c))^{1/(p-1)}, decreasing on (0, inf)
+        return (np.asarray(y, dtype=float) / (self.p * self.c)) ** (1.0 / (self.p - 1.0))
 
     def cost_impact_ratio(self, a):
         """h'(a) / phi'(a): strictly increasing since h is convex and phi concave."""
@@ -190,15 +150,8 @@ def validate(raw) -> ModelParams:
     if violations:
         raise InvalidParams(violations)
 
-    return ModelParams(
-        effort_impact=EffortImpact(phi_max=vals["phi_max"], alpha=vals["alpha"]),
-        effort_cost=EffortCost(beta=vals["beta"]),
-        utility=AgentUtility(c=vals["c"], p=vals["p"]),
-        lam=vals["lambda"],
-        delta=vals["delta"],
-        sigma=vals["sigma"],
-        x_reserve=vals["x_reserve"],
-    )
+    # the config key "lambda" is a Python keyword; the field is lam
+    return ModelParams(lam=vals.pop("lambda"), **vals)
 
 
 def default_params() -> ModelParams:
@@ -214,8 +167,7 @@ def ratio_inverse(params: ModelParams, y):
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0):
         raise ValueError("ratio_inverse requires y > 0")
-    fam_phi, fam_h = params.effort_impact, params.effort_cost
-    out = (1.0 / (fam_phi.alpha + fam_h.beta)) * np.log(
-        fam_phi.phi_max * fam_phi.alpha * y_arr / fam_h.beta
+    out = (1.0 / (params.alpha + params.beta)) * np.log(
+        params.phi_max * params.alpha * y_arr / params.beta
     )
     return float(out) if out.ndim == 0 else out

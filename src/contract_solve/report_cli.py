@@ -25,7 +25,7 @@ from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb
 from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
 from .model import ModelParams
-from .simulate import PolicyOutOfRange, SimConfig, simulate_paths
+from .simulate import PolicyOutOfRange, SimConfig, simulate_paths, summarize_paths
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -78,25 +78,20 @@ class VoiTable:
     voi: np.ndarray
 
 
-def value_of_information(params: ModelParams, x_grid, *, grid: Grid | None = None,
-                         solution=None, tol: float = 1e-9, max_iter: int = 200) -> VoiTable:
+def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
     """Full-information value minus second-best value on x_grid.
 
-    The second-best value is linearly interpolated from a solve on `grid`
-    (or the supplied solution); the full-information value is solved point
-    by point. x_grid must stay inside both solvers' domains.
+    The second-best value is linearly interpolated from the supplied
+    solution on its own grid; the full-information value is solved point by
+    point. x_grid must stay inside both solvers' domains.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    if grid is None:
-        grid = solution.grid if solution is not None else Grid.make()
-    x_fb_max = continuation_boundary(params)
-    hi = min(x_fb_max, grid.x_max)
+    grid = solution.grid
+    hi = min(continuation_boundary(params), grid.x_max)
     if x_grid.size == 0:
         raise ValueError("x_grid is empty")
     if np.any(x_grid < 0.0) or np.any(x_grid > hi):
         raise ValueError(f"x_grid must lie within [0, {hi:.6g}]")
-    if solution is None:
-        solution = howard_solve(params, grid, tol=tol, max_iter=max_iter)
     v_fb = np.array([principal_value_fb(params, float(x)).value for x in x_grid])
     v_sb = np.interp(x_grid, grid.x, solution.w)
     return VoiTable(x=x_grid, v_fb=v_fb, v_sb=v_sb, voi=v_fb - v_sb)
@@ -194,22 +189,21 @@ def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
         for b in bundles:
             n = b.w_increments.size
             stopped = np.zeros(n + 1, dtype=int)
-            stopped[n] = not b.censored  # stopped flag only on a real stop
+            stopped[n] = not b.censored  # ended before the horizon: stop region or floor
             yield (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
                    np.concatenate(([0.0], b.w_increments)), stopped)
 
     write_csv(os.path.join(outdir, "paths.csv"),
               ("path_id", "t", "j", "x", "dw", "stopped"), blocks())
-    payoffs = np.array([b.discounted_payoff for b in bundles])
+    mc = summarize_paths(cfg.params, sol, sim_cfg, bundles)
     diag = {
         "x0": cfg.sim_x0,
-        "n_paths": len(bundles),
-        "mc_estimate": float(payoffs.mean()),
-        "mc_std_error": float(payoffs.std(ddof=1) / np.sqrt(len(bundles))) if len(bundles) > 1 else 0.0,
-        "n_floor": sum(b.floor for b in bundles),
-        "n_censored": sum(b.censored for b in bundles),
-        "censoring_bias_bound": float(np.exp(-cfg.params.delta * cfg.sim_horizon)
-                                      * (sol.k_growth + cfg.params.u_inv(sol.grid.x_max))),
+        "n_paths": mc.n_paths,
+        "mc_estimate": mc.estimate,
+        "mc_std_error": mc.std_error,
+        "n_floor": mc.n_floor,
+        "n_censored": mc.n_censored,
+        "censoring_bias_bound": mc.censoring_bias_bound,
     }
     timings["sim_seconds"] = time.perf_counter() - t0
     return ["paths.csv"], diag, sol
@@ -219,7 +213,11 @@ def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
     t0 = time.perf_counter()
     sol = solution if solution is not None else _solve_sb(cfg)
     xs = np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
-    table = value_of_information(cfg.params, xs, solution=sol)
+    try:
+        table = value_of_information(cfg.params, xs, sol)
+    except ValueError as exc:
+        # config keeps xs <= grid.x_max; the first-best boundary is known only once solved
+        raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
               [(table.x, table.v_fb, table.v_sb, table.voi)])

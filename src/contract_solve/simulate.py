@@ -297,6 +297,19 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return bundles
 
 
+def _std_error(values) -> float:
+    """Standard error of the sample mean; 0 for a single sample."""
+    n = len(values)
+    return float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _mc_value(params, solution, cfg, payoffs, n_floor, n_censored) -> MCValue:
+    bias = float(np.exp(-params.delta * cfg.horizon)
+                 * (solution.k_growth + params.u_inv(solution.grid.x_max)))
+    return MCValue(float(np.mean(payoffs)), _std_error(payoffs), len(payoffs),
+                   n_floor, n_censored, bias)
+
+
 def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
                        x0: float, cfg: SimConfig) -> MCValue:
     """Sample mean and standard error of the discounted principal payoff."""
@@ -307,11 +320,15 @@ def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
         payoffs[ids[0]:ids[-1] + 1] = chunk.principal
         n_floor += int(chunk.floor.sum())
         n_censored += int(chunk.censored.sum())
-    est = float(np.mean(payoffs))
-    se = float(np.std(payoffs, ddof=1) / np.sqrt(cfg.n_paths)) if cfg.n_paths > 1 else 0.0
-    bias = float(np.exp(-params.delta * cfg.horizon)
-                 * (solution.k_growth + params.u_inv(solution.grid.x_max)))
-    return MCValue(est, se, cfg.n_paths, n_floor, n_censored, bias)
+    return _mc_value(params, solution, cfg, payoffs, n_floor, n_censored)
+
+
+def summarize_paths(params: ModelParams, solution: SecondBestSolution,
+                    cfg: SimConfig, bundles) -> MCValue:
+    """The MCValue of simulate_paths' bundles: what mc_principal_value returns."""
+    payoffs = np.array([b.discounted_payoff for b in bundles])
+    return _mc_value(params, solution, cfg, payoffs, sum(b.floor for b in bundles),
+                     sum(b.censored for b in bundles))
 
 
 def _agent_objectives(params, solution, x0, cfg, effort_map):
@@ -331,23 +348,21 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
     A deviation is flagged when its margin falls below -2 margin_se.
     """
     base = _agent_objectives(params, solution, x0, cfg, None)
-    n = cfg.n_paths
-    base_est = float(np.mean(base))
-    base_se = float(np.std(base, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     rows = []
     for dev in deviations:
         vals = _agent_objectives(params, solution, x0, cfg, dev)
         diff = base - vals
         margin = float(np.mean(diff))
-        margin_se = float(np.std(diff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        margin_se = _std_error(diff)
         rows.append(DeviationResult(
             estimate=float(np.mean(vals)),
-            std_error=float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
+            std_error=_std_error(vals),
             margin=margin,
             margin_se=margin_se,
             satisfied=bool(margin >= -2.0 * margin_se),
         ))
-    return IncentiveReport(base_est, base_se, tuple(rows), all(r.satisfied for r in rows))
+    return IncentiveReport(float(np.mean(base)), _std_error(base), tuple(rows),
+                           all(r.satisfied for r in rows))
 
 
 def reconstruct_noise(params: ModelParams, bundle: PathBundle) -> float:

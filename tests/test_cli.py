@@ -9,6 +9,7 @@ from contract_solve import (
     Grid,
     NonMonotoneScheme,
     cli_dispatch,
+    howard_solve,
     load,
     sigma_sweep,
     value_of_information,
@@ -64,7 +65,11 @@ class TestConfigParsing:
                            ("sim.dt=-1e-3", "sim.dt"), ("fb.x_n=1", "fb.x_n"),
                            ("sweep.sigmas=1.5,-2", "sweep.sigmas"),
                            ("grid.n=abc", "grid.n"), ("bogus=1", "bogus"),
-                           ("lambda=0.05", "lambda"), ("sim.seed=-3", "sim.seed")):
+                           ("lambda=0.05", "lambda"), ("sim.seed=-3", "sim.seed"),
+                           ("fb.x_min=-1", "fb.x_min"), ("fb.t_max=-1", "fb.t_max"),
+                           ("sim.horizon=1e-4", "sim.horizon"), ("sim.dt=1e9", "sim.dt"),
+                           ("sim.horizon=inf", "sim.horizon"),
+                           ("voi.x_max=1.5", "voi.x_max"), ("voi.x_max=0", "voi.x_max")):
             with pytest.raises(ConfigError, match=frag.replace(".", r"\.")):
                 load(None, [pair])
 
@@ -95,6 +100,14 @@ class TestValueOfInformation:
         for xs in ([1.2], [-0.1], []):
             with pytest.raises(ValueError):
                 value_of_information(params, xs, solution=sb)
+
+    def test_reads_the_solution_on_its_own_grid(self, params):
+        sol = howard_solve(params, Grid.make(0.8, 2001))
+        table = value_of_information(params, [0.0, 0.3, 0.8], sol)
+        assert np.array_equal(table.v_sb, np.interp([0.0, 0.3, 0.8], sol.grid.x, sol.w))
+        assert table.v_sb[1] == pytest.approx(0.00181, abs=5e-6)
+        with pytest.raises(ValueError, match="0.8"):
+            value_of_information(params, [0.85], sol)
 
 
 class TestSigmaSweep:
@@ -164,6 +177,18 @@ class TestDispatch:
                              "--set", "sim.x0=0.8"])
         assert code == 1
         assert "sim.x0" in capsys.readouterr().err
+
+    def test_voi_range_exits_with_config_error(self, tmp_path, capsys):
+        # beyond grid.x_max: rejected by the config itself
+        code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "voi.x_max=1.5"])
+        assert code == 1
+        assert "error: voi.x_max" in capsys.readouterr().err
+        # inside a wide grid but past the first-best boundary (about 4.55)
+        code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "grid.x_max=6",
+                             "--set", "voi.x_max=5"])
+        assert code == 1
+        assert "error: voi.x_max" in capsys.readouterr().err
+        assert not (tmp_path / "voi.csv").exists()
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         code = cli_dispatch(["sweep", "--out", str(tmp_path), *FAST,

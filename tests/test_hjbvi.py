@@ -27,7 +27,7 @@ def _effort_value(params, a, dw, d2w):
 
 def _effort_slope(params, a, dw, d2w):
     """f'(a); for this family (h'/phi')' = (alpha + beta) h'/phi'."""
-    k = params.effort_impact.alpha + params.effort_cost.beta
+    k = params.alpha + params.beta
     ratio = params.dh(a) / params.dphi(a)
     return k * (params.sigma * ratio) ** 2 * d2w + params.dh(a) * dw + params.dphi(a)
 
@@ -229,6 +229,14 @@ class TestHowardSolve:
         mask = cont[1:-1] & cont[2:] & cont[:-2]
         d2 = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / g.dx**2
         assert np.max(d2[mask]) <= 1e-7 / g.dx**2
+
+    def test_residual_is_discretize_node_by_node(self, params, grid, sb):
+        # the vectorized defect must be the scalar scheme, bit for bit
+        psi = -params.u_inv(grid.x)
+        defects = [abs(min(-discretize(params, grid, sb.w, i, sb.r_star[i], sb.a_star[i]),
+                           sb.w[i] - psi[i]))
+                   for i in range(1, grid.n - 1)]
+        assert residual_check(sb, params, grid) == max(defects)
 
     def test_perturbed_value_flags_defect(self, params, grid, sb):
         w = sb.w.copy()

@@ -17,6 +17,7 @@ from contract_solve import (
     reconstruct_noise,
     reconstruct_state,
     simulate_paths,
+    summarize_paths,
 )
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
@@ -183,6 +184,13 @@ class TestMonteCarloValue:
         expected = math.exp(-params.delta * cfg.horizon) * (
             sb.k_growth + params.u_inv(sb.grid.x_max))
         assert mc.censoring_bias_bound == pytest.approx(expected, rel=1e-12)
+
+    def test_summary_of_recorded_paths_is_the_mc_value(self, params, sb):
+        # the censored short horizon makes every field of the summary non-trivial
+        for cfg in (CFG_SMALL, SimConfig(dt=1e-3, horizon=0.5, n_paths=64, seed=3)):
+            paths = simulate_paths(params, sb, 0.1, cfg)
+            assert summarize_paths(params, sb, cfg, paths) == mc_principal_value(
+                params, sb, 0.1, cfg)
 
 
 class TestIncentives:

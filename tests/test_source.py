@@ -1,9 +1,11 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "contract_solve"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "contract_solve"
 
 
 def test_no_assert_statements():
@@ -15,3 +17,18 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_benchmark_trace_targets_exist():
+    # the traced benchmark wraps contract_solve.<layer>.<name> for every
+    # entry of TARGETS in bench/spans.py and fails if one is missing; the
+    # file is parsed, not imported, so the test leaves bench/ untouched
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    [targets] = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    assert targets
+    missing = [f"{layer}.{name}" for layer, names in targets.items() for name in names
+               if not callable(getattr(importlib.import_module(f"contract_solve.{layer}"),
+                                       name, None))]
+    assert not missing, f"benchmark trace targets missing from the package: {missing}"
