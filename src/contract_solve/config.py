@@ -28,9 +28,12 @@ def _parse_int(key, text):
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(key, text):

@@ -119,9 +119,8 @@ class SecondBestSolution:
 
 
 def _diffusion(params: ModelParams, a):
-    """1/2 (sigma h'(a)/phi'(a))^2, continuous down to a = 0."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (params.sigma * params.cost_impact_ratio(a)) ** 2
+    """1/2 exposure(a)^2, continuous down to a = 0."""
+    return 0.5 * params.exposure(a) ** 2
 
 
 def _rent_candidate(params: ModelParams, dw):

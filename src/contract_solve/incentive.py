@@ -53,7 +53,7 @@ def z_from_effort(params: ModelParams, a):
     a = np.asarray(a, dtype=float)
     if np.any(a < 0.0):
         raise ValueError("effort must be >= 0")
-    z = np.where(a > 0.0, params.sigma * params.cost_impact_ratio(a), 0.0)
+    z = np.where(a > 0.0, params.exposure(a), 0.0)
     if z.ndim == 0:
         return float(z)
     return z

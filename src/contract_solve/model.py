@@ -105,6 +105,11 @@ class ModelParams:
         """h'(a) / phi'(a): strictly increasing since h is convex and phi concave."""
         return self.dh(a) / self.dphi(a)
 
+    def exposure(self, a):
+        """sigma h'(a)/phi'(a), positive at a = 0: the state's noise loading in
+        the simulation, and the PDE's diffusion is half its square."""
+        return self.sigma * self.cost_impact_ratio(a)
+
 
 def validate(raw) -> ModelParams:
     """Check a raw key->value mapping and build ModelParams.

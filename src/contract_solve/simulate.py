@@ -6,10 +6,13 @@ as an independent check on the PDE solve, tests incentive compatibility
 against deviating effort policies, and reconstructs the driving noise from
 the simulated output path.
 
-Randomness is counter-based: each path draws from its own Philox stream
-keyed by (seed, path_id), so results are bitwise identical regardless of
-chunking, execution order, or which other paths run alongside. Deviation
-arms reuse the same streams (common random numbers).
+Paths run through a fixed pool of _CHUNK lanes: a lane steps one path at a
+time, takes the next unstarted path when it ends, and leaves the pool once
+none is left, so no arithmetic runs for finished paths. Randomness is
+counter-based: each path draws from its own Philox stream keyed by
+(seed, path_id), so results are bitwise identical regardless of the pool
+width, which lane runs a path, or which other paths run alongside.
+Deviation arms reuse the same streams (common random numbers).
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hjbvi import SecondBestSolution
-from .incentive import z_from_effort
 from .model import ModelParams
 
-_CHUNK = 256          # paths stepped in lockstep per chunk
-_NOISE_BLOCK = 512    # normals drawn per path per refill
+_CHUNK = 256          # lanes in the pool
+_NOISE_BLOCK = 64     # normals drawn per lane per refill
 
 
 class PolicyOutOfRange(ValueError):
@@ -135,134 +137,147 @@ def in_stop_region(solution: SecondBestSolution, x):
     return solution.stop[idx]
 
 
-def _stream(seed: int, path_id: int) -> np.random.Generator:
-    # 128-bit Philox key: seed in the high word, path id in the low word
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(path_id)))
+def _rekey(gen: np.random.Generator, seed: int, path_id: int) -> None:
+    """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state:
+    128-bit key (path id low word, seed high word), counter 0, empty buffer."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([path_id, seed], dtype=np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
 
 
-class _ChunkResult:
+class _Paths:
+    """Per-path results of one run, indexed by path id."""
+
     __slots__ = ("principal", "agent", "tau", "terminal", "floor", "censored", "records")
 
-    def __init__(self, c):
-        self.principal = np.zeros(c)
-        self.agent = np.zeros(c)
-        self.tau = np.zeros(c)
-        self.terminal = np.zeros(c)
-        self.floor = np.zeros(c, dtype=bool)
-        self.censored = np.zeros(c, dtype=bool)
+    def __init__(self, n):
+        self.principal = np.zeros(n)
+        self.agent = np.zeros(n)
+        self.tau = np.zeros(n)
+        self.terminal = np.zeros(n)
+        self.floor = np.zeros(n, dtype=bool)
+        self.censored = np.zeros(n, dtype=bool)
         self.records = None
 
 
-def _run_chunk(params: ModelParams, solution: SecondBestSolution, x0: float,
-               cfg: SimConfig, path_ids, effort_map, record: bool) -> _ChunkResult:
-    """Step one chunk of paths in lockstep until all are stopped.
+def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
+               cfg: SimConfig, effort_map=None, agent=False, record=False) -> _Paths:
+    """Step all cfg.n_paths paths through a pool of _CHUNK lanes.
 
-    Dead lanes are frozen with np.where; their arithmetic still runs but
-    never feeds back, so per-path results do not depend on chunk makeup.
+    A lane's own step count picks its noise column, its censoring step and
+    its tau. A lane whose path ends is re-keyed to the next unstarted path
+    id; once the queue is empty, finished lanes are dropped. The principal's
+    payoff is always accumulated; agent adds the agent's, and record adds
+    tau, the terminal payment and the step records (steps per path, then
+    j, x, dw, r, a sorted by path id in step order).
     """
-    g = solution.grid
-    c = len(path_ids)
-    dt = cfg.dt
-    sqrt_dt = np.sqrt(dt)
-    decay_d = np.exp(-params.delta * dt)
-    decay_l = np.exp(-params.lam * dt)
-    n_steps = cfg.n_steps
-
-    gens = [_stream(cfg.seed, pid) for pid in path_ids]
-    noise = np.empty((c, _NOISE_BLOCK))
-
-    j = np.full(c, float(x0))
-    x = np.zeros(c)
-    alive = np.ones(c, dtype=bool)
-    disc_d = np.ones(c)   # e^{-delta t} at the current step's left endpoint
-    disc_l = np.ones(c)
-    out = _ChunkResult(c)
-    death_step = np.zeros(c, dtype=np.int64)
-
-    rec_j = [j.copy()] if record else None
-    rec_x = [x.copy()] if record else None
-    rec_dw, rec_r, rec_a = ([], [], []) if record else (None, None, None)
-
-    for k in range(n_steps):
-        if not alive.any():
-            break
-        if k % _NOISE_BLOCK == 0:
-            for i, gen in enumerate(gens):
-                noise[i] = gen.standard_normal(_NOISE_BLOCK)
-        dw = noise[:, k % _NOISE_BLOCK] * sqrt_dt
-
-        r = np.interp(j, g.x, solution.r_star)
-        a = np.interp(j, g.x, solution.a_star)
-        z = z_from_effort(params, a)
-        u_r = params.u(r)
-        if effort_map is None:
-            a_applied = a
-            extra = 0.0
-        else:
-            a_applied = np.asarray(effort_map(j), dtype=float)
-            extra = params.cost_impact_ratio(a) * (params.phi(a_applied) - params.phi(a)) * dt
-
-        out.principal += np.where(alive, disc_d * (params.phi(a_applied) - r) * dt, 0.0)
-        out.agent += np.where(alive, disc_l * (u_r - params.h(a_applied)) * dt, 0.0)
-
-        drift = params.lam * j - u_r + params.h(a)
-        j_new = j + drift * dt + extra + z * dw
-        x_new = x + params.phi(a_applied) * dt + params.sigma * dw
-
-        disc_d_new = disc_d * decay_d
-        disc_l_new = disc_l * decay_l
-
-        floored = alive & (j_new <= 0.0)
-        if np.any(alive & (j_new > g.x_max)):
-            raise PolicyOutOfRange("state exceeded x_max during simulation")
-        stopped = alive & ~floored & in_stop_region(solution, np.clip(j_new, 0.0, g.x_max))
-        censored = alive & ~floored & ~stopped if k == n_steps - 1 else np.zeros(c, dtype=bool)
-        ending = floored | stopped | censored
-
-        if np.any(ending):
-            # the floor settles at zero payment; the stored state stays the
-            # raw Euler value so path statistics see the true increments
-            j_settle = np.where(floored, 0.0, j_new)
-            xi = params.u_inv(j_settle)
-            out.principal = np.where(ending, out.principal - disc_d_new * xi, out.principal)
-            out.agent = np.where(ending, out.agent + disc_l_new * j_settle, out.agent)
-            out.terminal = np.where(ending, xi, out.terminal)
-            out.tau = np.where(ending, (k + 1) * dt, out.tau)
-            out.floor |= floored
-            out.censored |= censored
-            death_step = np.where(ending, k + 1, death_step)
-
-        if record:
-            rec_r.append(np.where(alive, r, 0.0))
-            rec_a.append(np.where(alive, a_applied, 0.0))
-            rec_dw.append(np.where(alive, dw, 0.0))
-            rec_j.append(np.where(alive, j_new, rec_j[-1]))
-            rec_x.append(np.where(alive, x_new, rec_x[-1]))
-
-        j = np.where(alive, j_new, j)
-        x = np.where(alive, x_new, x)
-        disc_d = np.where(alive, disc_d_new, disc_d)
-        disc_l = np.where(alive, disc_l_new, disc_l)
-        alive = alive & ~ending
-
-    if record:
-        out.records = (np.vstack(rec_j), np.vstack(rec_x), np.vstack(rec_dw),
-                       np.vstack(rec_r), np.vstack(rec_a), death_step)
-    return out
-
-
-def _iter_chunks(params, solution, x0, cfg, effort_map, record):
-    for start in range(0, cfg.n_paths, _CHUNK):
-        ids = list(range(start, min(start + _CHUNK, cfg.n_paths)))
-        yield ids, _run_chunk(params, solution, x0, cfg, ids, effort_map, record)
-
-
-def _run_paths(params, solution, x0, cfg, effort_map=None, record=False):
     if not (0.0 < x0 < solution.b_hat):
         raise PolicyOutOfRange("x0 must lie strictly inside (0, b_hat)")
     if bool(in_stop_region(solution, np.asarray([x0]))[0]):
         raise PolicyOutOfRange("x0 rounds to a stopped node: zero-length path")
-    return _iter_chunks(params, solution, x0, cfg, effort_map, record)
+    g = solution.grid
+    n, dt, last = cfg.n_paths, cfg.dt, cfg.n_steps - 1
+    sqrt_dt = np.sqrt(dt)
+    decay_d = np.exp(-params.delta * dt)
+    decay_l = np.exp(-params.lam * dt)
+    out = _Paths(n)
+
+    width = min(_CHUNK, n)
+    pid = np.arange(width)
+    next_pid = width
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(width)]
+    for gen, p in zip(gens, pid):
+        _rekey(gen, cfg.seed, p)
+    noise = np.empty((width, _NOISE_BLOCK))
+    step = np.zeros(width, dtype=np.int64)
+    j = np.full(width, float(x0))
+    x = np.zeros(width)
+    disc_d = np.ones(width)   # e^{-delta t} at the current step's left endpoint
+    disc_l = np.ones(width)
+    pay_p = np.zeros(width)
+    pay_a = np.zeros(width)
+    rec = ([], [], [], [], [], []) if record else None
+
+    while pid.size:
+        col = step % _NOISE_BLOCK
+        for i in np.flatnonzero(col == 0):
+            noise[i] = gens[i].standard_normal(_NOISE_BLOCK)
+        dw = noise[np.arange(pid.size), col] * sqrt_dt
+
+        r = np.interp(j, g.x, solution.r_star)
+        a = np.interp(j, g.x, solution.a_star)
+        u_r = params.u(r)
+        h_a = params.h(a)
+        if effort_map is None:
+            a_applied, phi_applied, h_applied = a, params.phi(a), h_a
+            extra = 0.0
+        else:
+            a_applied = np.asarray(effort_map(j), dtype=float)
+            phi_applied, h_applied = params.phi(a_applied), params.h(a_applied)
+            extra = params.cost_impact_ratio(a) * (phi_applied - params.phi(a)) * dt
+
+        pay_p += disc_d * (phi_applied - r) * dt
+        if agent:
+            pay_a += disc_l * (u_r - h_applied) * dt
+
+        j_new = j + (params.lam * j - u_r + h_a) * dt + extra + params.exposure(a) * dw
+        if record:
+            x = x + phi_applied * dt + params.sigma * dw
+            # pid, j and x are lane arrays, reset in place when a lane refills
+            for store, v in zip(rec, (pid.copy(), j_new.copy(), x.copy(), dw, r, a_applied)):
+                store.append(v)
+        disc_d = disc_d * decay_d
+        disc_l = disc_l * decay_l
+
+        floored = j_new <= 0.0
+        if np.any(j_new > g.x_max):
+            raise PolicyOutOfRange("state exceeded x_max during simulation")
+        stopped = ~floored & in_stop_region(solution, j_new)  # clips its node index
+        censored = ~floored & ~stopped & (step == last)
+        step += 1
+        j = j_new
+        ended = np.flatnonzero(floored | stopped | censored)
+        # the floor settles at zero payment; the stored state stays the
+        # raw Euler value so path statistics see the true increments
+        ids = pid[ended]
+        j_settle = np.where(floored[ended], 0.0, j_new[ended])
+        xi = params.u_inv(j_settle)
+        out.principal[ids] = pay_p[ended] - disc_d[ended] * xi
+        if agent:
+            out.agent[ids] = pay_a[ended] + disc_l[ended] * j_settle
+        out.floor[ids] = floored[ended]
+        out.censored[ids] = censored[ended]
+        if record:
+            out.tau[ids] = step[ended] * dt
+            out.terminal[ids] = xi
+
+        fresh = ended[:n - next_pid]
+        pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
+        next_pid += fresh.size
+        for i in fresh:
+            _rekey(gens[i], cfg.seed, pid[i])
+        for v, v0 in ((step, 0), (j, x0), (x, 0.0), (disc_d, 1.0), (disc_l, 1.0),
+                      (pay_p, 0.0), (pay_a, 0.0)):
+            v[fresh] = v0
+        if fresh.size < ended.size:
+            keep = np.ones(pid.size, dtype=bool)
+            keep[ended[fresh.size:]] = False
+            gens = [gen for gen, kept in zip(gens, keep) if kept]
+            pid, step, j, x, disc_d, disc_l, pay_p, pay_a, noise = (
+                v[keep] for v in (pid, step, j, x, disc_d, disc_l, pay_p, pay_a, noise))
+
+    if record:
+        # one stable sort by path id keeps each path's steps in order
+        pids = np.concatenate(rec[0])
+        order = np.argsort(pids, kind="stable")
+        out.records = [np.bincount(pids, minlength=n)]
+        for store in rec[1:]:
+            out.records.append(np.concatenate(store)[order])
+            store.clear()
+    return out
 
 
 def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
@@ -274,27 +289,18 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     the horizon (flagged censored; its payoff uses the obstacle value at the
     horizon state).
     """
-    bundles = []
-    dt = cfg.dt
-    for ids, chunk in _run_paths(params, solution, x0, cfg, record=True):
-        mj, mx, mdw, mr, ma, death = chunk.records
-        for lane, pid in enumerate(ids):
-            n = int(death[lane]) if death[lane] > 0 else mdw.shape[0]
-            bundles.append(PathBundle(
-                path_id=pid,
-                times=np.arange(n + 1) * dt,
-                j_path=mj[:n + 1, lane].copy(),
-                x_path=mx[:n + 1, lane].copy(),
-                w_increments=mdw[:n, lane].copy(),
-                r_path=mr[:n, lane].copy(),
-                a_path=ma[:n, lane].copy(),
-                tau=float(chunk.tau[lane]),
-                discounted_payoff=float(chunk.principal[lane]),
-                terminal_payment=float(chunk.terminal[lane]),
-                floor=bool(chunk.floor[lane]),
-                censored=bool(chunk.censored[lane]),
-            ))
-    return bundles
+    out = _run_paths(params, solution, x0, cfg, record=True)
+    steps, j, x, dw, r, a = out.records
+    starts = np.cumsum(steps) - steps
+    cuts, cuts_1 = starts[1:], starts[1:] + np.arange(1, cfg.n_paths)
+    columns = zip(steps, np.split(np.insert(j, starts, x0), cuts_1),
+                  np.split(np.insert(x, starts, 0.0), cuts_1),
+                  *(np.split(v, cuts) for v in (dw, r, a)))
+    # PathBundle's fields in order: id, times, the five step arrays, then scalars
+    return [PathBundle(pid, np.arange(n + 1) * cfg.dt, *arrays, float(out.tau[pid]),
+                       float(out.principal[pid]), float(out.terminal[pid]),
+                       bool(out.floor[pid]), bool(out.censored[pid]))
+            for pid, (n, *arrays) in enumerate(columns)]
 
 
 def _std_error(values) -> float:
@@ -313,14 +319,9 @@ def _mc_value(params, solution, cfg, payoffs, n_floor, n_censored) -> MCValue:
 def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
                        x0: float, cfg: SimConfig) -> MCValue:
     """Sample mean and standard error of the discounted principal payoff."""
-    payoffs = np.empty(cfg.n_paths)
-    n_floor = 0
-    n_censored = 0
-    for ids, chunk in _run_paths(params, solution, x0, cfg):
-        payoffs[ids[0]:ids[-1] + 1] = chunk.principal
-        n_floor += int(chunk.floor.sum())
-        n_censored += int(chunk.censored.sum())
-    return _mc_value(params, solution, cfg, payoffs, n_floor, n_censored)
+    out = _run_paths(params, solution, x0, cfg)
+    return _mc_value(params, solution, cfg, out.principal, int(out.floor.sum()),
+                     int(out.censored.sum()))
 
 
 def summarize_paths(params: ModelParams, solution: SecondBestSolution,
@@ -332,10 +333,7 @@ def summarize_paths(params: ModelParams, solution: SecondBestSolution,
 
 
 def _agent_objectives(params, solution, x0, cfg, effort_map):
-    vals = np.empty(cfg.n_paths)
-    for ids, chunk in _run_paths(params, solution, x0, cfg, effort_map=effort_map):
-        vals[ids[0]:ids[-1] + 1] = chunk.agent
-    return vals
+    return _run_paths(params, solution, x0, cfg, effort_map=effort_map, agent=True).agent
 
 
 def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float,
@@ -400,7 +398,7 @@ def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
     for k in range(dt.size):
         r, a = bundle.r_path[k], bundle.a_path[k]
         drift = params.lam * j - params.u(r) + params.h(a)
-        j = j + drift * dt[k] + float(z_from_effort(params, a)) * dw[k]
+        j = j + drift * dt[k] + float(params.exposure(a)) * dw[k]
         err = max(err, abs(j - bundle.j_path[k + 1]))
     return float(err)
 

@@ -81,3 +81,101 @@ def newton_invert(f, df, y, x0, tol=1e-14, max_iter=100):
         if abs(step) <= tol * max(1.0, abs(x)):
             return x
     return x
+
+
+def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=512):
+    """Per-path results of the lockstep Euler-Maruyama stepper, as an oracle.
+
+    Paths run in chunks of `width` that step together until the chunk's
+    slowest path ends; finished lanes keep computing under np.where but never
+    feed back. Each path draws `block` normals at a time from Philox keyed by
+    (seed << 64) | path_id. Returns a dict of per-path arrays (principal,
+    agent, tau, terminal, floor, censored) and, under "paths", one tuple
+    (j, x, dw, r, a) of step arrays per path.
+    """
+    g = solution.grid
+    n_steps, dt = cfg.n_steps, cfg.dt
+    sqrt_dt = np.sqrt(dt)
+    decay_d = np.exp(-params.delta * dt)
+    decay_l = np.exp(-params.lam * dt)
+    res = {key: [] for key in ("principal", "agent", "tau", "terminal", "floor",
+                               "censored", "paths")}
+
+    def stop_flag(x):
+        return solution.stop[np.clip(np.rint(x / g.dx).astype(np.int64), 0, g.n - 1)]
+
+    for first in range(0, cfg.n_paths, width):
+        ids = range(first, min(first + width, cfg.n_paths))
+        c = len(ids)
+        gens = [np.random.Generator(np.random.Philox(key=(int(cfg.seed) << 64) | pid))
+                for pid in ids]
+        noise = np.empty((c, block))
+        j = np.full(c, float(x0))
+        x = np.zeros(c)
+        alive = np.ones(c, dtype=bool)
+        disc_d = np.ones(c)
+        disc_l = np.ones(c)
+        principal, agent, tau, terminal = (np.zeros(c) for _ in range(4))
+        floor = np.zeros(c, dtype=bool)
+        cens = np.zeros(c, dtype=bool)
+        death = np.zeros(c, dtype=np.int64)
+        rec_j, rec_x, rec_dw, rec_r, rec_a = [j.copy()], [x.copy()], [], [], []
+        for k in range(n_steps):
+            if not alive.any():
+                break
+            if k % block == 0:
+                for i, gen in enumerate(gens):
+                    noise[i] = gen.standard_normal(block)
+            dw = noise[:, k % block] * sqrt_dt
+            r = np.interp(j, g.x, solution.r_star)
+            a = np.interp(j, g.x, solution.a_star)
+            z = params.exposure(a)
+            u_r = params.u(r)
+            if effort_map is None:
+                a_applied = a
+                extra = 0.0
+            else:
+                a_applied = np.asarray(effort_map(j), dtype=float)
+                extra = params.cost_impact_ratio(a) * (params.phi(a_applied) - params.phi(a)) * dt
+            principal += np.where(alive, disc_d * (params.phi(a_applied) - r) * dt, 0.0)
+            agent += np.where(alive, disc_l * (u_r - params.h(a_applied)) * dt, 0.0)
+            drift = params.lam * j - u_r + params.h(a)
+            j_new = j + drift * dt + extra + z * dw
+            x_new = x + params.phi(a_applied) * dt + params.sigma * dw
+            disc_d_new = disc_d * decay_d
+            disc_l_new = disc_l * decay_l
+            floored = alive & (j_new <= 0.0)
+            stopped = alive & ~floored & stop_flag(np.clip(j_new, 0.0, g.x_max))
+            censored = alive & ~floored & ~stopped if k == n_steps - 1 else np.zeros(c, bool)
+            ending = floored | stopped | censored
+            if np.any(ending):
+                j_settle = np.where(floored, 0.0, j_new)
+                xi = params.u_inv(j_settle)
+                principal = np.where(ending, principal - disc_d_new * xi, principal)
+                agent = np.where(ending, agent + disc_l_new * j_settle, agent)
+                terminal = np.where(ending, xi, terminal)
+                tau = np.where(ending, (k + 1) * dt, tau)
+                floor |= floored
+                cens |= censored
+                death = np.where(ending, k + 1, death)
+            rec_r.append(np.where(alive, r, 0.0))
+            rec_a.append(np.where(alive, a_applied, 0.0))
+            rec_dw.append(np.where(alive, dw, 0.0))
+            rec_j.append(np.where(alive, j_new, rec_j[-1]))
+            rec_x.append(np.where(alive, x_new, rec_x[-1]))
+            j = np.where(alive, j_new, j)
+            x = np.where(alive, x_new, x)
+            disc_d = np.where(alive, disc_d_new, disc_d)
+            disc_l = np.where(alive, disc_l_new, disc_l)
+            alive = alive & ~ending
+        mj, mx, mdw, mr, ma = (np.vstack(v) for v in (rec_j, rec_x, rec_dw, rec_r, rec_a))
+        for key, v in (("principal", principal), ("agent", agent), ("tau", tau),
+                       ("terminal", terminal), ("floor", floor), ("censored", cens)):
+            res[key].append(v)
+        for lane, n in enumerate(death):
+            res["paths"].append((mj[:n + 1, lane], mx[:n + 1, lane], mdw[:n, lane],
+                                 mr[:n, lane], ma[:n, lane]))
+    paths = res.pop("paths")
+    out = {key: np.concatenate(v) for key, v in res.items()}
+    out["paths"] = paths
+    return out

@@ -69,6 +69,9 @@ class TestConfigParsing:
                            ("fb.x_min=-1", "fb.x_min"), ("fb.t_max=-1", "fb.t_max"),
                            ("sim.horizon=1e-4", "sim.horizon"), ("sim.dt=1e9", "sim.dt"),
                            ("sim.horizon=inf", "sim.horizon"),
+                           ("fb.x_max=inf", "fb.x_max"), ("fb.t_max=inf", "fb.t_max"),
+                           ("grid.x_max=inf", "grid.x_max"),
+                           ("sweep.sigmas=inf", "sweep.sigmas"), ("sim.x0=nan", "sim.x0"),
                            ("voi.x_max=1.5", "voi.x_max"), ("voi.x_max=0", "voi.x_max")):
             with pytest.raises(ConfigError, match=frag.replace(".", r"\.")):
                 load(None, [pair])

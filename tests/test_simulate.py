@@ -20,7 +20,27 @@ from contract_solve import (
     summarize_paths,
 )
 
+from .helpers import lockstep_paths
+
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
+BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments", "r_path", "a_path")
+
+
+def _deviations(sb):
+    a_of = lambda x: np.interp(x, sb.grid.x, sb.a_star)
+    return [lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            lambda x: 2.0 * a_of(x),
+            lambda x: 0.5 * a_of(x)]
+
+
+def _assert_same_bundles(got, want):
+    assert len(got) == len(want)
+    for b1, b2 in zip(got, want):
+        for name in BUNDLE_ARRAYS:
+            assert np.array_equal(getattr(b1, name), getattr(b2, name)), (b1.path_id, name)
+        assert (b1.path_id, b1.tau, b1.discounted_payoff, b1.terminal_payment,
+                b1.floor, b1.censored) == (b2.path_id, b2.tau, b2.discounted_payoff,
+                                           b2.terminal_payment, b2.floor, b2.censored)
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +115,71 @@ class TestDeterminism:
         assert est1.std_error == est2.std_error
 
     def test_chunk_width_does_not_change_results(self, params, sb, monkeypatch):
-        cfg = SimConfig(n_paths=300, seed=123)
-        base = mc_principal_value(params, sb, 0.1, cfg)
-        monkeypatch.setattr(sim, "_CHUNK", 97)
-        alt = mc_principal_value(params, sb, 0.1, cfg)
-        assert alt.estimate == base.estimate
-        assert alt.n_floor == base.n_floor
+        # widths from one lane to more lanes than paths; 256 is the default
+        cfg = SimConfig(n_paths=64, seed=123)
+        devs = _deviations(sb)[:2]
+        base = (mc_principal_value(params, sb, 0.1, cfg),
+                incentive_check(params, sb, 0.1, cfg, devs),
+                simulate_paths(params, sb, 0.1, cfg))
+        for width in (1, 61, 4096):
+            monkeypatch.setattr(sim, "_CHUNK", width)
+            assert mc_principal_value(params, sb, 0.1, cfg) == base[0], width
+            assert incentive_check(params, sb, 0.1, cfg, devs) == base[1], width
+            _assert_same_bundles(simulate_paths(params, sb, 0.1, cfg), base[2])
 
     def test_seed_changes_draws(self, params, sb):
         a = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=1))
         b = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=2))
         assert a.estimate != b.estimate
+
+
+class TestLockstepOracle:
+    """The lane pool against the lockstep stepper it replaced: same bits."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, params, sb):
+        cfgs = (SimConfig(n_paths=300, seed=123),
+                SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3))  # censors
+        return {cfg: lockstep_paths(params, sb, 0.1, cfg) for cfg in cfgs}
+
+    def test_some_path_refills_mid_path(self, oracle):
+        # 64 normals per refill: a path past 128 steps draws three blocks
+        longest = max(p[2].size for ref in oracle.values() for p in ref["paths"])
+        assert longest > 128
+
+    def test_estimate_fields(self, params, sb, oracle):
+        for cfg, ref in oracle.items():
+            out = sim._run_paths(params, sb, 0.1, cfg)
+            for key in ("principal", "floor", "censored"):
+                assert np.array_equal(getattr(out, key), ref[key]), key
+            mc = mc_principal_value(params, sb, 0.1, cfg)
+            assert mc.estimate == np.mean(ref["principal"])
+            assert mc.n_floor == ref["floor"].sum()
+            assert mc.n_censored == ref["censored"].sum()
+        assert any(ref["censored"].any() for ref in oracle.values())
+
+    def test_agent_objectives_under_deviations(self, params, sb, oracle):
+        cfg = next(iter(oracle))
+        assert np.array_equal(sim._agent_objectives(params, sb, 0.1, cfg, None),
+                              oracle[cfg]["agent"])
+        for dev in _deviations(sb):
+            ref = lockstep_paths(params, sb, 0.1, cfg, effort_map=dev)
+            assert np.array_equal(sim._agent_objectives(params, sb, 0.1, cfg, dev),
+                                  ref["agent"])
+
+    def test_recorded_paths(self, params, sb, oracle):
+        for cfg, ref in oracle.items():
+            bundles = simulate_paths(params, sb, 0.1, cfg)
+            assert len(bundles) == cfg.n_paths
+            for pid, (b, arrays) in enumerate(zip(bundles, ref["paths"])):
+                assert b.path_id == pid
+                assert np.array_equal(b.times, np.arange(arrays[2].size + 1) * cfg.dt)
+                for name, want in zip(BUNDLE_ARRAYS[1:], arrays):
+                    assert np.array_equal(getattr(b, name), want), (pid, name)
+                assert (b.tau, b.discounted_payoff, b.terminal_payment, b.floor,
+                        b.censored) == (ref["tau"][pid], ref["principal"][pid],
+                                        ref["terminal"][pid], ref["floor"][pid],
+                                        ref["censored"][pid])
 
 
 class TestPathContents:
@@ -135,6 +209,18 @@ class TestPathContents:
                 assert b.terminal_payment == pytest.approx(
                     params.u_inv(b.j_path[-1]), rel=1e-14)
         assert saw_floor and saw_stop
+
+    def test_zero_effort_state_still_loads_on_noise(self, params, sb):
+        # the PDE's diffusion stays positive at a = 0, and so must the
+        # simulated state's noise loading, or the MC checks another operator
+        lazy = dataclasses.replace(sb, a_star=np.zeros_like(sb.a_star))
+        cfg = SimConfig(horizon=0.05, n_paths=4, seed=4)
+        for b in simulate_paths(params, lazy, 0.1, cfg):
+            drift = params.lam * b.j_path[:-1] - params.u(b.r_path) + params.h(b.a_path)
+            noise = np.diff(b.j_path) - drift * cfg.dt
+            assert np.allclose(noise, params.exposure(0.0) * b.w_increments,
+                               rtol=1e-9, atol=1e-15)
+            assert np.all(noise != 0.0)
 
     def test_output_consistent_with_noise(self, params, bundles):
         # X is a deterministic function of effort and the stored noise
@@ -205,12 +291,8 @@ class TestIncentives:
         assert dev.satisfied and report.satisfied
 
     def test_standard_deviations_do_not_beat_baseline(self, params, sb):
-        g = sb.grid
-        a_of = lambda x: np.interp(x, g.x, sb.a_star)
-        devs = [lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                lambda x: 2.0 * a_of(x),
-                lambda x: 0.5 * a_of(x)]
-        report = incentive_check(params, sb, 0.1, SimConfig(n_paths=1500, seed=13), devs)
+        report = incentive_check(params, sb, 0.1, SimConfig(n_paths=1500, seed=13),
+                                 _deviations(sb))
         assert report.satisfied
         for dev in report.deviations:
             assert dev.margin >= -2.0 * dev.margin_se
