@@ -27,10 +27,10 @@ Discretization is the standard monotone scheme: central second differences
 for the diffusion, first differences upwinded on the drift sign. Each
 policy-iteration round evaluates the current policy exactly (one
 tridiagonal solve, with stopped nodes replaced by identity rows) and then
-improves it node by node. The rent maximizer is closed form,
-r* = (U')^{-1}(-1/w') when w' < 0; the effort maximizer has no closed form
-and is the root of its first-order condition, found by safeguarded Newton
-steps (see _best_effort).
+improves it by one vectorized maximization over all candidate slopes, node
+by node. The rent maximizer is closed form, r* = (U')^{-1}(-1/w') when
+w' < 0; the effort maximizer has no closed form and is the root of its
+first-order condition, found by safeguarded Newton steps (see _best_effort).
 
 The drift sign depends on the policy and the policy on the slope, whose
 upwind side depends on the drift sign. The improvement step therefore tries
@@ -216,17 +216,17 @@ def _best_effort(params: ModelParams, dw, d2w):
 
 
 def _best_response(params: ModelParams, x, dw, d2w):
-    """Joint maximizer over (r, a) at one slope.
+    """Joint maximizer over (r, a) at the slope and curvature of each entry.
 
-    Returns H, r, a, the drift b and the number of nodes that took the
-    convex branch of the effort maximizer.
+    Returns H, r, a, U(r), the drift b and the number of entries that took
+    the convex branch of the effort maximizer.
     """
     r = _rent_candidate(params, dw)
     a, g_a, n_convex = _best_effort(params, dw, d2w)
     u_r = params.u(r)
     h_val = g_a + (params.lam * x - u_r) * dw - r
     b = params.lam * x - u_r + params.h(a)
-    return h_val, r, a, b, n_convex
+    return h_val, r, a, u_r, b, n_convex
 
 
 def hamiltonian_max(params: ModelParams, x: float, dw: float, d2w: float):
@@ -237,7 +237,7 @@ def hamiltonian_max(params: ModelParams, x: float, dw: float, d2w: float):
     """
     if x < 0.0:
         raise ValueError("x must be >= 0")
-    h_val, r, a, _, _ = _best_response(
+    h_val, r, a, *_ = _best_response(
         params,
         np.asarray([x], dtype=float),
         np.asarray([dw], dtype=float),
@@ -280,6 +280,10 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
     sign change, and without the incumbent the sweep would replace a good
     policy with a much worse one there and the iteration can cycle.
 
+    One vectorized _best_response call maximizes over every candidate slope
+    (both sides at each interior node, the one-sided slopes at the ends); it
+    works node by node, so stacking the slopes changes no bit of the result.
+
     Returns (r, a, stop, n_convex) over the whole grid, n_convex counting
     the effort maximizations that took the w'' >= 0 branch. Boundary nodes
     get one-sided policies for reporting; stop[0] is pinned False (the state
@@ -293,9 +297,16 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
     dw_b = (wi - w[:-2]) / dx
     d2w = (w[2:] - 2.0 * wi + w[:-2]) / dx**2
 
-    h_f, r_f, a_f, b_f, n_f = _best_response(params, xi, dw_f, d2w)
-    h_b, r_b, a_b, b_b, n_b = _best_response(params, xi, dw_b, d2w)
-    h_0 = h_f + params.u(r_f) * dw_f + r_f
+    m = xi.size
+    h_all, r_all, a_all, u_all, b_all, n_convex = _best_response(
+        params,
+        np.concatenate((xi, xi, grid.x[[0, -1]])),
+        np.concatenate((dw_f, dw_b, [dw_b[0], dw_f[-1]])),
+        np.concatenate((d2w, d2w, [d2w[0], d2w[-1]])),
+    )
+    h_f, r_f, a_f, b_f = h_all[:m], r_all[:m], a_all[:m], b_all[:m]
+    h_b, r_b, a_b, b_b = h_all[m:2 * m], r_all[m:2 * m], a_all[m:2 * m], b_all[m:2 * m]
+    h_0 = h_f + u_all[:m] * dw_f + r_f
 
     ri, ai = r_cur[1:-1], a_cur[1:-1]
     b_inc = params.lam * xi - params.u(ri) + params.h(ai)
@@ -330,23 +341,11 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
 
     stop_int = (psi[1:-1] - wi) > (h_best - params.delta * wi)
 
-    r = np.empty(grid.n)
-    a = np.empty(grid.n)
-    stop = np.empty(grid.n, dtype=bool)
-    r[1:-1], a[1:-1], stop[1:-1] = r_int, a_int, stop_int
-
-    # one-sided boundary policies, for reporting only
-    edge = _best_response(
-        params,
-        grid.x[[0, -1]],
-        np.array([(w[1] - w[0]) / dx, (w[-1] - w[-2]) / dx]),
-        np.array([(w[2] - 2 * w[1] + w[0]) / dx**2, (w[-1] - 2 * w[-2] + w[-3]) / dx**2]),
-    )
-    r[0], r[-1] = edge[1]
-    a[0], a[-1] = edge[2]
-    stop[0] = False
-    stop[-1] = True
-    return r, a, stop, n_f + n_b + edge[4]
+    # boundary nodes take their one-sided policies, for reporting only
+    r = np.concatenate((r_all[-2:-1], r_int, r_all[-1:]))
+    a = np.concatenate((a_all[-2:-1], a_int, a_all[-1:]))
+    stop = np.concatenate(([False], stop_int, [True]))
+    return r, a, stop, n_convex
 
 
 def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:

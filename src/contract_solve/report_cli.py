@@ -25,7 +25,8 @@ from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb
 from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
 from .model import ModelParams
-from .simulate import PolicyOutOfRange, SimConfig, simulate_paths, summarize_paths
+from .simulate import (PolicyOutOfRange, SimConfig, in_stop_region, simulate_paths,
+                       summarize_paths)
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -181,16 +182,22 @@ def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
     if not (0.0 < cfg.sim_x0 < sol.b_hat):
         raise ConfigError(
             f"sim.x0 = {cfg.sim_x0:.6g} must lie strictly inside (0, b_hat = {sol.b_hat:.6g})")
+    if in_stop_region(sol, cfg.sim_x0):
+        raise ConfigError(f"sim.x0 = {cfg.sim_x0:.6g} rounds to a stopped grid node "
+                          f"(within dx/2 of b_hat = {sol.b_hat:.6g})")
     sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
     bundles = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
+    # every path's times are a prefix of the longest path's: format them once
+    longest = max(bundles, key=lambda b: b.times.size).times
+    times = np.array(["%.17g" % t for t in longest.tolist()], dtype=object)
 
     def blocks():
         for b in bundles:
             n = b.w_increments.size
             stopped = np.zeros(n + 1, dtype=int)
             stopped[n] = not b.censored  # ended before the horizon: stop region or floor
-            yield (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
+            yield (np.full(n + 1, b.path_id), times[:n + 1], b.j_path, b.x_path,
                    np.concatenate(([0.0], b.w_increments)), stopped)
 
     write_csv(os.path.join(outdir, "paths.csv"),

@@ -137,15 +137,22 @@ def in_stop_region(solution: SecondBestSolution, x):
     return solution.stop[idx]
 
 
-def _rekey(gen: np.random.Generator, seed: int, path_id: int) -> None:
-    """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state:
-    128-bit key (path id low word, seed high word), counter 0, empty buffer."""
-    gen.bit_generator.state = {
+def _philox_start(seed: int) -> dict:
+    """Philox start state for _rekey: 128-bit key (path id low word, seed
+    high word), counter 0, empty buffer. One per run: _rekey writes its key."""
+    return {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([path_id, seed], dtype=np.uint64)},
+                  "key": np.array([0, seed], dtype=np.uint64)},
         "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
+
+
+def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
+    """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state;
+    the setter copies the arrays, so start can be reused for the next path."""
+    start["state"]["key"][0] = path_id
+    gen.bit_generator.state = start
 
 
 class _Paths:
@@ -189,8 +196,9 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     pid = np.arange(width)
     next_pid = width
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(width)]
+    start = _philox_start(cfg.seed)
     for gen, p in zip(gens, pid):
-        _rekey(gen, cfg.seed, p)
+        _rekey(gen, start, p)
     noise = np.empty((width, _NOISE_BLOCK))
     step = np.zeros(width, dtype=np.int64)
     j = np.full(width, float(x0))
@@ -204,7 +212,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     while pid.size:
         col = step % _NOISE_BLOCK
         for i in np.flatnonzero(col == 0):
-            noise[i] = gens[i].standard_normal(_NOISE_BLOCK)
+            gens[i].standard_normal(out=noise[i])
         dw = noise[np.arange(pid.size), col] * sqrt_dt
 
         r = np.interp(j, g.x, solution.r_star)
@@ -258,7 +266,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
         next_pid += fresh.size
         for i in fresh:
-            _rekey(gens[i], cfg.seed, pid[i])
+            _rekey(gens[i], start, pid[i])
         for v, v0 in ((step, 0), (j, x0), (x, 0.0), (disc_d, 1.0), (disc_l, 1.0),
                       (pay_p, 0.0), (pay_a, 0.0)):
             v[fresh] = v0

@@ -3,7 +3,9 @@
 Everything here is deliberately primitive: plain bisection, golden-section
 and brute-force grid search, written without reference to the package
 internals, so that closed-form results in the package can be checked against
-a second, dumber route.
+a second, dumber route. The exceptions are former production routes kept as
+bitwise oracles for their faster replacements: lockstep_paths (the Monte
+Carlo stepper) and unbatched_improve (the Howard improvement sweep).
 """
 
 import math
@@ -179,3 +181,60 @@ def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=
     out = {key: np.concatenate(v) for key, v in res.items()}
     out["paths"] = paths
     return out
+
+
+def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
+    """hjbvi._improve with one _best_response call per slope, as an oracle.
+
+    Maximizes at the forward slopes, the backward slopes and the two
+    one-sided boundary slopes in three separate calls and recomputes U(r)
+    for the r = 0 candidate; otherwise the same arithmetic as hjbvi._improve,
+    whose single stacked call must give the same bits.
+    """
+    from contract_solve.hjbvi import _best_response, _effort_objective
+
+    dx = grid.dx
+    xi = grid.x[1:-1]
+    wi = w[1:-1]
+    dw_f = (w[2:] - wi) / dx
+    dw_b = (wi - w[:-2]) / dx
+    d2w = (w[2:] - 2.0 * wi + w[:-2]) / dx**2
+
+    h_f, r_f, a_f, _, b_f, n_f = _best_response(params, xi, dw_f, d2w)
+    h_b, r_b, a_b, _, b_b, n_b = _best_response(params, xi, dw_b, d2w)
+    h_0 = h_f + params.u(r_f) * dw_f + r_f
+
+    ri, ai = r_cur[1:-1], a_cur[1:-1]
+    b_inc = params.lam * xi - params.u(ri) + params.h(ai)
+    dw_inc = np.where(b_inc >= 0.0, dw_f, dw_b)
+    h_inc = (_effort_objective(params, ai, dw_inc, d2w)
+             + (params.lam * xi - params.u(ri)) * dw_inc - ri)
+
+    stack_h = np.stack([np.where(b_f >= 0.0, h_f, -np.inf),
+                        np.where(b_b < 0.0, h_b, -np.inf), h_0])
+    choice = np.argmax(stack_h, axis=0)
+    h_fresh = np.take_along_axis(stack_h, choice[None, :], axis=0)[0]
+    r_int = np.choose(choice, [r_f, r_b, np.zeros_like(r_f)])
+    a_int = np.choose(choice, [a_f, a_b, a_f])
+    margin = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(h_fresh))
+    take_inc = h_inc > h_fresh + margin
+    h_best = np.where(take_inc, h_inc, h_fresh)
+    r_int = np.where(take_inc, ri, r_int)
+    a_int = np.where(take_inc, ai, a_int)
+    stop_int = (psi[1:-1] - wi) > (h_best - params.delta * wi)
+
+    r = np.empty(grid.n)
+    a = np.empty(grid.n)
+    stop = np.empty(grid.n, dtype=bool)
+    r[1:-1], a[1:-1], stop[1:-1] = r_int, a_int, stop_int
+    edge = _best_response(
+        params,
+        grid.x[[0, -1]],
+        np.array([(w[1] - w[0]) / dx, (w[-1] - w[-2]) / dx]),
+        np.array([(w[2] - 2 * w[1] + w[0]) / dx**2, (w[-1] - 2 * w[-2] + w[-3]) / dx**2]),
+    )
+    r[0], r[-1] = edge[1]
+    a[0], a[-1] = edge[2]
+    stop[0] = False
+    stop[-1] = True
+    return r, a, stop, n_f + n_b + edge[5]

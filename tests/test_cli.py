@@ -14,7 +14,7 @@ from contract_solve import (
     sigma_sweep,
     value_of_information,
 )
-from contract_solve import hjbvi
+from contract_solve import SimConfig, hjbvi, simulate_paths, write_csv
 from contract_solve.config import parse_lines, parse_overrides
 
 # keep every dispatch cheap: coarse grid, few paths, short profiles
@@ -181,6 +181,15 @@ class TestDispatch:
         assert code == 1
         assert "sim.x0" in capsys.readouterr().err
 
+    def test_simulate_start_on_stopped_node(self, tmp_path, capsys):
+        # inside (0, b_hat = 0.4655) but within dx/2 of it: the path would
+        # stop at once, which is a bad sim.x0, not a solver failure
+        code = cli_dispatch(["simulate", "--out", str(tmp_path), "--set", "sim.n_paths=30",
+                             "--set", "sim.x0=0.4654"])
+        assert code == 1
+        assert "error: sim.x0" in capsys.readouterr().err
+        assert not (tmp_path / "paths.csv").exists()
+
     def test_voi_range_exits_with_config_error(self, tmp_path, capsys):
         # beyond grid.x_max: rejected by the config itself
         code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "voi.x_max=1.5"])
@@ -268,6 +277,29 @@ class TestPathsCsv:
             flags = [r[5] for r in path_rows]
             assert all(f == "0" for f in flags[:-1])
             assert flags[-1] in ("0", "1")  # 1 unless censored
+
+    def test_bytes_match_bundles_written_directly(self, tmp_path):
+        # oracle: one block per path, times as floats from the bundle itself
+        out = tmp_path / "sim"
+        assert cli_dispatch(["simulate", "--out", str(out), *FAST]) == 0
+        cfg = load(None, FAST[1::2])
+        sol = howard_solve(cfg.params, Grid.make(cfg.grid_x_max, cfg.grid_n),
+                           tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+        bundles = simulate_paths(cfg.params, sol, cfg.sim_x0,
+                                 SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
+                                           n_paths=cfg.sim_n_paths, seed=cfg.sim_seed))
+        assert len({b.times.size for b in bundles}) > 1
+
+        def block(b):
+            n = b.w_increments.size
+            stopped = np.zeros(n + 1, dtype=int)
+            stopped[n] = not b.censored
+            return (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
+                    np.concatenate(([0.0], b.w_increments)), stopped)
+
+        write_csv(tmp_path / "oracle.csv", ("path_id", "t", "j", "x", "dw", "stopped"),
+                  [block(b) for b in bundles])
+        assert (out / "paths.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -14,9 +14,10 @@ from contract_solve import (
     howard_solve,
     residual_check,
 )
+from contract_solve import hjbvi
 from contract_solve.hjbvi import _best_effort, _evaluate
 
-from .helpers import golden_max, grid_argmax
+from .helpers import golden_max, grid_argmax, unbatched_improve
 
 
 def _effort_value(params, a, dw, d2w):
@@ -262,6 +263,62 @@ class TestHowardSolve:
         stop = np.zeros(g.n, dtype=bool)
         with pytest.raises(NonMonotoneScheme):
             _evaluate(params, g, r, a, stop, -g.x**4)
+
+
+class TestBatchedImprove:
+    """_improve's one stacked _best_response call against the three-call oracle."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w)
+        assert got[3] == want[3]
+
+    def test_every_sweep_of_a_default_solve(self, params, grid, sb, monkeypatch):
+        real = hjbvi._improve
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hjbvi, "_improve", recording)
+        sol = howard_solve(params, grid)
+        assert len(calls) == sol.iterations == sb.iterations
+        assert sorted({args[1].n for args in calls}) == [251, 501, 1001, 2001]
+        for args in calls:
+            self._assert_same(real(*args), unbatched_improve(*args))
+
+    def test_perturbed_value(self, params, grid, sb):
+        # random kinks give both curvature signs and wild slopes
+        w = sb.w + 1e-4 * np.random.default_rng(3).standard_normal(grid.n)
+        args = (params, grid, w, -params.u_inv(grid.x), sb.r_star, sb.a_star)
+        got = hjbvi._improve(*args)
+        self._assert_same(got, unbatched_improve(*args))
+        assert 0 < got[3] < 2 * grid.n
+
+    @pytest.mark.parametrize("sigma", [1.5, 1.85, 2.2])
+    def test_whole_solution(self, params, grid, sb_for_sigma, monkeypatch, sigma):
+        want = sb_for_sigma(sigma)
+        monkeypatch.setattr(hjbvi, "_improve", unbatched_improve)
+        got = howard_solve(dataclasses.replace(params, sigma=sigma), grid)
+        for name in ("w", "r_star", "a_star", "stop"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("b_hat", "k_growth", "iterations", "residual", "effort_convex_nodes"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    def test_one_effort_maximization_per_sweep(self, params, grid, monkeypatch):
+        real = hjbvi._best_effort
+        count = 0
+
+        def counting(*args):
+            nonlocal count
+            count += 1
+            return real(*args)
+
+        monkeypatch.setattr(hjbvi, "_best_effort", counting)
+        sol = howard_solve(params, grid)
+        assert count == sol.iterations
 
 
 class TestRobustness:
