@@ -156,15 +156,16 @@ def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
 
 
 class _Paths:
-    """Per-path results of one run, indexed by path id."""
+    """Per-path results of one run, indexed by path id; agent, tau and
+    terminal are None unless the run accumulates them."""
 
     __slots__ = ("principal", "agent", "tau", "terminal", "floor", "censored", "records")
 
-    def __init__(self, n):
+    def __init__(self, n, agent, record):
         self.principal = np.zeros(n)
-        self.agent = np.zeros(n)
-        self.tau = np.zeros(n)
-        self.terminal = np.zeros(n)
+        self.agent = np.zeros(n) if agent else None
+        self.tau = np.zeros(n) if record else None
+        self.terminal = np.zeros(n) if record else None
         self.floor = np.zeros(n, dtype=bool)
         self.censored = np.zeros(n, dtype=bool)
         self.records = None
@@ -190,7 +191,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     sqrt_dt = np.sqrt(dt)
     decay_d = np.exp(-params.delta * dt)
     decay_l = np.exp(-params.lam * dt)
-    out = _Paths(n)
+    out = _Paths(n, agent, record)
 
     width = min(_CHUNK, n)
     pid = np.arange(width)
@@ -208,6 +209,9 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     pay_p = np.zeros(width)
     pay_a = np.zeros(width)
     rec = ([], [], [], [], [], []) if record else None
+    # recorded path ids take the narrowest unsigned type: the records set the
+    # peak memory of a recording run
+    pid_type = np.min_scalar_type(n)
 
     while pid.size:
         col = step % _NOISE_BLOCK
@@ -235,7 +239,8 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         if record:
             x = x + phi_applied * dt + params.sigma * dw
             # pid, j and x are lane arrays, reset in place when a lane refills
-            for store, v in zip(rec, (pid.copy(), j_new.copy(), x.copy(), dw, r, a_applied)):
+            for store, v in zip(rec, (pid.astype(pid_type), j_new.copy(), x.copy(),
+                                      dw, r, a_applied)):
                 store.append(v)
         disc_d = disc_d * decay_d
         disc_l = disc_l * decay_l
@@ -280,6 +285,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     if record:
         # one stable sort by path id keeps each path's steps in order
         pids = np.concatenate(rec[0])
+        rec[0].clear()
         order = np.argsort(pids, kind="stable")
         out.records = [np.bincount(pids, minlength=n)]
         for store in rec[1:]:

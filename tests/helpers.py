@@ -5,7 +5,8 @@ and brute-force grid search, written without reference to the package
 internals, so that closed-form results in the package can be checked against
 a second, dumber route. The exceptions are former production routes kept as
 bitwise oracles for their faster replacements: lockstep_paths (the Monte
-Carlo stepper) and unbatched_improve (the Howard improvement sweep).
+Carlo stepper), unbatched_improve (the Howard improvement sweep) and
+percent_write_csv (the CSV writer).
 """
 
 import math
@@ -238,3 +239,27 @@ def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
     stop[0] = False
     stop[-1] = True
     return r, a, stop, n_f + n_b + edge[5]
+
+
+_PERCENT_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # other dtypes: "%s"
+
+
+def percent_write_csv(path, header, blocks):
+    """The CSV writer by Python %-formatting, as a bitwise oracle.
+
+    Same contract as contract_solve.write_csv: one header row, then the rows
+    of each block of equal-length columns; the column dtype picks "%d" for
+    integers and bools, "%.17g" for floats and "%s" otherwise.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            columns = [np.asarray(col) for col in columns]
+            row = ",".join(_PERCENT_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\n"
+            width = len(columns)
+            for start in range(0, len(columns[0]), 4096):
+                parts = [col[start:start + 4096].tolist() for col in columns]
+                flat = [None] * (len(parts[0]) * width)
+                for j, part in enumerate(parts):
+                    flat[j::width] = part
+                fh.write((row * len(parts[0])) % tuple(flat))

@@ -216,6 +216,14 @@ class TestDispatch:
         assert lines[0] == "sigma,x,w"
         assert len(lines) == 1 + 2 * 201
 
+    def test_sweep_with_every_sigma_failing_writes_the_header_only(self, tmp_path):
+        out = tmp_path / "sw"
+        assert cli_dispatch(["sweep", "--out", str(out), *FAST,
+                             "--set", "howard.max_iter=5"]) == 0
+        assert (out / "sweep.csv").read_bytes() == b"sigma,x,w\n"
+        failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
+        assert len(failures) == 2 and all("NoConvergence" in f for f in failures)
+
     def test_first_best_outputs(self, tmp_path, capsys):
         out = tmp_path / "fb"
         assert cli_dispatch(["first-best", "--out", str(out), *FAST]) == 0

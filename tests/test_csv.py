@@ -1,0 +1,149 @@
+"""The vectorized CSV writer against Python's %-formatting, byte for byte."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contract_solve import write_csv
+from contract_solve.report_cli import _CSV_BLOCK, _csv_rows
+
+from .helpers import percent_write_csv
+
+
+def _formatted(x):
+    """The CSV route's text of each float of x."""
+    return _csv_rows([np.asarray(x, dtype=np.float64)], bytearray()).split(b"\n")[1:]
+
+
+def _assert_percent_g(x, chunk=1 << 16):
+    x = np.asarray(x, dtype=np.float64)
+    for start in range(0, x.size, chunk):
+        part = x[start:start + chunk]
+        got = _formatted(part)
+        want = [b"%.17g" % v for v in part.tolist()]
+        bad = [(v, bytes(g), w) for v, g, w in zip(part.tolist(), got, want) if g != w]
+        assert len(got) == len(want) and not bad, bad[:5]
+
+
+def _sweep(rng):
+    """About 10**6 floats over every branch of the formatter."""
+    bits = rng.integers(0, 2 ** 64 - 1, 200_000, dtype=np.uint64, endpoint=True)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                np.nextafter(2.2250738585072014e-308, 0.0), 1.7976931348623157e308,
+                1e-10, 1e15, 9.9999999999999995e-05, 0.99999999999999989, 0.1, 0.5, 1.0, 100.0]
+    log_uniform = np.exp(rng.uniform(np.log(1e-12), np.log(1e17), 400_000))
+    powers = 10.0 ** np.arange(-11, 17)
+    ulps = np.arange(-50, 51)
+    neighbours = np.concatenate([powers] + [p + ulps * np.spacing(p) for p in powers])
+    odd = rng.integers(4 * 10 ** 14, 4 * 10 ** 15, 400_000) * 2 + 1  # odd n in [8e14, 8e15)
+    return np.concatenate([bits.view(np.float64), specials, log_uniform, -log_uniform,
+                           neighbours, -neighbours, odd / 8.0])
+
+
+def test_sweep_matches_percent_g():
+    x = _sweep(np.random.default_rng(20261018))
+    assert x.size >= 10 ** 6
+    assert np.isnan(x).any() and (x == 0.0).any() and (np.abs(x) < 2.2250738585072014e-308).any()
+    _assert_percent_g(x)
+
+
+def test_exact_ties_round_half_to_even():
+    # n / 8 in [1e14, 1e15) has 15 integer digits, so its 17 digits stop at
+    # the hundredths and the last 5 of .125, .375, .625, .875 is an exact tie
+    n = np.array([8 * 10 ** 14 + 1, 8 * 10 ** 14 + 3, 8 * 10 ** 14 + 5, 8 * 10 ** 14 + 7])
+    assert [bytes(t) for t in _formatted(n / 8.0)] == [
+        b"100000000000000.12", b"100000000000000.38", b"100000000000000.62",
+        b"100000000000000.88"]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_floats_match_percent_g(values):
+    _assert_percent_g(values)
+
+
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_bit_patterns_match_percent_g(bits):
+    _assert_percent_g(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_no_double_in_fast_range_rounds_up_to_a_power_of_ten():
+    # the formatter has no carry from 99...9.5 up to 10**17: the double next
+    # below each power of ten in [1e-10, 1e15] stays more than half a unit
+    # of the 17th digit below it
+    for k in range(-10, 16):
+        p = Fraction(10) ** k
+        below = float(p)
+        if Fraction(below) >= p:
+            below = np.nextafter(below, 0.0)
+        scaled = Fraction(below) * Fraction(10) ** (16 - (k - 1))
+        assert Fraction(10) ** 17 - scaled > Fraction(1, 2), k
+
+
+def _blocks(rng, sizes):
+    blocks = []
+    for n in sizes:
+        small = rng.integers(-1000, 1000, n)
+        wide = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True)
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-13, 18, n)
+        floats[::7] = 0.0
+        blocks.append((
+            floats,
+            np.where(rng.random(n) < 0.5, small, wide),
+            rng.integers(0, 2 ** 64 - 1, n, dtype=np.uint64, endpoint=True),
+            rng.random(n) < 0.5,
+            np.array([f"p{k}é" if k % 3 else k for k in range(n)], dtype=object),
+            np.array([str(k) for k in range(n)]),
+            floats.astype(np.float32),
+            [float(v) for v in floats],
+        ))
+    return blocks
+
+
+HEADER = ("f", "i", "u", "b", "o", "s", "f32", "list")
+
+
+@pytest.mark.parametrize("sizes", [[0], [1], [_CSV_BLOCK - 1], [_CSV_BLOCK], [_CSV_BLOCK + 1],
+                                   [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3]])
+def test_writer_matches_percent_oracle(tmp_path, sizes):
+    blocks = _blocks(np.random.default_rng(len(sizes) * 7 + sizes[0]), sizes)
+    write_csv(tmp_path / "fast.csv", HEADER, blocks)
+    percent_write_csv(tmp_path / "oracle.csv", HEADER, blocks)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_blocks_with_other_dtypes_are_not_joined(tmp_path):
+    # joined, int64 and float64 would give 2**53 + 1 as a float, uint64 and
+    # int8 likewise, and str with bytes would decode b"c" to "c"
+    blocks = [(np.array([2 ** 53 + 1]), np.array(["a"])),
+              (np.array([0.5]), np.array([b"c"])),
+              (np.array([2 ** 64 - 1], dtype=np.uint64), np.array(["d"])),
+              (np.array([-7], dtype=np.int8), np.array([b"e"]))]
+    write_csv(tmp_path / "fast.csv", ("n", "s"), blocks)
+    percent_write_csv(tmp_path / "oracle.csv", ("n", "s"), blocks)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert b"9007199254740993,a\n0.5,b'c'\n18446744073709551615,d\n-7,b'e'\n" in (
+        tmp_path / "fast.csv").read_bytes()
+
+
+def test_no_blocks_writes_the_header_only(tmp_path):
+    write_csv(tmp_path / "empty.csv", ("sigma", "x", "w"), [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"sigma,x,w\n"
+
+
+def test_zero_row_blocks_are_skipped(tmp_path):
+    rows = (np.array([1.5, 2.5]), np.array([1, 2]))
+    empty = (np.zeros(0), np.zeros(0, dtype=int))
+    write_csv(tmp_path / "with.csv", ("x", "n"), [empty, rows, empty, rows, empty])
+    write_csv(tmp_path / "without.csv", ("x", "n"), [rows, rows])
+    assert (tmp_path / "with.csv").read_bytes() == b"x,n\n1.5,1\n2.5,2\n1.5,1\n2.5,2\n"
+    assert (tmp_path / "without.csv").read_bytes() == (tmp_path / "with.csv").read_bytes()
+
+
+def test_ragged_block_names_the_lengths(tmp_path):
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), [([1, 2, 3], [1.0, 2.0])])

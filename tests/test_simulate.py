@@ -152,6 +152,8 @@ class TestLockstepOracle:
             out = sim._run_paths(params, sb, 0.1, cfg)
             for key in ("principal", "floor", "censored"):
                 assert np.array_equal(getattr(out, key), ref[key]), key
+            # an estimate allocates nothing for the agent or for recording
+            assert (out.agent, out.tau, out.terminal, out.records) == (None,) * 4
             mc = mc_principal_value(params, sb, 0.1, cfg)
             assert mc.estimate == np.mean(ref["principal"])
             assert mc.n_floor == ref["floor"].sum()

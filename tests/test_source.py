@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,3 +33,12 @@ def test_benchmark_trace_targets_exist():
                if not callable(getattr(importlib.import_module(f"contract_solve.{layer}"),
                                        name, None))]
     assert not missing, f"benchmark trace targets missing from the package: {missing}"
+
+
+def test_no_numpy_strings():
+    # np.strings needs numpy 2; the package declares numpy>=1.24
+    pattern = re.compile(r"\b(?:np|numpy)\.strings\b")
+    found = [f"{path.name}:{lineno}" for path in sorted(SRC.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert not found, f"numpy.strings used in src: {found}"
