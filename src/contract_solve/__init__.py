@@ -53,6 +53,7 @@ from .simulate import (
     IncentiveReport,
     MCValue,
     PathBundle,
+    PathTable,
     PolicyOutOfRange,
     SimConfig,
     in_stop_region,

@@ -44,8 +44,8 @@ repeated; keys are the config-file keys.
 """
 
 
-_CSV_BLOCK = 4096  # rows per group; bounds the text held in memory at once
-# Each field fills whole little-endian uint64 words of a group's row buffer;
+_CSV_BLOCK = 4096  # rows per chunk; bounds the text held in memory at once
+# Each field fills whole little-endian uint64 words of a chunk's row buffer;
 # its byte 0 takes the separator before it ("\n" starts a row) and unused
 # bytes stay NUL. A float field is 4 words: byte 1 the sign, 2-6 the "0.000"
 # prefix, 7 the first digit, 8-24 the other 16 digits with the point slotted
@@ -227,70 +227,15 @@ def _csv_rows(columns, buf: bytearray) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _groups(blocks):
-    """The blocks' rows regrouped into column lists of at most _CSV_BLOCK rows.
-
-    Blocks are joined only while their column dtypes agree, so concatenation
-    never changes a value or the format its dtype picks.
-    """
-    parts, dtypes, rows = [], None, 0
-    for columns in blocks:
-        columns = [np.asarray(col) for col in columns]
-        n = len(columns[0]) if columns else 0
-        if any(len(col) != n for col in columns):
-            raise ValueError(f"block columns differ in length: {[len(col) for col in columns]}")
-        if not n:
-            continue
-        block_dtypes = [col.dtype for col in columns]
-        if block_dtypes != dtypes:
-            if parts:
-                yield _join(parts)
-            parts, dtypes, rows = [], block_dtypes, 0
-        parts.append(columns)
-        rows += n
-        while rows >= _CSV_BLOCK:
-            head, parts = _split(parts, _CSV_BLOCK)
-            rows -= _CSV_BLOCK
-            yield _join(head)
-    if parts:
-        yield _join(parts)
-
-
-def _split(parts, count):
-    """The first count rows of a list of blocks, and the rest."""
-    head, rest = [], []
-    for columns in parts:
-        n = len(columns[0])
-        if count >= n:
-            head.append(columns)
-        elif count > 0:
-            head.append([col[:count] for col in columns])
-            rest.append([col[count:] for col in columns])
-        else:
-            rest.append(columns)
-        count -= n
-    return head, rest
-
-
-def _join(parts):
-    return parts[0] if len(parts) == 1 else [np.concatenate(cols) for cols in zip(*parts)]
-
-
-def write_csv(path, header, blocks) -> None:
+def write_csv(path, header, columns) -> None:
     """One header row plus data rows, LF endings, 17 significant digits.
 
-    blocks is an iterable of column tuples: each yields equal-length columns
-    (arrays or sequences) whose rows are written in order; a block whose
-    columns differ in length raises ValueError, zero-row blocks are skipped
-    and no blocks gives the header alone. Each column's dtype picks its
-    format: "%d" for integers and bools (1/0), "%.17g" for floats, str()
-    otherwise (text must hold no NUL character).
-
-    The blocks' rows are regrouped into groups of at most _CSV_BLOCK rows,
-    joining blocks only while their column dtypes agree. Each group is
-    formatted by array operations into fixed, NUL-padded byte slots of one
-    row buffer, reused from group to group, and written after one
-    bytes.translate drops the NULs.
+    columns is one table of equal-length columns (arrays or sequences),
+    written row by row; columns that differ in length raise ValueError, and
+    a table of zero rows (or no columns) gives the header alone. Each
+    column's dtype picks its format: "%d" for integers and bools (1/0),
+    "%.17g" for floats, str() otherwise (text must hold no NUL character).
+    The rows are formatted _CSV_BLOCK at a time into one reused row buffer.
 
     Floats get exactly the bytes of "%.17g" % x. With x = m * 2**e from
     frexp, the 17 digits N = round(x * 10**s) are m * 2**53 * 5**s shifted
@@ -304,11 +249,15 @@ def write_csv(path, header, blocks) -> None:
     magnitudes and non-finite values fall back to "%.17g" per value; +-0.0
     take the fast path.
     """
+    columns = [np.asarray(col) for col in columns]
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
         buf = bytearray()
-        for columns in _groups(blocks):
-            fh.write(_csv_rows(columns, buf))
+        for start in range(0, rows, _CSV_BLOCK):
+            fh.write(_csv_rows([col[start:start + _CSV_BLOCK] for col in columns], buf))
         fh.write(b"\n")
 
 
@@ -380,15 +329,15 @@ def _run_first_best(cfg: RunConfig, outdir, timings):
     sols = [principal_value_fb(cfg.params, float(x)) for x in xs]
     write_csv(os.path.join(outdir, "fb_value.csv"),
               ("x", "lambda_lag", "tau_star", "value"),
-              [(xs, [s.lambda_lag for s in sols], [s.tau_star.value for s in sols],
-                [s.value for s in sols])])
+              (xs, [s.lambda_lag for s in sols], [s.tau_star.value for s in sols],
+               [s.value for s in sols]))
 
     anchor = principal_value_fb(cfg.params, cfg.params.x_reserve)
     ts = np.linspace(0.0, cfg.fb_t_max, cfg.fb_t_n)
     write_csv(os.path.join(outdir, "fb_schedule.csv"),
               ("t", "rent", "effort", "H"),
-              [(ts, [anchor.rent(t) for t in ts], [anchor.effort(t) for t in ts],
-                [anchor.h_profile(t) for t in ts])])
+              (ts, [anchor.rent(t) for t in ts], [anchor.effort(t) for t in ts],
+               [anchor.h_profile(t) for t in ts]))
     diag = {
         "schedule_x": cfg.params.x_reserve,
         "schedule_lambda_lag": anchor.lambda_lag,
@@ -403,7 +352,7 @@ def _run_second_best(cfg: RunConfig, outdir, timings, solution=None):
     g = sol.grid
     write_csv(os.path.join(outdir, "sb_solution.csv"),
               ("x", "w", "r_star", "a_star", "stop"),
-              [(g.x, sol.w, sol.r_star, sol.a_star, sol.stop)])
+              (g.x, sol.w, sol.r_star, sol.a_star, sol.stop))
     diag = {
         "b_hat": sol.b_hat,
         "iterations": sol.iterations,
@@ -426,26 +375,19 @@ def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
                           f"(within dx/2 of b_hat = {sol.b_hat:.6g})")
     sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
-    bundles = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
-
-    def blocks():
-        for b in bundles:
-            n = b.w_increments.size
-            stopped = np.zeros(n + 1, dtype=int)
-            stopped[n] = not b.censored  # ended before the horizon: stop region or floor
-            yield (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
-                   np.concatenate(([0.0], b.w_increments)), stopped)
-
-    write_csv(os.path.join(outdir, "paths.csv"),
-              ("path_id", "t", "j", "x", "dw", "stopped"), blocks())
-    mc = summarize_paths(cfg.params, sol, sim_cfg, bundles)
+    table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
+    names = ("path_id", "t", "j", "x", "dw", "stopped")
+    write_csv(os.path.join(outdir, "paths.csv"), names, [getattr(table, k) for k in names])
+    mc = summarize_paths(cfg.params, sol, sim_cfg, table)
     diag = {
         "x0": cfg.sim_x0,
         "n_paths": mc.n_paths,
         "mc_estimate": mc.estimate,
         "mc_std_error": mc.std_error,
         "n_floor": mc.n_floor,
+        "n_stopped": mc.n_paths - mc.n_floor - mc.n_censored,
         "n_censored": mc.n_censored,
+        "path_steps": int(table.steps.sum()),
         "censoring_bias_bound": mc.censoring_bias_bound,
     }
     timings["sim_seconds"] = time.perf_counter() - t0
@@ -463,7 +405,7 @@ def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
         raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
-              [(table.x, table.v_fb, table.v_sb, table.voi)])
+              (table.x, table.v_fb, table.v_sb, table.voi))
     diag = {"voi_min": float(table.voi.min())}
     timings["voi_seconds"] = time.perf_counter() - t0
     return ["voi.csv"], diag, sol
@@ -484,8 +426,9 @@ def _run_sweep(cfg: RunConfig, outdir, timings, solution=None):
     done = {**dict(solved), **reused}
     solved = [(sg, done[sg]) for sg in cfg.sweep_sigmas if sg in done]
 
+    per_sigma = [(np.full(sol.grid.n, sg), sol.grid.x, sol.w) for sg, sol in solved]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
-              [(np.full(sol.grid.n, sg), sol.grid.x, sol.w) for sg, sol in solved])
+              [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
         "sweep_failures": [f"{sg}: {msg}" for sg, msg in failures],

@@ -22,6 +22,8 @@ realized cost uses the deviated effort.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +73,11 @@ class PathBundle:
 
     times has len(w_increments) + 1 entries; j_path and x_path align with
     times; r_path and a_path hold the policies applied on each step
-    interval. tau is the stopping time, censored at the horizon when the
-    path is still alive there. j_path keeps the raw Euler states: a floored
-    path ends with a small negative value, while its settlement, and the
-    terminal payment, use the floor convention (pay nothing at or below 0).
+    interval. The arrays are views of a PathTable's columns. tau is the
+    stopping time, censored at the horizon when the path is still alive
+    there. j_path keeps the raw Euler states: a floored path ends with a
+    small negative value, while its settlement, and the terminal payment,
+    use the floor convention (pay nothing at or below 0).
     """
 
     path_id: int
@@ -294,9 +297,55 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class PathTable(Sequence):
+    """Simulated paths as flat columns in paths.csv's layout.
+
+    Per node, paths in id order: path_id, t, j, x, dw (0 on a path's first
+    row), stopped (True on the last row of a path that ended before the
+    horizon). Per step: r, a. Per path: starts (first node row), steps, tau,
+    payoff, terminal, floor, censored. As a sequence, table[i] is path i's
+    PathBundle of views of the columns; slices and iteration act as on a list.
+    """
+
+    path_id: np.ndarray
+    t: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    dw: np.ndarray
+    stopped: np.ndarray
+    r: np.ndarray
+    a: np.ndarray
+    starts: np.ndarray
+    steps: np.ndarray
+    tau: np.ndarray
+    payoff: np.ndarray
+    terminal: np.ndarray
+    floor: np.ndarray
+    censored: np.ndarray
+
+    def __len__(self) -> int:
+        return self.steps.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"path {i} of {len(self)}")
+        i %= len(self)
+        s, n = int(self.starts[i]), int(self.steps[i])
+        nodes = slice(s, s + n + 1)
+        steps = slice(s - i, s - i + n)  # the i earlier paths each have one more node than steps
+        return PathBundle(i, self.t[nodes], self.j[nodes], self.x[nodes],
+                          self.dw[s + 1:s + n + 1], self.r[steps], self.a[steps],
+                          float(self.tau[i]), float(self.payoff[i]), float(self.terminal[i]),
+                          bool(self.floor[i]), bool(self.censored[i]))
+
+
 def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
-                   cfg: SimConfig) -> list[PathBundle]:
-    """Euler-Maruyama paths of the contract state from x0, one bundle per path.
+                   cfg: SimConfig) -> PathTable:
+    """Euler-Maruyama paths of the contract state from x0, as one PathTable.
 
     Each path runs until it enters the stop region (nearest-node flag), is
     absorbed at the floor J = 0 (terminal payment 0, flagged), or reaches
@@ -305,16 +354,21 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     """
     out = _run_paths(params, solution, x0, cfg, record=True)
     steps, j, x, dw, r, a = out.records
-    starts = np.cumsum(steps) - steps
-    cuts, cuts_1 = starts[1:], starts[1:] + np.arange(1, cfg.n_paths)
-    columns = zip(steps, np.split(np.insert(j, starts, x0), cuts_1),
-                  np.split(np.insert(x, starts, 0.0), cuts_1),
-                  *(np.split(v, cuts) for v in (dw, r, a)))
-    # PathBundle's fields in order: id, times, the five step arrays, then scalars
-    return [PathBundle(pid, np.arange(n + 1) * cfg.dt, *arrays, float(out.tau[pid]),
-                       float(out.principal[pid]), float(out.terminal[pid]),
-                       bool(out.floor[pid]), bool(out.censored[pid]))
-            for pid, (n, *arrays) in enumerate(columns)]
+    out.records = None  # so each sorted j, x and dw is freed once rebound
+    first = np.cumsum(steps) - steps  # each path's first step row
+    j = np.insert(j, first, x0)
+    x = np.insert(x, first, 0.0)
+    dw = np.insert(dw, first, 0.0)
+    starts = first + np.arange(cfg.n_paths)
+    sizes = steps + 1
+    t = np.arange(j.size, dtype=float)
+    t -= np.repeat(starts, sizes)
+    t *= cfg.dt  # bitwise each path's np.arange(n + 1) * dt
+    stopped = np.zeros(j.size, dtype=bool)
+    stopped[starts + steps] = ~out.censored  # stop region or floor
+    path_id = np.repeat(np.arange(cfg.n_paths, dtype=np.min_scalar_type(cfg.n_paths)), sizes)
+    return PathTable(path_id, t, j, x, dw, stopped, r, a, starts, steps, out.tau,
+                     out.principal, out.terminal, out.floor, out.censored)
 
 
 def _std_error(values) -> float:
@@ -339,11 +393,10 @@ def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
 
 
 def summarize_paths(params: ModelParams, solution: SecondBestSolution,
-                    cfg: SimConfig, bundles) -> MCValue:
-    """The MCValue of simulate_paths' bundles: what mc_principal_value returns."""
-    payoffs = np.array([b.discounted_payoff for b in bundles])
-    return _mc_value(params, solution, cfg, payoffs, sum(b.floor for b in bundles),
-                     sum(b.censored for b in bundles))
+                    cfg: SimConfig, table: PathTable) -> MCValue:
+    """The MCValue of simulate_paths' table: what mc_principal_value returns."""
+    return _mc_value(params, solution, cfg, table.payoff, int(table.floor.sum()),
+                     int(table.censored.sum()))
 
 
 def _agent_objectives(params, solution, x0, cfg, effort_map):
@@ -377,20 +430,24 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
                            all(r.satisfied for r in rows))
 
 
-def reconstruct_noise(params: ModelParams, bundle: PathBundle) -> float:
-    """Max error rebuilding the noise increments from the output path.
-
-    Inverts the same Euler step, dW = (dX - phi(a) dt) / sigma, so the error
-    is pure round-off. Raises DegenerateEffort if any step has zero effort:
-    there the output carries no trace of the noise.
-    """
-    if bundle.a_path.size == 0:
-        return 0.0
+def _recovered_noise(params: ModelParams, bundle: PathBundle):
+    """Step lengths and dW = (dX - phi(a) dt) / sigma, the Euler output step
+    inverted; raises DegenerateEffort if any step has zero effort: there the
+    output carries no trace of the noise."""
     if np.any(bundle.a_path <= 0.0):
         raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
     dt = np.diff(bundle.times)
-    dw = (np.diff(bundle.x_path) - params.phi(bundle.a_path) * dt) / params.sigma
-    return float(np.max(np.abs(dw - bundle.w_increments)))
+    return dt, (np.diff(bundle.x_path) - params.phi(bundle.a_path) * dt) / params.sigma
+
+
+def reconstruct_noise(params: ModelParams, bundle: PathBundle) -> float:
+    """Max error rebuilding the noise increments from the output path.
+
+    The recovered noise inverts the same Euler step, so the error is pure
+    round-off. Raises DegenerateEffort on a zero-effort step.
+    """
+    _, dw = _recovered_noise(params, bundle)
+    return float(np.max(np.abs(dw - bundle.w_increments), initial=0.0))
 
 
 def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
@@ -401,12 +458,7 @@ def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
     policies determine the state: the discrete form of the filtration
     coincidence at the optimum.
     """
-    if bundle.a_path.size == 0:
-        return 0.0
-    if np.any(bundle.a_path <= 0.0):
-        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
-    dt = np.diff(bundle.times)
-    dw = (np.diff(bundle.x_path) - params.phi(bundle.a_path) * dt) / params.sigma
+    dt, dw = _recovered_noise(params, bundle)
     j = bundle.j_path[0]
     err = 0.0
     for k in range(dt.size):

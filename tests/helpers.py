@@ -5,8 +5,9 @@ and brute-force grid search, written without reference to the package
 internals, so that closed-form results in the package can be checked against
 a second, dumber route. The exceptions are former production routes kept as
 bitwise oracles for their faster replacements: lockstep_paths (the Monte
-Carlo stepper), unbatched_improve (the Howard improvement sweep) and
-percent_write_csv (the CSV writer).
+Carlo stepper), split_bundles (the per-path bundles of simulate_paths),
+unbatched_improve (the Howard improvement sweep) and percent_write_csv (the
+CSV writer).
 """
 
 import math
@@ -184,6 +185,28 @@ def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=
     return out
 
 
+def split_bundles(params, solution, x0, cfg):
+    """simulate_paths' bundles by the per-path route, as a bitwise oracle.
+
+    Splits _run_paths' sorted step records into one PathBundle per path:
+    x0 and 0.0 inserted before each path's first step of j and x, then
+    np.split at the path boundaries, and times from np.arange per path.
+    """
+    from contract_solve.simulate import PathBundle, _run_paths
+
+    out = _run_paths(params, solution, x0, cfg, record=True)
+    steps, j, x, dw, r, a = out.records
+    starts = np.cumsum(steps) - steps
+    cuts, cuts_1 = starts[1:], starts[1:] + np.arange(1, cfg.n_paths)
+    columns = zip(steps, np.split(np.insert(j, starts, x0), cuts_1),
+                  np.split(np.insert(x, starts, 0.0), cuts_1),
+                  *(np.split(v, cuts) for v in (dw, r, a)))
+    return [PathBundle(pid, np.arange(n + 1) * cfg.dt, *arrays, float(out.tau[pid]),
+                       float(out.principal[pid]), float(out.terminal[pid]),
+                       bool(out.floor[pid]), bool(out.censored[pid]))
+            for pid, (n, *arrays) in enumerate(columns)]
+
+
 def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
     """hjbvi._improve with one _best_response call per slope, as an oracle.
 
@@ -244,22 +267,21 @@ def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
 _PERCENT_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # other dtypes: "%s"
 
 
-def percent_write_csv(path, header, blocks):
+def percent_write_csv(path, header, columns):
     """The CSV writer by Python %-formatting, as a bitwise oracle.
 
     Same contract as contract_solve.write_csv: one header row, then the rows
-    of each block of equal-length columns; the column dtype picks "%d" for
+    of one table of equal-length columns; the column dtype picks "%d" for
     integers and bools, "%.17g" for floats and "%s" otherwise.
     """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join(_PERCENT_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\n"
+    width = len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            columns = [np.asarray(col) for col in columns]
-            row = ",".join(_PERCENT_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\n"
-            width = len(columns)
-            for start in range(0, len(columns[0]), 4096):
-                parts = [col[start:start + 4096].tolist() for col in columns]
-                flat = [None] * (len(parts[0]) * width)
-                for j, part in enumerate(parts):
-                    flat[j::width] = part
-                fh.write((row * len(parts[0])) % tuple(flat))
+        for start in range(0, len(columns[0]) if columns else 0, 4096):
+            parts = [col[start:start + 4096].tolist() for col in columns]
+            flat = [None] * (len(parts[0]) * width)
+            for j, part in enumerate(parts):
+                flat[j::width] = part
+            fh.write((row * len(parts[0])) % tuple(flat))

@@ -14,8 +14,10 @@ from contract_solve import (
     sigma_sweep,
     value_of_information,
 )
-from contract_solve import SimConfig, hjbvi, simulate_paths, write_csv
+from contract_solve import SimConfig, hjbvi
 from contract_solve.config import parse_lines, parse_overrides
+
+from .helpers import percent_write_csv, split_bundles
 
 # keep every dispatch cheap: coarse grid, few paths, short profiles
 FAST = ["--set", "grid.n=201", "--set", "fb.x_n=8", "--set", "fb.t_n=9",
@@ -286,16 +288,31 @@ class TestPathsCsv:
             assert all(f == "0" for f in flags[:-1])
             assert flags[-1] in ("0", "1")  # 1 unless censored
 
+    def test_manifest_counts_match_the_rows(self, tmp_path):
+        out = tmp_path / "sim"
+        assert cli_dispatch(["simulate", "--out", str(out), *FAST,
+                             "--set", "sim.horizon=0.2"]) == 0
+        rows = [line.split(",") for line in (out / "paths.csv").read_text().splitlines()[1:]]
+        manifest = json.loads((out / "manifest.json").read_text())
+        diag = manifest["diagnostics"]
+        # every path ends in the stop region, at the floor or at the horizon
+        assert diag["n_stopped"] + diag["n_floor"] + diag["n_censored"] == 30
+        assert diag["n_censored"] > 0 and diag["n_stopped"] > 0
+        assert diag["n_stopped"] + diag["n_floor"] == sum(r[5] == "1" for r in rows)
+        assert diag["path_steps"] == len(rows) - 30  # one first row per path
+        assert not {"n_stopped", "path_steps"} & set(manifest["timings"])
+
     def test_bytes_match_bundles_written_directly(self, tmp_path):
-        # oracle: one block per path, times as floats from the bundle itself
+        # oracle: one block per path from the per-path bundles, concatenated
+        # into one table and written by %-formatting
         out = tmp_path / "sim"
         assert cli_dispatch(["simulate", "--out", str(out), *FAST]) == 0
         cfg = load(None, FAST[1::2])
         sol = howard_solve(cfg.params, Grid.make(cfg.grid_x_max, cfg.grid_n),
                            tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
-        bundles = simulate_paths(cfg.params, sol, cfg.sim_x0,
-                                 SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
-                                           n_paths=cfg.sim_n_paths, seed=cfg.sim_seed))
+        bundles = split_bundles(cfg.params, sol, cfg.sim_x0,
+                                SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
+                                          n_paths=cfg.sim_n_paths, seed=cfg.sim_seed))
         assert len({b.times.size for b in bundles}) > 1
 
         def block(b):
@@ -305,8 +322,9 @@ class TestPathsCsv:
             return (np.full(n + 1, b.path_id), b.times, b.j_path, b.x_path,
                     np.concatenate(([0.0], b.w_increments)), stopped)
 
-        write_csv(tmp_path / "oracle.csv", ("path_id", "t", "j", "x", "dw", "stopped"),
-                  [block(b) for b in bundles])
+        table = [np.concatenate(col) for col in zip(*map(block, bundles))]
+        percent_write_csv(tmp_path / "oracle.csv", ("path_id", "t", "j", "x", "dw", "stopped"),
+                          table)
         assert (out / "paths.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -20,7 +20,7 @@ from contract_solve import (
     summarize_paths,
 )
 
-from .helpers import lockstep_paths
+from .helpers import lockstep_paths, split_bundles
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments", "r_path", "a_path")
@@ -184,6 +184,44 @@ class TestLockstepOracle:
                                         ref["censored"][pid])
 
 
+class TestPathTable:
+    """The flat table against the per-path split route: same bundles, bitwise."""
+
+    CENSORING = SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3)
+
+    def test_bundles_match_split_route(self, params, sb, bundles):
+        short = simulate_paths(params, sb, 0.1, self.CENSORING)
+        assert short.censored.any() and not short.censored.all()
+        _assert_same_bundles(short, split_bundles(params, sb, 0.1, self.CENSORING))
+        _assert_same_bundles(bundles, split_bundles(params, sb, 0.1, CFG_SMALL))
+
+    def test_list_like_indexing(self, bundles):
+        n = CFG_SMALL.n_paths
+        assert len(bundles) == n
+        _assert_same_bundles([bundles[-1], bundles[-n]], [bundles[n - 1], bundles[0]])
+        _assert_same_bundles(bundles[5:9], [bundles[k] for k in range(5, 9)])
+        _assert_same_bundles(bundles[::-97], [bundles[k] for k in range(n - 1, -1, -97)])
+        assert bundles[n:] == [] and bundles[np.int64(3)].path_id == 3
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                bundles[bad]
+
+    def test_iteration_counts_path_steps(self, bundles):
+        assert sum(b.w_increments.size for b in bundles) == bundles.steps.sum()
+        assert sum(1 for _ in bundles) == len(bundles)
+
+    def test_columns_in_paths_csv_layout(self, params, sb):
+        table = simulate_paths(params, sb, 0.1, self.CENSORING)
+        rows = table.steps.sum() + len(table)
+        for name in ("path_id", "t", "j", "x", "dw", "stopped"):
+            assert getattr(table, name).shape == (rows,), name
+        first = table.starts
+        assert np.all(table.dw[first] == 0.0) and np.all(table.t[first] == 0.0)
+        assert np.array_equal(np.flatnonzero(table.stopped),
+                              (first + table.steps)[~table.censored])
+        assert np.array_equal(np.bincount(table.path_id), table.steps + 1)
+
+
 class TestPathContents:
     def test_array_shapes_agree(self, bundles):
         for b in bundles[:64]:
@@ -314,5 +352,6 @@ class TestReconstruction:
     def test_zero_effort_step_is_degenerate(self, params, bundles):
         b = bundles[0]
         dead = dataclasses.replace(b, a_path=np.zeros_like(b.a_path))
-        with pytest.raises(DegenerateEffort):
-            reconstruct_noise(params, dead)
+        for reconstruct in (reconstruct_noise, reconstruct_state):
+            with pytest.raises(DegenerateEffort):
+                reconstruct(params, dead)
