@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -57,13 +56,11 @@ class TauStar(Enum):
 
 @dataclass(frozen=True)
 class FirstBestSolution:
-    """Multiplier, schedules and offer decision for one reservation value."""
+    """Multiplier and offer decision for one reservation value; the schedules
+    are schedules(params, lambda_lag, t)."""
 
     x: float
     lambda_lag: float
-    rent: Callable  # t -> R_t
-    effort: Callable  # t -> A_t
-    h_profile: Callable  # t -> phi(A_t) - R_t
     tau_star: TauStar
     value: float  # discounted principal surplus; 0 when tau_star is ZERO
 
@@ -324,22 +321,9 @@ def principal_value_fb(params: ModelParams, x: float) -> FirstBestSolution:
     m = solve_lagrange(params, x)
     surplus = _offer_integral(params, m)
     offered = surplus > 0.0
-
-    def rent(t):
-        return schedules(params, m, t)[0]
-
-    def effort(t):
-        return schedules(params, m, t)[1]
-
-    def h_profile(t):
-        return schedules(params, m, t)[2]
-
     return FirstBestSolution(
         x=float(x),
         lambda_lag=m,
-        rent=rent,
-        effort=effort,
-        h_profile=h_profile,
         tau_star=TauStar.INFINITY if offered else TauStar.ZERO,
         value=surplus if offered else 0.0,
     )

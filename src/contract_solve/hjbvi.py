@@ -430,7 +430,14 @@ def _max_defect(params: ModelParams, grid: Grid, w, r, a, stop, psi) -> float:
 
 
 def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid) -> float:
-    """Max pointwise defect of the variational inequality at the stored policy."""
+    """Max pointwise defect of the variational inequality at the stored policy.
+
+    grid must be the solution's own (same x_max and n); any other grid
+    raises ValueError, as the stored arrays are node values on that grid.
+    """
+    if (grid.x_max, grid.n) != (solution.grid.x_max, solution.grid.n):
+        raise ValueError(f"grid (x_max={grid.x_max:.6g}, n={grid.n}) is not the solution's "
+                         f"(x_max={solution.grid.x_max:.6g}, n={solution.grid.n})")
     psi = -params.u_inv(grid.x)
     return _max_defect(params, grid, solution.w, solution.r_star, solution.a_star,
                        solution.stop, psi)

@@ -6,8 +6,12 @@ directory. CSVs are the figure-reproduction interface: comma separated,
 and seed give byte-identical CSVs, so the files double as regression
 fixtures.
 
+_SUBCOMMANDS maps each subcommand to its stages, run in order over one
+per-run dict of second-best solutions by sigma, so cfg's own sigma is
+solved once per run; report is the five stages together.
+
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
-out of range), 2 solver failure.
+out of range, output directory not writable), 2 solver failure.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load
-from .first_best import BracketFailure, continuation_boundary, principal_value_fb
+from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
 from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
 from .model import ModelParams
 from .simulate import (PolicyOutOfRange, SimConfig, in_stop_region, simulate_paths,
@@ -288,7 +292,7 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
     return VoiTable(x=x_grid, v_fb=v_fb, v_sb=v_sb, voi=v_fb - v_sb)
 
 
-def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid | None = None,
+def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = 1e-9, max_iter: int = 200):
     """One second-best solve per sigma on a shared grid.
 
@@ -299,8 +303,6 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid | None = None,
     sigmas = list(sigmas)
     if not sigmas:
         raise ValueError("sigma_sweep needs at least one sigma")
-    if grid is None:
-        grid = Grid.make()
     solved, failures = [], []
     for sg in sigmas:
         try:
@@ -314,17 +316,19 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid | None = None,
     return solved, failures
 
 
-def _grid(cfg: RunConfig) -> Grid:
-    return Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n)
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps sigma
+# to the SecondBestSolution of this run on cfg's grid, tol and max_iter; it
+# holds cfg's own sigma once a stage has asked for it.
+
+def _own_solution(cfg: RunConfig, solved):
+    sigma = cfg.params.sigma
+    if sigma not in solved:
+        solved[sigma] = howard_solve(cfg.params, Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
+                                     tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+    return solved[sigma]
 
 
-def _solve_sb(cfg: RunConfig):
-    return howard_solve(cfg.params, _grid(cfg), tol=cfg.howard_tol,
-                        max_iter=cfg.howard_max_iter)
-
-
-def _run_first_best(cfg: RunConfig, outdir, timings):
-    t0 = time.perf_counter()
+def _first_best(cfg: RunConfig, outdir, solved):
     xs = np.linspace(cfg.fb_x_min, cfg.fb_x_max, cfg.fb_x_n)
     sols = [principal_value_fb(cfg.params, float(x)) for x in xs]
     write_csv(os.path.join(outdir, "fb_value.csv"),
@@ -334,21 +338,17 @@ def _run_first_best(cfg: RunConfig, outdir, timings):
 
     anchor = principal_value_fb(cfg.params, cfg.params.x_reserve)
     ts = np.linspace(0.0, cfg.fb_t_max, cfg.fb_t_n)
-    write_csv(os.path.join(outdir, "fb_schedule.csv"),
-              ("t", "rent", "effort", "H"),
-              (ts, [anchor.rent(t) for t in ts], [anchor.effort(t) for t in ts],
-               [anchor.h_profile(t) for t in ts]))
+    write_csv(os.path.join(outdir, "fb_schedule.csv"), ("t", "rent", "effort", "H"),
+              (ts, *schedules(cfg.params, anchor.lambda_lag, ts)))
     diag = {
         "schedule_x": cfg.params.x_reserve,
         "schedule_lambda_lag": anchor.lambda_lag,
     }
-    timings["fb_seconds"] = time.perf_counter() - t0
     return ["fb_value.csv", "fb_schedule.csv"], diag
 
 
-def _run_second_best(cfg: RunConfig, outdir, timings, solution=None):
-    t0 = time.perf_counter()
-    sol = solution if solution is not None else _solve_sb(cfg)
+def _second_best(cfg: RunConfig, outdir, solved):
+    sol = _own_solution(cfg, solved)
     g = sol.grid
     write_csv(os.path.join(outdir, "sb_solution.csv"),
               ("x", "w", "r_star", "a_star", "stop"),
@@ -360,13 +360,11 @@ def _run_second_best(cfg: RunConfig, outdir, timings, solution=None):
         "k_growth": sol.k_growth,
         "effort_convex_nodes": sol.effort_convex_nodes,
     }
-    timings["sb_seconds"] = time.perf_counter() - t0
-    return ["sb_solution.csv"], diag, sol
+    return ["sb_solution.csv"], diag
 
 
-def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
-    t0 = time.perf_counter()
-    sol = solution if solution is not None else _solve_sb(cfg)
+def _simulate(cfg: RunConfig, outdir, solved):
+    sol = _own_solution(cfg, solved)
     if not (0.0 < cfg.sim_x0 < sol.b_hat):
         raise ConfigError(
             f"sim.x0 = {cfg.sim_x0:.6g} must lie strictly inside (0, b_hat = {sol.b_hat:.6g})")
@@ -390,13 +388,11 @@ def _run_simulate(cfg: RunConfig, outdir, timings, solution=None):
         "path_steps": int(table.steps.sum()),
         "censoring_bias_bound": mc.censoring_bias_bound,
     }
-    timings["sim_seconds"] = time.perf_counter() - t0
-    return ["paths.csv"], diag, sol
+    return ["paths.csv"], diag
 
 
-def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
-    t0 = time.perf_counter()
-    sol = solution if solution is not None else _solve_sb(cfg)
+def _voi(cfg: RunConfig, outdir, solved):
+    sol = _own_solution(cfg, solved)
     xs = np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
     try:
         table = value_of_information(cfg.params, xs, sol)
@@ -407,45 +403,42 @@ def _run_voi(cfg: RunConfig, outdir, timings, solution=None):
               ("x", "v_fb", "v_sb", "voi"),
               (table.x, table.v_fb, table.v_sb, table.voi))
     diag = {"voi_min": float(table.voi.min())}
-    timings["voi_seconds"] = time.perf_counter() - t0
-    return ["voi.csv"], diag, sol
+    return ["voi.csv"], diag
 
 
-def _run_sweep(cfg: RunConfig, outdir, timings, solution=None):
-    t0 = time.perf_counter()
+def _sweep(cfg: RunConfig, outdir, solved):
     if not cfg.sweep_sigmas:
         raise ConfigError("sweep.sigmas must list at least one sigma")
-    # a solve of cfg itself (same grid, tol and max_iter) stands in for the
-    # sweep's solve at cfg's own sigma
-    reused = {cfg.params.sigma: solution} if solution is not None else {}
-    rest = [sg for sg in cfg.sweep_sigmas if sg not in reused]
-    solved, failures = [], []
+    # the sweep's own solutions stay local: they are freed with this stage
+    rest = [sg for sg in cfg.sweep_sigmas if sg not in solved]
+    swept, failures = [], []
     if rest:
-        solved, failures = sigma_sweep(cfg.params, rest, grid=_grid(cfg),
-                                       tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
-    done = {**dict(solved), **reused}
-    solved = [(sg, done[sg]) for sg in cfg.sweep_sigmas if sg in done]
-
-    per_sigma = [(np.full(sol.grid.n, sg), sol.grid.x, sol.w) for sg, sol in solved]
+        swept, failures = sigma_sweep(cfg.params, rest,
+                                      grid=Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
+                                      tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+    done = {**dict(swept), **solved}
+    per_sigma = [(np.full(done[sg].grid.n, sg), done[sg].grid.x, done[sg].w)
+                 for sg in cfg.sweep_sigmas if sg in done]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
               [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
         "sweep_failures": [f"{sg}: {msg}" for sg, msg in failures],
     }
-    timings["sweep_seconds"] = time.perf_counter() - t0
     return ["sweep.csv"], diag
 
 
-def _run_report(cfg: RunConfig, outdir, timings):
-    files, diag = _run_first_best(cfg, outdir, timings)
-    sb_files, sb_diag, sol = _run_second_best(cfg, outdir, timings)
-    voi_files, voi_diag, _ = _run_voi(cfg, outdir, timings, solution=sol)
-    sweep_files, sweep_diag = _run_sweep(cfg, outdir, timings, solution=sol)
-    sim_files, sim_diag, _ = _run_simulate(cfg, outdir, timings, solution=sol)
-    for d in (sb_diag, voi_diag, sweep_diag, sim_diag):
-        diag.update(d)
-    return files + sb_files + voi_files + sweep_files + sim_files, diag
+# (timings key prefix, stage) in run order
+_FB, _SB, _VOI, _SWEEP, _SIM = (("fb", _first_best), ("sb", _second_best), ("voi", _voi),
+                                ("sweep", _sweep), ("sim", _simulate))
+_SUBCOMMANDS = {
+    "first-best": (_FB,),
+    "second-best": (_SB,),
+    "simulate": (_SIM,),
+    "voi": (_VOI,),
+    "sweep": (_SWEEP,),
+    "report": (_FB, _SB, _VOI, _SWEEP, _SIM),
+}
 
 
 def _parse_argv(argv):
@@ -454,7 +447,7 @@ def _parse_argv(argv):
     sub = argv[0]
     if sub in ("-h", "--help", "help"):
         return None, None, None, None
-    if sub not in ("first-best", "second-best", "simulate", "voi", "sweep", "report"):
+    if sub not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {sub!r}")
     config_path = None
     out_dir = None
@@ -498,37 +491,36 @@ def cli_dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(out_dir, exist_ok=True)
-    timings = {}
-    runners = {
-        "first-best": lambda: _run_first_best(cfg, out_dir, timings),
-        "second-best": lambda: _run_second_best(cfg, out_dir, timings)[:2],
-        "simulate": lambda: _run_simulate(cfg, out_dir, timings)[:2],
-        "voi": lambda: _run_voi(cfg, out_dir, timings)[:2],
-        "sweep": lambda: _run_sweep(cfg, out_dir, timings),
-        "report": lambda: _run_report(cfg, out_dir, timings),
-    }
+    solved, files, diag, timings = {}, [], {}, {}
     try:
-        files, diag = runners[sub]()
+        os.makedirs(out_dir, exist_ok=True)
+        for key, stage in _SUBCOMMANDS[sub]:
+            t0 = time.perf_counter()
+            stage_files, stage_diag = stage(cfg, out_dir, solved)
+            timings[f"{key}_seconds"] = time.perf_counter() - t0
+            files += stage_files
+            diag.update(stage_diag)
+        manifest = {
+            "tool_version": __version__,
+            "subcommand": sub,
+            "config": cfg.snapshot,
+            "files": sorted(files + ["manifest.json"]),
+            "diagnostics": diag,
+            "timings": {**timings, "total_seconds": time.perf_counter() - t_start},
+        }
+        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
+                  newline="") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
     except (NoConvergence, NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-    manifest = {
-        "tool_version": __version__,
-        "subcommand": sub,
-        "config": cfg.snapshot,
-        "files": sorted(files + ["manifest.json"]),
-        "diagnostics": diag,
-        "timings": {**timings, "total_seconds": time.perf_counter() - t_start},
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
-              newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for name in manifest["files"]:
         print(os.path.join(out_dir, name))
     return 0

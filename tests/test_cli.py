@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from contract_solve import (
     sigma_sweep,
     value_of_information,
 )
-from contract_solve import SimConfig, hjbvi
+from contract_solve import SimConfig, hjbvi, report_cli
 from contract_solve.config import parse_lines, parse_overrides
 
 from .helpers import percent_write_csv, split_bundles
@@ -23,6 +25,7 @@ from .helpers import percent_write_csv, split_bundles
 FAST = ["--set", "grid.n=201", "--set", "fb.x_n=8", "--set", "fb.t_n=9",
         "--set", "voi.x_n=9", "--set", "sim.n_paths=30",
         "--set", "sweep.sigmas=1.7,1.85"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +229,23 @@ class TestDispatch:
         failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
         assert len(failures) == 2 and all("NoConvergence" in f for f in failures)
 
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        for out in (blocker / "x", blocker):
+            assert cli_dispatch(["first-best", "--out", str(out), *FAST]) == 1
+            assert f"error: cannot write to {out}:" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_subcommands_agree_with_readme_and_usage(self):
+        readme = README.read_text(encoding="utf-8")
+        section = readme[readme.index("## Command line"):readme.index("### Configuration keys")]
+        in_readme = re.findall(r"^\| `([a-z-]+)` +\|", section, flags=re.M)
+        usage = report_cli._USAGE.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
+        in_usage = [line.split()[0] for line in usage.splitlines()]
+        assert len(in_readme) == 6
+        assert in_readme == in_usage == list(report_cli._SUBCOMMANDS)
+
     def test_first_best_outputs(self, tmp_path, capsys):
         out = tmp_path / "fb"
         assert cli_dispatch(["first-best", "--out", str(out), *FAST]) == 0
@@ -341,3 +361,45 @@ class TestPathsCsv:
         for manifest in manifests:
             del manifest["timings"]
         assert manifests[0] == manifests[1]
+
+
+class TestReportComposition:
+    def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
+        sigmas = []
+        solve = report_cli.howard_solve
+
+        def counted(params, *args, **kwargs):
+            sigmas.append(params.sigma)
+            return solve(params, *args, **kwargs)
+
+        monkeypatch.setattr(report_cli, "howard_solve", counted)
+        rpt = tmp_path / "report"
+        assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
+        # one solve per distinct sigma: the sweep's 1.7 and the configured 1.85
+        assert sorted(sigmas) == [1.7, 1.85]
+        report = json.loads((rpt / "manifest.json").read_text())
+        assert set(report["timings"]) == {"fb_seconds", "sb_seconds", "voi_seconds",
+                                          "sweep_seconds", "sim_seconds", "total_seconds"}
+
+        files, diag, n_keys = ["manifest.json"], {}, 0
+        for sub in ("first-best", "second-best", "voi", "sweep", "simulate"):
+            out = tmp_path / sub
+            assert cli_dispatch([sub, "--out", str(out), *FAST]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            for name in manifest["files"]:
+                if name != "manifest.json":
+                    assert (out / name).read_bytes() == (rpt / name).read_bytes(), name
+                    files.append(name)
+            diag.update(manifest["diagnostics"])
+            n_keys += len(manifest["diagnostics"])
+            assert len(manifest["timings"]) == 2
+        assert report["files"] == sorted(files)
+        assert report["diagnostics"] == diag and len(diag) == n_keys
+
+    def test_sweep_stage_keeps_its_solutions_local(self, tmp_path):
+        # the sweep's solutions must be freed with its stage, not held in
+        # the run's solved dict through the simulate stage
+        cfg = load(None, FAST[1::2])
+        solved = {}
+        assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
+        assert solved == {}

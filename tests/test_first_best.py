@@ -192,7 +192,7 @@ def test_value_non_increasing(params):
 def test_solution_profile_callables(params):
     sol = principal_value_fb(params, 1.0)
     t = np.linspace(0.0, 10.0, 11)
-    rent, effort, h_prof = sol.rent(t), sol.effort(t), sol.h_profile(t)
+    rent, effort, h_prof = schedules(params, sol.lambda_lag, t)
     assert np.allclose(h_prof, params.phi(effort) - rent, rtol=1e-13)
-    assert float(sol.rent(0.0)) > 0.0
+    assert float(schedules(params, sol.lambda_lag, 0.0)[0]) > 0.0
     assert abs(closed_form_G(params, sol.lambda_lag) - 1.0) <= 1e-9

@@ -239,6 +239,14 @@ class TestHowardSolve:
                    for i in range(1, grid.n - 1)]
         assert residual_check(sb, params, grid) == max(defects)
 
+    def test_residual_rejects_a_foreign_grid(self, params, sb):
+        # an equal grid reads the same; another x_max or n would misread w
+        assert residual_check(sb, params, Grid.make(1.0, 2001)) == \
+            residual_check(sb, params, sb.grid)
+        for foreign in (Grid.make(0.8, 2001), Grid.make(1.0, 401)):
+            with pytest.raises(ValueError, match="not the solution's"):
+                residual_check(sb, params, foreign)
+
     def test_perturbed_value_flags_defect(self, params, grid, sb):
         w = sb.w.copy()
         w[400] += 1e-3  # interior continuation node
