@@ -8,7 +8,12 @@ the simulated output path.
 
 Paths run through a fixed pool of _CHUNK lanes: a lane steps one path at a
 time, takes the next unstarted path when it ends, and leaves the pool once
-none is left, so no arithmetic runs for finished paths. Randomness is
+none is left, so no arithmetic runs for finished paths. Each step locates
+the new states on the grid once (_Lookup: one division by dx gives both
+np.interp's interval for the policies and the nearest node for the stop
+flag, bitwise what interpolate_policy and in_stop_region return). A
+recording run writes each step's rows into growable column buffers, which
+simulate_paths permutes one column at a time into the table. Randomness is
 counter-based: each path draws from its own Philox stream keyed by
 (seed, path_id), so results are bitwise identical regardless of the pool
 width, which lane runs a path, or which other paths run alongside.
@@ -158,6 +163,47 @@ def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
     gen.bit_generator.state = start
 
 
+class _Lookup:
+    """The policies and the stop flag at states j from one division j / dx.
+
+    locate gives np.interp's interval index k (x[k] <= j < x[k+1]) and the
+    nearest node's stop flag; policy gives np.interp's slope*(j - x[k]) +
+    f[k] with np.interp's own slopes. Both agree bitwise with
+    interpolate_policy and in_stop_region, which stay the reference.
+    """
+
+    __slots__ = ("dx", "stop", "bounds", "coef")
+
+    def __init__(self, solution: SecondBestSolution):
+        g = solution.grid
+        self.dx, self.stop = g.dx, solution.stop
+        # x[k] and x[k+1]; k = n - 1 (a state at x_max) gets an upper bound of
+        # inf and slopes of 0, so it returns the last node's values as np.interp does
+        self.bounds = np.stack([g.x, np.append(g.x[1:], np.inf)])
+        f = np.stack([solution.r_star, solution.a_star])
+        slopes = np.zeros_like(f)
+        slopes[:, :-1] = np.diff(f) / np.diff(g.x)
+        self.coef = np.concatenate([g.x[None], slopes, f])
+
+    def locate(self, j):
+        """(k, stop flag) at states j <= x_max. The nearest node is floored at
+        0, as in_stop_region clips it; k is meaningful only for j > 0."""
+        t = j / self.dx
+        np.maximum(t, 0.0, out=t)
+        stop = self.stop[np.rint(t).astype(np.intp)]
+        k = t.astype(np.intp)  # floor(t), one interval off at most
+        lo, hi = self.bounds.take(k, axis=1)
+        k -= lo > j
+        k += hi <= j
+        return k, stop
+
+    def policy(self, j, k):
+        """(r*, a*) at states j in intervals k."""
+        c = self.coef.take(k, axis=1)
+        r, a = c[1:3] * (j - c[0]) + c[3:]
+        return r, a
+
+
 class _Paths:
     """Per-path results of one run, indexed by path id; agent, tau and
     terminal are None unless the run accumulates them."""
@@ -179,17 +225,22 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     """Step all cfg.n_paths paths through a pool of _CHUNK lanes.
 
     A lane's own step count picks its noise column, its censoring step and
-    its tau. A lane whose path ends is re-keyed to the next unstarted path
-    id; once the queue is empty, finished lanes are dropped. The principal's
-    payoff is always accumulated; agent adds the agent's, and record adds
-    tau, the terminal payment and the step records (steps per path, then
-    j, x, dw, r, a sorted by path id in step order).
+    its tau; its noise row is noise[row[lane]]. Each step finds the grid
+    interval and the stop node of the new states with one _Lookup.locate.
+    A lane whose path ends is re-keyed to the next unstarted path id; once
+    the queue is empty, finished lanes leave the pool (row is compacted, the
+    noise buffer is not). The principal's payoff is always accumulated;
+    agent adds the agent's, and record adds tau, the terminal payment and
+    the step records: pid, j, x, dw, r, a in step order, written into six
+    column buffers that double when full and are trimmed to size at the end.
     """
     if not (0.0 < x0 < solution.b_hat):
         raise PolicyOutOfRange("x0 must lie strictly inside (0, b_hat)")
-    if bool(in_stop_region(solution, np.asarray([x0]))[0]):
+    lookup = _Lookup(solution)
+    (k0,), (stop0,) = lookup.locate(np.array([float(x0)]))
+    if stop0:
         raise PolicyOutOfRange("x0 rounds to a stopped node: zero-length path")
-    g = solution.grid
+    x_max = solution.grid.x_max
     n, dt, last = cfg.n_paths, cfg.dt, cfg.n_steps - 1
     sqrt_dt = np.sqrt(dt)
     decay_d = np.exp(-params.delta * dt)
@@ -204,96 +255,112 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     for gen, p in zip(gens, pid):
         _rekey(gen, start, p)
     noise = np.empty((width, _NOISE_BLOCK))
+    row = np.arange(width)  # lane -> row of noise and gens
     step = np.zeros(width, dtype=np.int64)
     j = np.full(width, float(x0))
-    x = np.zeros(width)
+    k = np.full(width, k0)
     disc_d = np.ones(width)   # e^{-delta t} at the current step's left endpoint
-    disc_l = np.ones(width)
     pay_p = np.zeros(width)
-    pay_a = np.zeros(width)
-    rec = ([], [], [], [], [], []) if record else None
-    # recorded path ids take the narrowest unsigned type: the records set the
-    # peak memory of a recording run
-    pid_type = np.min_scalar_type(n)
+    if agent:
+        disc_l = np.ones(width)
+        pay_a = np.zeros(width)
+    if record:
+        x = np.zeros(width)
+        # recorded path ids take the narrowest unsigned type: the records set
+        # the peak memory of a recording run
+        cap, used = width * _NOISE_BLOCK, 0
+        rec = [np.empty(cap, np.min_scalar_type(n))] + [np.empty(cap) for _ in range(5)]
 
     while pid.size:
         col = step % _NOISE_BLOCK
-        for i in np.flatnonzero(col == 0):
+        for i in row[np.nonzero(col == 0)[0]].tolist():
             gens[i].standard_normal(out=noise[i])
-        dw = noise[np.arange(pid.size), col] * sqrt_dt
+        dw = noise[row, col] * sqrt_dt
 
-        r = np.interp(j, g.x, solution.r_star)
-        a = np.interp(j, g.x, solution.a_star)
+        r, a = lookup.policy(j, k)
         u_r = params.u(r)
         h_a = params.h(a)
+        phi_a = params.phi(a)
+        j_new = j + (params.lam * j - u_r + h_a) * dt
         if effort_map is None:
-            a_applied, phi_applied, h_applied = a, params.phi(a), h_a
-            extra = 0.0
+            a_applied, phi_applied, h_applied = a, phi_a, h_a
         else:
             a_applied = np.asarray(effort_map(j), dtype=float)
             phi_applied, h_applied = params.phi(a_applied), params.h(a_applied)
-            extra = params.cost_impact_ratio(a) * (phi_applied - params.phi(a)) * dt
+            j_new += params.cost_impact_ratio(a) * (phi_applied - phi_a) * dt
+        j_new += params.exposure(a) * dw
 
         pay_p += disc_d * (phi_applied - r) * dt
+        disc_d *= decay_d
         if agent:
             pay_a += disc_l * (u_r - h_applied) * dt
-
-        j_new = j + (params.lam * j - u_r + h_a) * dt + extra + params.exposure(a) * dw
+            disc_l *= decay_l
         if record:
-            x = x + phi_applied * dt + params.sigma * dw
-            # pid, j and x are lane arrays, reset in place when a lane refills
-            for store, v in zip(rec, (pid.astype(pid_type), j_new.copy(), x.copy(),
-                                      dw, r, a_applied)):
-                store.append(v)
-        disc_d = disc_d * decay_d
-        disc_l = disc_l * decay_l
+            x += phi_applied * dt
+            x += params.sigma * dw
+            if used + pid.size > cap:  # one doubling suffices: pid.size <= cap
+                cap *= 2
+                for buf in rec:
+                    buf.resize(cap, refcheck=False)  # no view of buf exists
+            for buf, v in zip(rec, (pid, j_new, x, dw, r, a_applied)):
+                buf[used:used + pid.size] = v
+            used += pid.size
 
-        floored = j_new <= 0.0
-        if np.any(j_new > g.x_max):
+        if j_new.max() > x_max:
             raise PolicyOutOfRange("state exceeded x_max during simulation")
-        stopped = ~floored & in_stop_region(solution, j_new)  # clips its node index
-        censored = ~floored & ~stopped & (step == last)
-        step += 1
+        k, stopped = lookup.locate(j_new)
+        floored = j_new <= 0.0
+        done = floored | stopped  # the floor wins; a floored lane's stop flag is moot
         j = j_new
-        ended = np.flatnonzero(floored | stopped | censored)
+        step += 1
+        ended = np.nonzero(done | (step > last))[0]  # step > last: censored
+        if not ended.size:
+            continue
         # the floor settles at zero payment; the stored state stays the
         # raw Euler value so path statistics see the true increments
         ids = pid[ended]
-        j_settle = np.where(floored[ended], 0.0, j_new[ended])
+        fl = floored[ended]
+        j_settle = np.where(fl, 0.0, j[ended])
         xi = params.u_inv(j_settle)
         out.principal[ids] = pay_p[ended] - disc_d[ended] * xi
         if agent:
             out.agent[ids] = pay_a[ended] + disc_l[ended] * j_settle
-        out.floor[ids] = floored[ended]
-        out.censored[ids] = censored[ended]
+        out.floor[ids] = fl
+        out.censored[ids] = ~done[ended]
         if record:
             out.tau[ids] = step[ended] * dt
             out.terminal[ids] = xi
 
         fresh = ended[:n - next_pid]
-        pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
-        next_pid += fresh.size
-        for i in fresh:
-            _rekey(gens[i], start, pid[i])
-        for v, v0 in ((step, 0), (j, x0), (x, 0.0), (disc_d, 1.0), (disc_l, 1.0),
-                      (pay_p, 0.0), (pay_a, 0.0)):
-            v[fresh] = v0
+        if fresh.size:
+            pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
+            next_pid += fresh.size
+            for i, p in zip(row[fresh].tolist(), pid[fresh].tolist()):
+                _rekey(gens[i], start, p)
+            step[fresh] = 0
+            j[fresh] = x0
+            k[fresh] = k0
+            disc_d[fresh] = 1.0
+            pay_p[fresh] = 0.0
+            if agent:
+                disc_l[fresh] = 1.0
+                pay_a[fresh] = 0.0
+            if record:
+                x[fresh] = 0.0
         if fresh.size < ended.size:
             keep = np.ones(pid.size, dtype=bool)
             keep[ended[fresh.size:]] = False
-            gens = [gen for gen, kept in zip(gens, keep) if kept]
-            pid, step, j, x, disc_d, disc_l, pay_p, pay_a, noise = (
-                v[keep] for v in (pid, step, j, x, disc_d, disc_l, pay_p, pay_a, noise))
+            pid, row, step, j, k, disc_d, pay_p = (
+                v[keep] for v in (pid, row, step, j, k, disc_d, pay_p))
+            if agent:
+                disc_l, pay_a = disc_l[keep], pay_a[keep]
+            if record:
+                x = x[keep]
 
     if record:
-        # one stable sort by path id keeps each path's steps in order
-        pids = np.concatenate(rec[0])
-        rec[0].clear()
-        order = np.argsort(pids, kind="stable")
-        out.records = [np.bincount(pids, minlength=n)]
-        for store in rec[1:]:
-            out.records.append(np.concatenate(store)[order])
-            store.clear()
+        for buf in rec:
+            buf.resize(used, refcheck=False)
+        out.records = rec
     return out
 
 
@@ -353,13 +420,24 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     horizon state).
     """
     out = _run_paths(params, solution, x0, cfg, record=True)
-    steps, j, x, dw, r, a = out.records
-    out.records = None  # so each sorted j, x and dw is freed once rebound
+    pids, j, x, dw, r, a = out.records
+    out.records = None  # so each step-order column is freed once its column is built
+    order = np.argsort(pids, kind="stable")  # path by path, each in step order
+    steps = np.bincount(pids, minlength=cfg.n_paths)
+    del pids
+    r = r[order]
+    a = a[order]
     first = np.cumsum(steps) - steps  # each path's first step row
-    j = np.insert(j, first, x0)
-    x = np.insert(x, first, 0.0)
-    dw = np.insert(dw, first, 0.0)
     starts = first + np.arange(cfg.n_paths)
+    src = np.insert(order, first, 0)  # node row -> step record; starts are set below
+    del order
+    j = j[src]
+    x = x[src]
+    dw = dw[src]
+    del src
+    j[starts] = x0
+    x[starts] = 0.0
+    dw[starts] = 0.0
     sizes = steps + 1
     t = np.arange(j.size, dtype=float)
     t -= np.repeat(starts, sizes)
@@ -430,14 +508,19 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
                            all(r.satisfied for r in rows))
 
 
+def _inverted_noise(params: ModelParams, dx, a, dt):
+    """dW = (dX - phi(a) dt) / sigma, the Euler output step inverted."""
+    return (dx - params.phi(a) * dt) / params.sigma
+
+
 def _recovered_noise(params: ModelParams, bundle: PathBundle):
-    """Step lengths and dW = (dX - phi(a) dt) / sigma, the Euler output step
-    inverted; raises DegenerateEffort if any step has zero effort: there the
-    output carries no trace of the noise."""
+    """Step lengths and the bundle's inverted noise; raises DegenerateEffort
+    if any step has zero effort: there the output carries no trace of the
+    noise."""
     if np.any(bundle.a_path <= 0.0):
         raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
     dt = np.diff(bundle.times)
-    return dt, (np.diff(bundle.x_path) - params.phi(bundle.a_path) * dt) / params.sigma
+    return dt, _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
 
 
 def reconstruct_noise(params: ModelParams, bundle: PathBundle) -> float:
@@ -469,13 +552,18 @@ def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
     return float(err)
 
 
-def noise_reconstruction_report(params: ModelParams, bundles) -> tuple[float, int]:
-    """(max reconstruction error over clean paths, number excluded)."""
-    worst = 0.0
-    excluded = 0
-    for b in bundles:
-        try:
-            worst = max(worst, reconstruct_noise(params, b))
-        except DegenerateEffort:
-            excluded += 1
-    return worst, excluded
+def noise_reconstruction_report(params: ModelParams, table: PathTable) -> tuple[float, int]:
+    """(max reconstruction error over clean paths, number excluded).
+
+    reconstruct_noise's inversion on the table's columns: a path with a
+    zero-effort step is excluded, as reconstruct_noise would raise
+    DegenerateEffort on it; each other path's error is its max over steps.
+    """
+    inner = np.ones(table.t.size - 1, dtype=bool)  # node differences within one path
+    inner[table.starts[1:] - 1] = False
+    dw = _inverted_noise(params, np.diff(table.x)[inner], table.a, np.diff(table.t)[inner])
+    err = np.abs(dw - table.dw[1:][inner])
+    first = table.starts - np.arange(len(table))  # each path's first step row
+    excluded = np.logical_or.reduceat(table.a <= 0.0, first)
+    worst = np.maximum.reduceat(err, first)[~excluded]
+    return float(np.max(worst, initial=0.0)), int(excluded.sum())

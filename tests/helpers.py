@@ -6,8 +6,8 @@ internals, so that closed-form results in the package can be checked against
 a second, dumber route. The exceptions are former production routes kept as
 bitwise oracles for their faster replacements: lockstep_paths (the Monte
 Carlo stepper), split_bundles (the per-path bundles of simulate_paths),
-unbatched_improve (the Howard improvement sweep) and percent_write_csv (the
-CSV writer).
+bundle_noise_report (the noise reconstruction report), unbatched_improve
+(the Howard improvement sweep) and percent_write_csv (the CSV writer).
 """
 
 import math
@@ -188,14 +188,18 @@ def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=
 def split_bundles(params, solution, x0, cfg):
     """simulate_paths' bundles by the per-path route, as a bitwise oracle.
 
-    Splits _run_paths' sorted step records into one PathBundle per path:
-    x0 and 0.0 inserted before each path's first step of j and x, then
-    np.split at the path boundaries, and times from np.arange per path.
+    Sorts _run_paths' step records by path id (stable, so each path keeps
+    its step order) and splits them into one PathBundle per path: x0 and
+    0.0 inserted before each path's first step of j and x, then np.split at
+    the path boundaries, and times from np.arange per path.
     """
     from contract_solve.simulate import PathBundle, _run_paths
 
     out = _run_paths(params, solution, x0, cfg, record=True)
-    steps, j, x, dw, r, a = out.records
+    pids, *records = out.records
+    order = np.argsort(pids, kind="stable")
+    j, x, dw, r, a = (v[order] for v in records)
+    steps = np.bincount(pids, minlength=cfg.n_paths)
     starts = np.cumsum(steps) - steps
     cuts, cuts_1 = starts[1:], starts[1:] + np.arange(1, cfg.n_paths)
     columns = zip(steps, np.split(np.insert(j, starts, x0), cuts_1),
@@ -205,6 +209,21 @@ def split_bundles(params, solution, x0, cfg):
                        float(out.principal[pid]), float(out.terminal[pid]),
                        bool(out.floor[pid]), bool(out.censored[pid]))
             for pid, (n, *arrays) in enumerate(columns)]
+
+
+def bundle_noise_report(params, bundles):
+    """noise_reconstruction_report by reconstruct_noise path by path, as a
+    bitwise oracle: (max error over clean paths, number excluded)."""
+    from contract_solve import DegenerateEffort, reconstruct_noise
+
+    worst = 0.0
+    excluded = 0
+    for b in bundles:
+        try:
+            worst = max(worst, reconstruct_noise(params, b))
+        except DegenerateEffort:
+            excluded += 1
+    return worst, excluded
 
 
 def unbatched_improve(params, grid, w, psi, r_cur, a_cur):

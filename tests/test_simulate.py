@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import contract_solve
 import contract_solve.simulate as sim
 from contract_solve import (
     DegenerateEffort,
+    Grid,
     PolicyOutOfRange,
     SimConfig,
     in_stop_region,
@@ -20,9 +23,11 @@ from contract_solve import (
     summarize_paths,
 )
 
-from .helpers import lockstep_paths, split_bundles
+from .helpers import bundle_noise_report, lockstep_paths, split_bundles
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
+# record buffers start at one noise block per lane; these rows outgrow that twice
+CFG_GROWING = SimConfig(n_paths=1000, seed=7)
 BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments", "r_path", "a_path")
 
 
@@ -31,6 +36,10 @@ def _deviations(sb):
     return [lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             lambda x: 2.0 * a_of(x),
             lambda x: 0.5 * a_of(x)]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.uint64)
 
 
 def _assert_same_bundles(got, want):
@@ -76,6 +85,33 @@ class TestPolicyLookup:
             interpolate_policy(sb, -1e-9)
         with pytest.raises(PolicyOutOfRange):
             interpolate_policy(sb, sb.grid.x_max + 1e-9)
+
+    @pytest.mark.parametrize("x_max", [None, 0.8])
+    def test_one_lookup_is_interp_and_the_stop_flag_bitwise(self, sb, x_max):
+        # on the default grid floor(x[k] / dx) never falls below k; with
+        # x_max = 0.8 it does at 137 nodes, so both interval corrections run
+        if x_max is not None:
+            sb = dataclasses.replace(sb, grid=Grid.make(x_max, sb.grid.n))
+        g = sb.grid
+        lookup = sim._Lookup(sb)
+        b = int(np.argmax(sb.stop))  # first stopped node
+        points = np.concatenate([
+            g.x, np.nextafter(g.x, -np.inf), np.nextafter(g.x, np.inf),
+            (np.arange(g.n - 1) + 0.5) * g.dx,  # half-nodes: rint's ties go to even
+            np.linspace(g.x[b - 1], g.x[b], 1001),  # the last interval below the stop region
+            np.linspace(g.x[-2], g.x[-1], 1001),  # the grid's last interval, x_max included
+        ])
+        inside = points[(points > 0.0) & (points <= g.x_max)]
+        k, stop = lookup.locate(inside)
+        r, a = lookup.policy(inside, k)
+        assert np.array_equal(_bits(r), _bits(np.interp(inside, g.x, sb.r_star)))
+        assert np.array_equal(_bits(a), _bits(np.interp(inside, g.x, sb.a_star)))
+        assert np.array_equal(stop, in_stop_region(sb, inside))
+        below = inside < g.x_max
+        assert np.all(g.x[k[below]] <= inside[below]) and np.all(inside[below] < g.x[k[below] + 1])
+        # at or below 0 only the stop flag is defined: the node is floored at 0
+        low = np.concatenate([points[points <= 0.0], [-0.0, -1e-300, -0.5 * g.dx, -g.dx, -g.x_max]])
+        assert np.array_equal(lookup.locate(low)[1], in_stop_region(sb, low))
 
     def test_stop_lookup_rounds_to_nearest_node(self, sb):
         dx = sb.grid.dx
@@ -139,7 +175,8 @@ class TestLockstepOracle:
     @pytest.fixture(scope="class")
     def oracle(self, params, sb):
         cfgs = (SimConfig(n_paths=300, seed=123),
-                SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3))  # censors
+                SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3),  # censors
+                CFG_GROWING)
         return {cfg: lockstep_paths(params, sb, 0.1, cfg) for cfg in cfgs}
 
     def test_some_path_refills_mid_path(self, oracle):
@@ -194,6 +231,20 @@ class TestPathTable:
         assert short.censored.any() and not short.censored.all()
         _assert_same_bundles(short, split_bundles(params, sb, 0.1, self.CENSORING))
         _assert_same_bundles(bundles, split_bundles(params, sb, 0.1, CFG_SMALL))
+        growing = simulate_paths(params, sb, 0.1, CFG_GROWING)
+        assert growing.steps.sum() > 2 * sim._CHUNK * sim._NOISE_BLOCK
+        _assert_same_bundles(growing, split_bundles(params, sb, 0.1, CFG_GROWING))
+
+    def test_recording_peak_is_the_table_plus_one_column(self, params, sb):
+        simulate_paths(params, sb, 0.1, SimConfig(n_paths=4, seed=1))  # one-time imports
+        tracemalloc.start()
+        try:
+            table = simulate_paths(params, sb, 0.1, SimConfig(n_paths=2000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sizes = [getattr(table, f.name).nbytes for f in dataclasses.fields(table)]
+        assert peak <= sum(sizes) + max(sizes), (peak, sum(sizes), max(sizes))
 
     def test_list_like_indexing(self, bundles):
         n = CFG_SMALL.n_paths
@@ -223,6 +274,22 @@ class TestPathTable:
 
 
 class TestPathContents:
+    def test_recorded_policy_is_the_public_one(self, params, sb, monkeypatch):
+        table = simulate_paths(params, sb, 0.1, SimConfig(n_paths=300, seed=123))
+        last = table.starts + table.steps
+        begins = np.ones(table.j.size, dtype=bool)  # nodes that start a step
+        begins[last] = False
+        # the references must not route through the stepper's lookup
+        monkeypatch.setattr(sim, "_Lookup", None)
+        r, a = interpolate_policy(sb, table.j[begins])
+        assert np.array_equal(_bits(table.r), _bits(r))
+        assert np.array_equal(_bits(table.a), _bits(a))
+        ends = last[~table.floor]
+        assert np.array_equal(table.stopped[ends], in_stop_region(sb, table.j[ends]))
+        assert table.stopped[ends].all() and table.floor.any()
+        assert (contract_solve.interpolate_policy, contract_solve.in_stop_region) == (
+            sim.interpolate_policy, sim.in_stop_region)
+
     def test_array_shapes_agree(self, bundles):
         for b in bundles[:64]:
             n = b.w_increments.size
@@ -343,6 +410,15 @@ class TestReconstruction:
         worst, excluded = noise_reconstruction_report(params, bundles)
         assert worst <= 1e-12
         assert excluded == 0  # baseline effort is strictly positive
+
+    def test_report_is_the_per_bundle_loop(self, params, sb, bundles):
+        assert noise_reconstruction_report(params, bundles) == bundle_noise_report(params, bundles)
+        # zero effort low in the continuation region: paths that go there are excluded
+        lazy = dataclasses.replace(sb, a_star=np.where(sb.grid.x < 0.09, 0.0, sb.a_star))
+        table = simulate_paths(params, lazy, 0.1, SimConfig(n_paths=200, seed=5))
+        got = noise_reconstruction_report(params, table)
+        assert got == bundle_noise_report(params, table)
+        assert 0 < got[1] < len(table) and got[0] > 0.0
 
     def test_state_recovery_is_roundoff(self, params, bundles):
         for b in bundles[:50]:
