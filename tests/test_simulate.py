@@ -27,7 +27,7 @@ from .helpers import bundle_noise_report, lockstep_paths, split_bundles
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 # record buffers start at one noise block per lane; these rows outgrow that twice
-CFG_GROWING = SimConfig(n_paths=1000, seed=7)
+CFG_GROWING = SimConfig(n_paths=3000, seed=7)
 BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments", "r_path", "a_path")
 
 
@@ -40,6 +40,54 @@ def _deviations(sb):
 
 def _bits(v):
     return np.asarray(v, dtype=float).view(np.uint64)
+
+
+def _assert_matches_lockstep(table, ref, cfg):
+    assert len(table) == cfg.n_paths
+    for pid, (b, arrays) in enumerate(zip(table, ref["paths"])):
+        assert b.path_id == pid
+        assert np.array_equal(b.times, np.arange(arrays[2].size + 1) * cfg.dt)
+        for name, want in zip(BUNDLE_ARRAYS[1:], arrays):
+            assert np.array_equal(getattr(b, name), want), (pid, name)
+        assert (b.tau, b.discounted_payoff, b.terminal_payment, b.floor,
+                b.censored) == (ref["tau"][pid], ref["principal"][pid],
+                                ref["terminal"][pid], ref["floor"][pid],
+                                ref["censored"][pid])
+
+
+def _count_normals(monkeypatch):
+    """A list that receives the size of every standard_normal draw the
+    stepper's generator makes."""
+    drawn = []
+
+    class Counting(np.random.Generator):
+        def standard_normal(self, *args, out=None, **kwargs):
+            drawn.append(out.size)
+            return super().standard_normal(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return drawn
+
+
+def _normals_per_run(steps, block, snapshot_block):
+    """Normals a run draws: each path draws its ceil(steps / block) blocks
+    once, and a refill of block b < snapshot_block first redraws the b
+    blocks before it."""
+    return sum(block * (b + 1 if b < snapshot_block else 1)
+               for n in steps.tolist() for b in range(-(-n // block)))
+
+
+def _pool_outputs(params, sb):
+    """What each user of the lane pool returns for one small run."""
+    cfg = SimConfig(n_paths=64, seed=123)
+    return (mc_principal_value(params, sb, 0.1, cfg),
+            incentive_check(params, sb, 0.1, cfg, _deviations(sb)[:2]),
+            simulate_paths(params, sb, 0.1, cfg))
+
+
+def _assert_same_pool_outputs(got, want, setting):
+    assert got[:2] == want[:2], setting
+    _assert_same_bundles(got[2], want[2])
 
 
 def _assert_same_bundles(got, want):
@@ -151,17 +199,35 @@ class TestDeterminism:
         assert est1.std_error == est2.std_error
 
     def test_chunk_width_does_not_change_results(self, params, sb, monkeypatch):
-        # widths from one lane to more lanes than paths; 256 is the default
-        cfg = SimConfig(n_paths=64, seed=123)
-        devs = _deviations(sb)[:2]
-        base = (mc_principal_value(params, sb, 0.1, cfg),
-                incentive_check(params, sb, 0.1, cfg, devs),
-                simulate_paths(params, sb, 0.1, cfg))
-        for width in (1, 61, 4096):
+        # widths from one lane to more lanes than paths; 1024 is the default
+        base = _pool_outputs(params, sb)
+        for width in (1, 61, 1024, 4096):
             monkeypatch.setattr(sim, "_CHUNK", width)
-            assert mc_principal_value(params, sb, 0.1, cfg) == base[0], width
-            assert incentive_check(params, sb, 0.1, cfg, devs) == base[1], width
-            _assert_same_bundles(simulate_paths(params, sb, 0.1, cfg), base[2])
+            _assert_same_pool_outputs(_pool_outputs(params, sb), base, width)
+
+    def test_snapshot_block_does_not_change_results(self, params, sb, monkeypatch):
+        # a path of three blocks restores a saved state at its last refill
+        # when the snapshot block is 1 or 2, and redraws its first two
+        # blocks there at the default and at 64
+        base = _pool_outputs(params, sb)
+        assert base[2].steps.max() > 2 * sim._NOISE_BLOCK
+        for snapshot_block in (1, 2, 64):
+            monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
+            _assert_same_pool_outputs(_pool_outputs(params, sb), base, snapshot_block)
+
+    def test_normals_drawn_are_linear_past_the_snapshot_block(self, params, sb, monkeypatch):
+        # 4-normal blocks: paths run to 79 blocks, so a redraw on every
+        # refill would make the work per path quadratic in its length
+        monkeypatch.setattr(sim, "_NOISE_BLOCK", 4)
+        drawn = _count_normals(monkeypatch)
+        cfg = SimConfig(n_paths=300, seed=123)
+        for snapshot_block in (1, 3, 8, 100):
+            monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
+            drawn.clear()
+            steps = simulate_paths(params, sb, 0.1, cfg).steps
+            assert -(-steps.max() // 4) > 8
+            assert sum(drawn) == _normals_per_run(steps, 4, snapshot_block), snapshot_block
+        assert sum(drawn) > 8 * _normals_per_run(steps, 4, 1)  # all refills redraw at 100
 
     def test_seed_changes_draws(self, params, sb):
         a = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=1))
@@ -208,17 +274,23 @@ class TestLockstepOracle:
 
     def test_recorded_paths(self, params, sb, oracle):
         for cfg, ref in oracle.items():
-            bundles = simulate_paths(params, sb, 0.1, cfg)
-            assert len(bundles) == cfg.n_paths
-            for pid, (b, arrays) in enumerate(zip(bundles, ref["paths"])):
-                assert b.path_id == pid
-                assert np.array_equal(b.times, np.arange(arrays[2].size + 1) * cfg.dt)
-                for name, want in zip(BUNDLE_ARRAYS[1:], arrays):
-                    assert np.array_equal(getattr(b, name), want), (pid, name)
-                assert (b.tau, b.discounted_payoff, b.terminal_payment, b.floor,
-                        b.censored) == (ref["tau"][pid], ref["principal"][pid],
-                                        ref["terminal"][pid], ref["floor"][pid],
-                                        ref["censored"][pid])
+            _assert_matches_lockstep(simulate_paths(params, sb, 0.1, cfg), ref, cfg)
+
+    @pytest.mark.parametrize("snapshot_block", [1, 3])
+    def test_paths_past_the_snapshot_block(self, params, sb, monkeypatch, snapshot_block):
+        # 4-normal blocks: nearly every path passes the snapshot block, so
+        # its early refills redraw and its later ones restore a saved state
+        monkeypatch.setattr(sim, "_NOISE_BLOCK", 4)
+        monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
+        for cfg in (SimConfig(n_paths=300, seed=123),
+                    SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3)):
+            ref = lockstep_paths(params, sb, 0.1, cfg, block=4)
+            table = simulate_paths(params, sb, 0.1, cfg)
+            assert np.median(table.steps) > 4 * snapshot_block
+            _assert_matches_lockstep(table, ref, cfg)
+            out = sim._run_paths(params, sb, 0.1, cfg)
+            for key in ("principal", "floor", "censored"):
+                assert np.array_equal(getattr(out, key), ref[key]), key
 
 
 class TestPathTable:

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +45,20 @@ def test_no_numpy_strings():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if pattern.search(line)]
     assert not found, f"numpy.strings used in src: {found}"
+
+
+def test_solve_and_estimate_leave_numpy_polynomial_unloaded():
+    # the quadrature oracle builds its Gauss-Legendre rule on first use:
+    # numpy.polynomial and the eigensolver it calls add about 1.4 MiB of
+    # peak memory to every process that loads them
+    code = ("import sys\n"
+            "import contract_solve as cs\n"
+            "params = cs.default_params()\n"
+            "sb = cs.howard_solve(params, cs.Grid.make())\n"
+            "cs.mc_principal_value(params, sb, 0.1, cs.SimConfig(n_paths=20))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False", out.stderr
