@@ -23,8 +23,6 @@ from .hjbvi import (
     NoConvergence,
     NonMonotoneScheme,
     SecondBestSolution,
-    discretize,
-    hamiltonian_max,
     howard_solve,
     residual_check,
 )
@@ -49,6 +47,7 @@ from .simulate import (
     DegenerateEffort,
     DeviationResult,
     IncentiveReport,
+    InvalidStart,
     MCValue,
     PathBundle,
     PathTable,
@@ -59,7 +58,6 @@ from .simulate import (
     interpolate_policy,
     mc_principal_value,
     noise_reconstruction_report,
-    reconstruct_noise,
     reconstruct_state,
     simulate_paths,
     summarize_paths,

@@ -42,6 +42,9 @@ _TAIL = 1e-10  # tail mass allowed beyond the truncation point
 _PANEL_TOL = 1e-9  # per-panel acceptance for the adaptive refinement
 _PANEL_BUDGET = 40000  # max panels before giving up
 
+_LAGRANGE_TOL = 1e-9  # |G(m) - x| at solve_lagrange's multiplier
+_BOUNDARY_TOL = 1e-4  # continuation_boundary's resolution in x, to first order
+
 
 class QuadratureFailure(RuntimeError):
     """Adaptive quadrature exhausted its refinement budget."""
@@ -276,15 +279,15 @@ def _bracket_bisect(f, target: float, tol: float, what: str) -> float:
     raise BracketFailure("bisection did not reach tolerance in 200 steps")
 
 
-def solve_lagrange(params: ModelParams, x: float, tol: float = 1e-9) -> float:
-    """Multiplier m with |G(m) - x| <= tol, by bisection on closed_form_G.
+def solve_lagrange(params: ModelParams, x: float) -> float:
+    """Multiplier m with |G(m) - x| <= _LAGRANGE_TOL, by bisection on closed_form_G.
 
     Accepts x >= 0: G ranges below 0 for small m, so x = 0 is solvable even
     though the contract itself only binds for positive reservation values.
     """
     if not (x >= 0.0):
         raise ValueError("reservation value x must be >= 0")
-    return _bracket_bisect(lambda m: closed_form_G(params, m), x, tol, f"x={x}")
+    return _bracket_bisect(lambda m: closed_form_G(params, m), x, _LAGRANGE_TOL, f"x={x}")
 
 
 def _offer_integral(params: ModelParams, lambda_lag: float) -> float:
@@ -332,15 +335,15 @@ def principal_value_fb(params: ModelParams, x: float) -> FirstBestSolution:
     )
 
 
-def continuation_boundary(params: ModelParams, tol: float = 1e-4) -> float:
+def continuation_boundary(params: ModelParams) -> float:
     """Largest reservation value at which the contract is still offered.
 
     Roots the decreasing surplus m -> I(m) once and returns G at the root.
     The surplus falls with the reservation value at rate dI/dx = -m (the
-    envelope theorem), so stopping at |I(m)| / m <= tol resolves x to tol to
-    first order.
+    envelope theorem), so stopping at |I(m)| / m <= _BOUNDARY_TOL resolves x
+    to _BOUNDARY_TOL to first order.
     """
-    m = _bracket_bisect(lambda m: -_offer_integral(params, m) / m, 0.0, tol,
+    m = _bracket_bisect(lambda m: -_offer_integral(params, m) / m, 0.0, _BOUNDARY_TOL,
                         "the offer boundary")
     x_max = closed_form_G(params, m)
     if x_max < 0.0:

@@ -59,6 +59,7 @@ elimination untouched, so stopped nodes carry w_i = -U^{-1}(x_i) bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,8 @@ class Grid:
     def make(x_max: float = 1.0, n: int = 2001) -> "Grid":
         if n < 3:
             raise ValueError("grid needs at least 3 nodes")
-        if not (x_max > 0.0):
-            raise ValueError("x_max must be positive")
+        if not 0.0 < x_max < math.inf:
+            raise ValueError("x_max must be finite and positive")
         return Grid(x_max=float(x_max), n=int(n), dx=float(x_max) / (n - 1),
                     x=np.linspace(0.0, float(x_max), int(n)))
 
@@ -227,42 +228,6 @@ def _best_response(params: ModelParams, x, dw, d2w):
     h_val = g_a + (params.lam * x - u_r) * dw - r
     b = params.lam * x - u_r + params.h(a)
     return h_val, r, a, u_r, b, n_convex
-
-
-def hamiltonian_max(params: ModelParams, x: float, dw: float, d2w: float):
-    """sup over (r, a) >= 0 of the Hamiltonian at a given slope/curvature.
-
-    Returns (value, r, a). The rent part is closed form; the effort part is
-    maximized numerically (see _best_effort).
-    """
-    if x < 0.0:
-        raise ValueError("x must be >= 0")
-    h_val, r, a, *_ = _best_response(
-        params,
-        np.asarray([x], dtype=float),
-        np.asarray([dw], dtype=float),
-        np.asarray([d2w], dtype=float),
-    )
-    return float(h_val[0]), float(r[0]), float(a[0])
-
-
-def discretize(params: ModelParams, grid: Grid, w: np.ndarray, i: int, r: float, a: float) -> float:
-    """Monotone-scheme value of L^{a,r} w(x_i) + phi(a) - r - delta w_i.
-
-    Central second difference on the diffusion, drift upwinded on its own
-    sign: forward when b >= 0, backward otherwise.
-    """
-    if not (1 <= i <= grid.n - 2):
-        raise ValueError("i must be an interior node")
-    dx = grid.dx
-    dcoef = float(_diffusion(params, a))
-    b = params.lam * grid.x[i] - float(params.u(r)) + float(params.h(a))
-    second = (w[i + 1] - 2.0 * w[i] + w[i - 1]) / dx**2
-    if b >= 0.0:
-        first = (w[i + 1] - w[i]) / dx
-    else:
-        first = (w[i] - w[i - 1]) / dx
-    return dcoef * second + b * first + float(params.phi(a)) - float(r) - params.delta * w[i]
 
 
 def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
@@ -413,8 +378,9 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
 def _max_defect(params: ModelParams, grid: Grid, w, r, a, stop, psi) -> float:
     """max over interior nodes of |min(delta w - H, w + U^{-1}(x))|.
 
-    Vectorized twin of discretize (same arithmetic, same operation order),
-    evaluated at the stored policy.
+    Monotone scheme at the stored policy: central second difference on the
+    diffusion, drift upwinded on its own sign (forward when b >= 0,
+    backward otherwise).
     """
     dx = grid.dx
     xi = grid.x[1:-1]
@@ -486,6 +452,8 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop,
         if same_policy or small_step:
             return w, r, a, stop, it, n_convex
 
+    if w is None:  # the budget ran out before this level: report its warm start's defect
+        w = _evaluate(params, grid, r, a, stop, psi)
     residual = _max_defect(params, grid, w, r, a, stop, psi)
     raise NoConvergence(iterations=max_sweeps, residual=residual)
 
@@ -500,8 +468,11 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = 1e-9,
     sweep count across all levels, and the reported iteration count is
     that total. The reported policy is the final improvement against the
     converged value, so r_star and a_star are the feedback maximizers of
-    the discrete Hamiltonian.
+    the discrete Hamiltonian. A budget that runs out, even exactly at a
+    level boundary, raises NoConvergence; max_iter < 1 raises ValueError.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     used = 0
     n_convex = 0
     level = None

@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
 from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
 from .model import ModelParams
-from .simulate import (PolicyOutOfRange, SimConfig, in_stop_region, simulate_paths,
+from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, simulate_paths,
                        summarize_paths)
 
 _USAGE = """\
@@ -365,15 +365,12 @@ def _second_best(cfg: RunConfig, outdir, solved):
 
 def _simulate(cfg: RunConfig, outdir, solved):
     sol = _own_solution(cfg, solved)
-    if not (0.0 < cfg.sim_x0 < sol.b_hat):
-        raise ConfigError(
-            f"sim.x0 = {cfg.sim_x0:.6g} must lie strictly inside (0, b_hat = {sol.b_hat:.6g})")
-    if in_stop_region(sol, cfg.sim_x0):
-        raise ConfigError(f"sim.x0 = {cfg.sim_x0:.6g} rounds to a stopped grid node "
-                          f"(within dx/2 of b_hat = {sol.b_hat:.6g})")
     sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
-    table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
+    try:
+        table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
+    except InvalidStart as exc:  # a bad sim.x0, not a solver failure
+        raise ConfigError(f"sim.{exc}") from None
     names = ("path_id", "t", "j", "x", "dw", "stopped")
     write_csv(os.path.join(outdir, "paths.csv"), names, [getattr(table, k) for k in names])
     mc = summarize_paths(cfg.params, sol, sim_cfg, table)

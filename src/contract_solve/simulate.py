@@ -31,6 +31,7 @@ realized cost uses the deviated effort.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -49,6 +50,10 @@ class PolicyOutOfRange(ValueError):
     """State left [0, x_max]: the interpolated policies are undefined there."""
 
 
+class InvalidStart(PolicyOutOfRange):
+    """x0 is not a continuation state: outside (0, b_hat), or on a stopped node."""
+
+
 class DegenerateEffort(RuntimeError):
     """Noise reconstruction hit a step with zero effort (no output exposure)."""
 
@@ -65,12 +70,13 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be > 0")
+        # n_steps = round(horizon / dt), and round(0.5) is 0
+        if not 0.5 < self.horizon / self.dt < math.inf:
+            raise ValueError("horizon / dt must round to a finite number of steps >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.n_steps < 1:
-            raise ValueError("horizon must cover at least one step")
 
     @property
     def n_steps(self) -> int:
@@ -242,12 +248,14 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     into six column buffers that double when full and are trimmed to size at
     the end.
     """
-    if not (0.0 < x0 < solution.b_hat):
-        raise PolicyOutOfRange("x0 must lie strictly inside (0, b_hat)")
+    b_hat = solution.b_hat
+    if not 0.0 < x0 < b_hat:
+        raise InvalidStart(f"x0 = {x0:.6g} must lie strictly inside (0, b_hat = {b_hat:.6g})")
     lookup = _Lookup(solution)
     (k0,), (stop0,) = lookup.locate(np.array([float(x0)]))
-    if stop0:
-        raise PolicyOutOfRange("x0 rounds to a stopped node: zero-length path")
+    if stop0:  # a zero-length path
+        raise InvalidStart(f"x0 = {x0:.6g} rounds to a stopped grid node "
+                           f"(within dx/2 of b_hat = {b_hat:.6g})")
     x_max = solution.grid.x_max
     n, dt, last = cfg.n_paths, cfg.dt, cfg.n_steps - 1
     sqrt_dt = np.sqrt(dt)
@@ -529,35 +537,20 @@ def _inverted_noise(params: ModelParams, dx, a, dt):
     return (dx - params.phi(a) * dt) / params.sigma
 
 
-def _recovered_noise(params: ModelParams, bundle: PathBundle):
-    """Step lengths and the bundle's inverted noise; raises DegenerateEffort
-    if any step has zero effort: there the output carries no trace of the
-    noise."""
-    if np.any(bundle.a_path <= 0.0):
-        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
-    dt = np.diff(bundle.times)
-    return dt, _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
-
-
-def reconstruct_noise(params: ModelParams, bundle: PathBundle) -> float:
-    """Max error rebuilding the noise increments from the output path.
-
-    The recovered noise inverts the same Euler step, so the error is pure
-    round-off. Raises DegenerateEffort on a zero-effort step.
-    """
-    _, dw = _recovered_noise(params, bundle)
-    return float(np.max(np.abs(dw - bundle.w_increments), initial=0.0))
-
-
 def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
     """Max error rebuilding the state path from the output path.
 
     Re-runs the discrete state recursion with the noise recovered from X
-    (the same inversion as reconstruct_noise), checking that output plus
-    policies determine the state: the discrete form of the filtration
-    coincidence at the optimum.
+    (the Euler output step inverted, as in noise_reconstruction_report),
+    checking that output plus policies determine the state: the discrete
+    form of the filtration coincidence at the optimum. Raises
+    DegenerateEffort if any step has zero effort: there the output carries
+    no trace of the noise.
     """
-    dt, dw = _recovered_noise(params, bundle)
+    if np.any(bundle.a_path <= 0.0):
+        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
+    dt = np.diff(bundle.times)
+    dw = _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
     j = bundle.j_path[0]
     err = 0.0
     for k in range(dt.size):
@@ -571,9 +564,11 @@ def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
 def noise_reconstruction_report(params: ModelParams, table: PathTable) -> tuple[float, int]:
     """(max reconstruction error over clean paths, number excluded).
 
-    reconstruct_noise's inversion on the table's columns: a path with a
-    zero-effort step is excluded, as reconstruct_noise would raise
-    DegenerateEffort on it; each other path's error is its max over steps.
+    Rebuilds each step's noise increment from the output path by inverting
+    the Euler output step, on the table's columns. The inversion repeats the
+    step's own arithmetic, so the error is pure round-off. A path with a
+    zero-effort step is excluded: there the output carries no trace of the
+    noise. Each other path's error is its max over steps.
     """
     inner = np.ones(table.t.size - 1, dtype=bool)  # node differences within one path
     inner[table.starts[1:] - 1] = False

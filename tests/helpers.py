@@ -6,8 +6,12 @@ internals, so that closed-form results in the package can be checked against
 a second, dumber route. The exceptions are former production routes kept as
 bitwise oracles for their faster replacements: lockstep_paths (the Monte
 Carlo stepper), split_bundles (the per-path bundles of simulate_paths),
-bundle_noise_report (the noise reconstruction report), unbatched_improve
-(the Howard improvement sweep) and percent_write_csv (the CSV writer).
+reconstruct_noise and bundle_noise_report (the noise reconstruction
+report, one path at a time), discretize (the variational-inequality defect,
+one node at a time), hamiltonian_max (the best response at one point),
+unbatched_improve (the Howard improvement sweep) and percent_write_csv (the
+CSV writer). feynman_kac is a second linear solver for the policy
+evaluation, and agent_value applies it to the agent's side of the contract.
 """
 
 import math
@@ -211,10 +215,27 @@ def split_bundles(params, solution, x0, cfg):
             for pid, (n, *arrays) in enumerate(columns)]
 
 
+def reconstruct_noise(params, bundle):
+    """Max error rebuilding one bundle's noise increments from its output
+    path: noise_reconstruction_report for one path, as a bitwise oracle.
+
+    The recovered noise inverts the same Euler step, so the error is pure
+    round-off. Raises DegenerateEffort on a zero-effort step.
+    """
+    from contract_solve import DegenerateEffort
+    from contract_solve.simulate import _inverted_noise
+
+    if np.any(bundle.a_path <= 0.0):
+        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
+    dt = np.diff(bundle.times)
+    dw = _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
+    return float(np.max(np.abs(dw - bundle.w_increments), initial=0.0))
+
+
 def bundle_noise_report(params, bundles):
     """noise_reconstruction_report by reconstruct_noise path by path, as a
     bitwise oracle: (max error over clean paths, number excluded)."""
-    from contract_solve import DegenerateEffort, reconstruct_noise
+    from contract_solve import DegenerateEffort
 
     worst = 0.0
     excluded = 0
@@ -224,6 +245,49 @@ def bundle_noise_report(params, bundles):
         except DegenerateEffort:
             excluded += 1
     return worst, excluded
+
+
+def hamiltonian_max(params, x, dw, d2w):
+    """sup over (r, a) >= 0 of the Hamiltonian at one slope/curvature, as an
+    oracle: hjbvi._best_response restated for one point.
+
+    Returns (value, r, a). The rent part is closed form; the effort part is
+    maximized numerically (see hjbvi._best_effort).
+    """
+    from contract_solve.hjbvi import _best_response
+
+    if x < 0.0:
+        raise ValueError("x must be >= 0")
+    h_val, r, a, *_ = _best_response(
+        params,
+        np.asarray([x], dtype=float),
+        np.asarray([dw], dtype=float),
+        np.asarray([d2w], dtype=float),
+    )
+    return float(h_val[0]), float(r[0]), float(a[0])
+
+
+def discretize(params, grid, w, i, r, a):
+    """Monotone-scheme value of L^{a,r} w(x_i) + phi(a) - r - delta w_i at one
+    node, as a bitwise oracle for hjbvi._max_defect (same arithmetic, same
+    operation order).
+
+    Central second difference on the diffusion, drift upwinded on its own
+    sign: forward when b >= 0, backward otherwise.
+    """
+    from contract_solve.hjbvi import _diffusion
+
+    if not (1 <= i <= grid.n - 2):
+        raise ValueError("i must be an interior node")
+    dx = grid.dx
+    dcoef = float(_diffusion(params, a))
+    b = params.lam * grid.x[i] - float(params.u(r)) + float(params.h(a))
+    second = (w[i + 1] - 2.0 * w[i] + w[i - 1]) / dx**2
+    if b >= 0.0:
+        first = (w[i + 1] - w[i]) / dx
+    else:
+        first = (w[i] - w[i - 1]) / dx
+    return dcoef * second + b * first + float(params.phi(a)) - float(r) - params.delta * w[i]
 
 
 def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
@@ -304,3 +368,69 @@ def percent_write_csv(path, header, columns):
             for j, part in enumerate(parts):
                 flat[j::width] = part
             fh.write((row * len(parts[0])) % tuple(flat))
+
+
+def feynman_kac(grid, discount, diffusion, drift, payoff, stop, stopped):
+    """Node values v of a stopped Feynman-Kac problem, by a plain Thomas loop.
+
+    At each interior node that does not stop, the monotone-scheme row
+
+        discount v_i - diffusion_i v''_i - drift_i v'_i = payoff_i
+
+    with a central second difference and the first difference upwinded on
+    the drift's sign (forward when drift_i >= 0). v_0 = 0, and v_i =
+    stopped_i at stopped nodes and at x_max. diffusion, drift, payoff, stop
+    and stopped are arrays over the whole grid; their end entries other than
+    stopped[-1] are not read. Every row of the full n x n system, identity
+    rows included, is eliminated top to bottom without pivoting.
+
+    Round-off: the rows are diagonally dominant, so no elimination step
+    grows the values it carries; each of the n rows adds a few ulps of
+    max|v|, and fk_roundoff(grid, v) = 16 n ulps of max|v| bounds the
+    difference from another solve of the same rows.
+    """
+    n, dx = grid.n, grid.dx
+    lower, diag, upper, rhs = [0.0] * n, [1.0] * n, [0.0] * n, [0.0] * n
+    rhs[-1] = float(stopped[-1])
+    for i in range(1, n - 1):
+        if stop[i]:
+            rhs[i] = float(stopped[i])
+            continue
+        d = float(diffusion[i]) / dx**2
+        b = float(drift[i]) / dx
+        lower[i] = -d - max(-b, 0.0)
+        upper[i] = -d - max(b, 0.0)
+        diag[i] = discount + 2.0 * d + abs(b)
+        rhs[i] = float(payoff[i])
+    for i in range(1, n):  # forward elimination: row i loses its lower entry
+        f = lower[i] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    v = [0.0] * n
+    v[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        v[i] = (rhs[i] - upper[i] * v[i + 1]) / diag[i]
+    return np.array(v)
+
+
+def fk_roundoff(grid, v):
+    """feynman_kac's stated round-off for a solution v: 16 n ulps of max|v|."""
+    return 16.0 * grid.n * np.finfo(float).eps * float(np.max(np.abs(v)))
+
+
+def agent_value(params, solution, effort):
+    """The agent's value at every node when the contract runs solution's
+    policies and the agent puts in effort[i] at node i, by feynman_kac.
+
+    Discount lam, diffusion 1/2 exposure(a*)^2, drift lam x - U(r*) + h(a*)
+    + kappa(a*) (phi(a') - phi(a*)) with kappa the cost-impact ratio h'/phi',
+    running payoff U(r*) - h(a'), and the promised value x paid on stopping
+    (V(0) = 0).
+    """
+    x, a = solution.grid.x, solution.a_star
+    u_r = params.u(solution.r_star)
+    diffusion = 0.5 * params.exposure(a) ** 2
+    drift = (params.lam * x - u_r + params.h(a)
+             + params.cost_impact_ratio(a) * (params.phi(effort) - params.phi(a)))
+    return feynman_kac(solution.grid, params.lam, diffusion, drift, u_r - params.h(effort),
+                       solution.stop, x)

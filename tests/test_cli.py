@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import contract_solve
 from contract_solve import (
     ConfigError,
     Grid,
@@ -180,6 +181,16 @@ class TestDispatch:
         assert code == 2
         assert "NonMonotoneScheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [43, 52, 57])
+    def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
+                                                                  budget):
+        # the default cascade levels take 43/9/5/4 sweeps
+        code = cli_dispatch(["second-best", "--out", str(tmp_path),
+                             "--set", f"howard.max_iter={budget}"])
+        assert code == 2
+        assert f"solver failure: NoConvergence: no convergence after {budget} iterations" \
+            in capsys.readouterr().err
+
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
         code = cli_dispatch(["simulate", "--out", str(tmp_path), *FAST,
                              "--set", "sim.x0=0.8"])
@@ -245,6 +256,14 @@ class TestDispatch:
         in_usage = [line.split()[0] for line in usage.splitlines()]
         assert len(in_readme) == 6
         assert in_readme == in_usage == list(report_cli._SUBCOMMANDS)
+
+    def test_readme_library_imports_are_exported(self):
+        readme = README.read_text(encoding="utf-8")
+        block = re.search(r"^from contract_solve import \((.*?)^\)", readme, flags=re.M | re.S)
+        names = re.findall(r"\b[A-Za-z_]\w*\b", re.sub(r"#.*", "", block.group(1)))
+        assert len(names) >= 10
+        missing = [name for name in names if not callable(getattr(contract_solve, name, None))]
+        assert not missing, f"README imports names the package does not export: {missing}"
 
     def test_first_best_outputs(self, tmp_path, capsys):
         out = tmp_path / "fb"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,15 +10,13 @@ from contract_solve import (
     Grid,
     NoConvergence,
     NonMonotoneScheme,
-    discretize,
-    hamiltonian_max,
     howard_solve,
     residual_check,
 )
 from contract_solve import hjbvi
 from contract_solve.hjbvi import _best_effort, _evaluate
 
-from .helpers import golden_max, grid_argmax, unbatched_improve
+from .helpers import discretize, golden_max, grid_argmax, hamiltonian_max, unbatched_improve
 
 
 def _effort_value(params, a, dw, d2w):
@@ -163,6 +162,13 @@ class TestDiscretize:
                 assert sign * (discretize(params, grid, bumped, i, r, a) - base) >= 0.0
 
 
+class TestGrid:
+    def test_rejects_bad_values(self):
+        for x_max, n in ((1.0, 2), (0.0, 11), (-1.0, 11), (math.nan, 11), (math.inf, 11)):
+            with pytest.raises(ValueError):
+                Grid.make(x_max, n)
+
+
 class TestHowardSolve:
     def test_boundary_pin(self, sb):
         assert sb.w[0] == 0.0
@@ -262,6 +268,20 @@ class TestHowardSolve:
             howard_solve(params, g, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
+
+    @pytest.mark.parametrize("budget", [43, 52, 57])
+    def test_budget_spent_at_a_level_boundary(self, params, grid, budget):
+        # the default levels take 43/9/5/4 sweeps: each budget is used up
+        # exactly when a level ends, and the next level starts with none
+        with pytest.raises(NoConvergence) as exc:
+            howard_solve(params, grid, max_iter=budget)
+        assert exc.value.iterations == budget
+        assert exc.value.residual > 0.0
+
+    def test_budget_below_one_rejected(self, params, grid):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                howard_solve(params, grid, max_iter=budget)
 
     def test_non_monotone_scheme_raises(self, params):
         g = Grid.make(x_max=1.0, n=21)

@@ -13,7 +13,7 @@ from contract_solve import (
     z_from_effort,
 )
 
-from .helpers import grid_argmax
+from .helpers import agent_value, feynman_kac, fk_roundoff, grid_argmax
 
 
 def test_psi_zero_effort(params):
@@ -101,3 +101,35 @@ def test_best_response_against_grid_search(params):
         _, grid_best = grid_argmax(lambda a: hamiltonian_psi(params, a, z),
                                    0.0, 50.0, 50_001)
         assert grid_best <= best + 1e-8, (z, grid_best, best)
+
+
+class TestFeynmanKacTwins:
+    """Deterministic twins of criterion 10: the agent's value under each
+    effort, solved on the contract's grid instead of simulated."""
+
+    @staticmethod
+    def _continuation(sb):
+        cont = ~sb.stop
+        cont[0] = False
+        return cont
+
+    def test_principal_coefficients_reproduce_the_solution(self, params, sb):
+        x, r, a = sb.grid.x, sb.r_star, sb.a_star
+        w = feynman_kac(sb.grid, params.delta, 0.5 * params.exposure(a) ** 2,
+                        params.lam * x - params.u(r) + params.h(a), params.phi(a) - r,
+                        sb.stop, -params.u_inv(x))
+        assert np.max(np.abs(w - sb.w)) <= fk_roundoff(sb.grid, sb.w)
+
+    def test_obedience_keeps_the_promise(self, params, sb):
+        # V(x) = x solves the discrete agent problem under a' = a*
+        v = agent_value(params, sb, sb.a_star)
+        cont = self._continuation(sb)
+        assert np.max(np.abs(v - sb.grid.x)[cont]) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 2.0])
+    def test_no_profitable_deviation_at_any_node(self, params, sb, scale):
+        x = sb.grid.x
+        margin = x - agent_value(params, sb, scale * sb.a_star)
+        print(f"effort x{scale}: margin at x0 = 0.1 {np.interp(0.1, x, margin):+.3e}, "
+              f"min over continuation nodes {margin[self._continuation(sb)].min():+.3e}")
+        assert np.all(margin[self._continuation(sb)] >= -1e-9)

@@ -10,6 +10,7 @@ import contract_solve.simulate as sim
 from contract_solve import (
     DegenerateEffort,
     Grid,
+    InvalidStart,
     PolicyOutOfRange,
     SimConfig,
     in_stop_region,
@@ -17,13 +18,12 @@ from contract_solve import (
     interpolate_policy,
     mc_principal_value,
     noise_reconstruction_report,
-    reconstruct_noise,
     reconstruct_state,
     simulate_paths,
     summarize_paths,
 )
 
-from .helpers import bundle_noise_report, lockstep_paths, split_bundles
+from .helpers import bundle_noise_report, lockstep_paths, reconstruct_noise, split_bundles
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 # record buffers start at one noise block per lane; these rows outgrow that twice
@@ -115,7 +115,9 @@ class TestConfig:
     def test_rejects_bad_values(self):
         for kwargs in (dict(dt=0.0), dict(dt=-1e-3), dict(horizon=-1.0),
                        dict(n_paths=0), dict(seed=2**64), dict(seed=-1),
-                       dict(horizon=1e-4)):  # rounds to zero steps
+                       dict(horizon=1e-4),  # rounds to zero steps
+                       dict(horizon=math.inf), dict(dt=math.inf), dict(dt=math.nan),
+                       dict(dt=1e-320)):  # horizon / dt overflows
             with pytest.raises(ValueError):
                 SimConfig(**kwargs)
 
@@ -173,13 +175,13 @@ class TestPreconditions:
     def test_start_must_be_interior(self, params, sb):
         cfg = SimConfig(n_paths=4)
         for x0 in (0.0, -0.1, sb.b_hat, 0.9, 2.0):
-            with pytest.raises(PolicyOutOfRange):
+            with pytest.raises(InvalidStart, match="strictly inside"):
                 simulate_paths(params, sb, x0, cfg)
 
     def test_start_on_stop_node_is_rejected(self, params, sb):
         # nearest-node stop flag means this start would be a zero-length path
         x0 = sb.b_hat - 0.25 * sb.grid.dx
-        with pytest.raises(PolicyOutOfRange):
+        with pytest.raises(InvalidStart, match="stopped grid node"):
             mc_principal_value(params, sb, x0, SimConfig(n_paths=4))
 
 
