@@ -24,6 +24,7 @@ from .hjbvi import (
     NonMonotoneScheme,
     SecondBestSolution,
     howard_solve,
+    howard_solve_many,
     residual_check,
 )
 from .incentive import (

@@ -7,8 +7,10 @@ and seed give byte-identical CSVs, so the files double as regression
 fixtures.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
-per-run dict of second-best solutions by sigma, so cfg's own sigma is
-solved once per run; report is the five stages together.
+per-run dict of second-best solutions by sigma; report is the five stages
+together. When a stage first asks for a solution, every distinct sigma the
+run's stages need (cfg's own, and sweep.sigmas for the sweep) is solved in
+one howard_solve_many batch, so each sigma is solved once per run.
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
 out of range, output directory not writable), 2 solver failure.
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
-from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve
+from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve_many
 from .model import ModelParams
 from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, simulate_paths,
                        summarize_paths)
@@ -294,38 +296,51 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = 1e-9, max_iter: int = 200):
-    """One second-best solve per sigma on a shared grid.
+    """Second-best solves of every sigma on a shared grid, in one
+    howard_solve_many batch; a repeated sigma is solved once.
 
     Returns (solved, failures): solved is a list of (sigma, solution) in
     input order, failures a list of (sigma, message). A failed sigma does
     not abort the sweep.
     """
-    sigmas = list(sigmas)
+    sigmas = [float(sg) for sg in sigmas]
     if not sigmas:
         raise ValueError("sigma_sweep needs at least one sigma")
+    valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
+    try:
+        results = dict(zip(valid, howard_solve_many(params, valid, grid, tol=tol,
+                                                    max_iter=max_iter)))
+    except ValueError as exc:  # a max_iter below 1 fails every sigma
+        results = dict.fromkeys(valid, exc)
     solved, failures = [], []
     for sg in sigmas:
-        try:
-            if not sg > 0.0:
-                raise ValueError("sigma must be > 0")
-            sol = howard_solve(dataclasses.replace(params, sigma=float(sg)),
-                               grid, tol=tol, max_iter=max_iter)
-            solved.append((float(sg), sol))
-        except (ValueError, NoConvergence) as exc:
-            failures.append((float(sg), f"{type(exc).__name__}: {exc}"))
+        res = results.get(sg, ValueError("sigma must be > 0"))
+        if isinstance(res, Exception):
+            failures.append((sg, f"{type(res).__name__}: {res}"))
+        else:
+            solved.append((sg, res))
     return solved, failures
 
 
-# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps sigma
-# to the SecondBestSolution of this run on cfg's grid, tol and max_iter; it
-# holds cfg's own sigma once a stage has asked for it.
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps each
+# sigma the run's stages need to its SecondBestSolution, or the NoConvergence
+# of its solve, on cfg's grid, tol and max_iter. The entries are None until a
+# stage first asks; that ask solves them all in one howard_solve_many batch.
+
+def _solutions(cfg: RunConfig, solved):
+    pending = [sg for sg, sol in solved.items() if sol is None]
+    if pending:
+        solved.update(zip(pending, howard_solve_many(
+            cfg.params, pending, Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
+            tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)))
+    return solved
+
 
 def _own_solution(cfg: RunConfig, solved):
-    sigma = cfg.params.sigma
-    if sigma not in solved:
-        solved[sigma] = howard_solve(cfg.params, Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
-                                     tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
-    return solved[sigma]
+    sol = _solutions(cfg, solved)[cfg.params.sigma]
+    if isinstance(sol, NoConvergence):
+        raise sol
+    return sol
 
 
 def _first_best(cfg: RunConfig, outdir, solved):
@@ -406,28 +421,33 @@ def _voi(cfg: RunConfig, outdir, solved):
 def _sweep(cfg: RunConfig, outdir, solved):
     if not cfg.sweep_sigmas:
         raise ConfigError("sweep.sigmas must list at least one sigma")
-    # the sweep's own solutions stay local: they are freed with this stage
-    rest = [sg for sg in cfg.sweep_sigmas if sg not in solved]
-    swept, failures = [], []
-    if rest:
-        swept, failures = sigma_sweep(cfg.params, rest,
-                                      grid=Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
-                                      tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
-    done = {**dict(swept), **solved}
+    done = _solutions(cfg, solved)
+    failed = [sg for sg in cfg.sweep_sigmas if isinstance(done[sg], NoConvergence)]
     per_sigma = [(np.full(done[sg].grid.n, sg), done[sg].grid.x, done[sg].w)
-                 for sg in cfg.sweep_sigmas if sg in done]
+                 for sg in cfg.sweep_sigmas if sg not in failed]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
               [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
-        "sweep_failures": [f"{sg}: {msg}" for sg, msg in failures],
+        "sweep_failures": [f"{sg}: NoConvergence: {done[sg]}" for sg in failed],
     }
+    # the sweep's own solutions are freed with this stage
+    for sg in cfg.sweep_sigmas:
+        if sg != cfg.params.sigma:
+            solved.pop(sg, None)
     return ["sweep.csv"], diag
 
 
-# (timings key prefix, stage) in run order
-_FB, _SB, _VOI, _SWEEP, _SIM = (("fb", _first_best), ("sb", _second_best), ("voi", _voi),
-                                ("sweep", _sweep), ("sim", _simulate))
+def _own_sigma(cfg: RunConfig):
+    return (cfg.params.sigma,)
+
+
+# (timings key prefix, stage, the sigmas it solves) in run order
+_FB, _SB, _VOI, _SWEEP, _SIM = (("fb", _first_best, lambda cfg: ()),
+                                ("sb", _second_best, _own_sigma),
+                                ("voi", _voi, _own_sigma),
+                                ("sweep", _sweep, lambda cfg: cfg.sweep_sigmas),
+                                ("sim", _simulate, _own_sigma))
 _SUBCOMMANDS = {
     "first-best": (_FB,),
     "second-best": (_SB,),
@@ -488,10 +508,12 @@ def cli_dispatch(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    solved, files, diag, timings = {}, [], {}, {}
+    stages = _SUBCOMMANDS[sub]
+    solved = dict.fromkeys(sg for _, _, sigmas in stages for sg in sigmas(cfg))
+    files, diag, timings = [], {}, {}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        for key, stage in _SUBCOMMANDS[sub]:
+        for key, stage, _ in stages:
             t0 = time.perf_counter()
             stage_files, stage_diag = stage(cfg, out_dir, solved)
             timings[f"{key}_seconds"] = time.perf_counter() - t0

@@ -158,18 +158,19 @@ def in_stop_region(solution: SecondBestSolution, x):
 
 def _philox_start(seed: int) -> dict:
     """Philox start state for _rekey: 128-bit key (path id low word, seed
-    high word), counter 0, empty buffer. One per run: _rekey writes its key."""
+    high word), counter 0, empty buffer. One per run: _rekey writes its key.
+    The words are Python ints in lists, which the state setter reads faster
+    than numpy arrays."""
     return {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([0, seed], dtype=np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": [0, 0, 0, 0], "key": [0, int(seed)]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
 
 
 def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
     """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state;
-    the setter copies the arrays, so start can be reused for the next refill."""
+    the setter copies the words, so start can be reused for the next refill."""
     start["state"]["key"][0] = path_id
     gen.bit_generator.state = start
 
@@ -290,17 +291,18 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     while pid.size:
         col = step % _NOISE_BLOCK
         due = np.nonzero(col == 0)[0]
-        for i, p, b in zip(row[due].tolist(), pid[due].tolist(),
-                           (step[due] // _NOISE_BLOCK).tolist()):
-            if b < _SNAPSHOT_BLOCK:  # redraw the path's first b blocks
-                _rekey(gen, start, p)
-                if b:
-                    gen.standard_normal(out=skipped[:b * _NOISE_BLOCK])
-            else:
-                gen.bit_generator.state = snapshots[i]
-            gen.standard_normal(out=noise[i])
-            if b + 1 >= _SNAPSHOT_BLOCK:
-                snapshots[i] = gen.bit_generator.state
+        if due.size:  # most steps refill no lane while the pool drains
+            for i, p, b in zip(row[due].tolist(), pid[due].tolist(),
+                               (step[due] // _NOISE_BLOCK).tolist()):
+                if b < _SNAPSHOT_BLOCK:  # redraw the path's first b blocks
+                    _rekey(gen, start, p)
+                    if b:
+                        gen.standard_normal(out=skipped[:b * _NOISE_BLOCK])
+                else:
+                    gen.bit_generator.state = snapshots[i]
+                gen.standard_normal(out=noise[i])
+                if b + 1 >= _SNAPSHOT_BLOCK:
+                    snapshots[i] = gen.bit_generator.state
         dw = noise[row, col] * sqrt_dt
 
         r, a = lookup.policy(j, k)

@@ -9,8 +9,9 @@ Carlo stepper), split_bundles (the per-path bundles of simulate_paths),
 reconstruct_noise and bundle_noise_report (the noise reconstruction
 report, one path at a time), discretize (the variational-inequality defect,
 one node at a time), hamiltonian_max (the best response at one point),
-unbatched_improve (the Howard improvement sweep) and percent_write_csv (the
-CSV writer). feynman_kac is a second linear solver for the policy
+unbatched_improve (the Howard improvement sweep), whole_system_evaluate (the
+policy evaluation of one problem in one elimination) and percent_write_csv
+(the CSV writer). feynman_kac is a second linear solver for the policy
 evaluation, and agent_value applies it to the agent's side of the contract.
 """
 
@@ -345,6 +346,43 @@ def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
     stop[0] = False
     stop[-1] = True
     return r, a, stop, n_f + n_b + edge[5]
+
+
+def whole_system_evaluate(params, grid, r, a, stop, psi):
+    """hjbvi._evaluate for one problem as one elimination over every interior
+    row, stopped rows as identity rows, as an oracle: hjbvi._evaluate
+    eliminates each run of continuation rows on its own and must give the
+    same bits."""
+    from contract_solve.hjbvi import _diffusion
+
+    dx = grid.dx
+    xi = grid.x[1:-1]
+    ri, ai, stop_i = r[1:-1], a[1:-1], stop[1:-1]
+    b = params.lam * xi - params.u(ri) + params.h(ai)
+    fwd = b >= 0.0
+    d_dx2 = _diffusion(params, ai) / dx**2
+    b_dx = b / dx
+    lower = np.where(stop_i, 0.0, np.where(fwd, -d_dx2, -d_dx2 + b_dx))
+    diag = np.where(stop_i, 1.0, params.delta + 2.0 * d_dx2 + np.abs(b_dx))
+    upper = np.where(stop_i, 0.0, np.where(fwd, -(d_dx2 + b_dx), -d_dx2))
+    rhs = np.where(stop_i, psi[1:-1], params.phi(ai) - ri)
+    rhs[-1] -= upper[-1] * psi[-1]
+
+    m = xi.size
+    lo, di, up, rh = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    cp = [0.0] * m
+    dp = [0.0] * m
+    cp[0] = up[0] / di[0]
+    dp[0] = rh[0] / di[0]
+    for k in range(1, m):
+        denom = di[k] - lo[k] * cp[k - 1]
+        cp[k] = up[k] / denom
+        dp[k] = (rh[k] - lo[k] * dp[k - 1]) / denom
+    sol = [0.0] * m
+    sol[m - 1] = dp[m - 1]
+    for k in range(m - 2, -1, -1):
+        sol[k] = dp[k] - cp[k] * sol[k + 1]
+    return np.concatenate(([0.0], sol, [psi[-1]]))
 
 
 _PERCENT_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # other dtypes: "%s"

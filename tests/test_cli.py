@@ -384,18 +384,18 @@ class TestPathsCsv:
 
 class TestReportComposition:
     def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
-        sigmas = []
-        solve = report_cli.howard_solve
+        batches = []
+        solve = report_cli.howard_solve_many
 
-        def counted(params, *args, **kwargs):
-            sigmas.append(params.sigma)
-            return solve(params, *args, **kwargs)
+        def counted(params, sigmas, *args, **kwargs):
+            batches.append(list(sigmas))
+            return solve(params, sigmas, *args, **kwargs)
 
-        monkeypatch.setattr(report_cli, "howard_solve", counted)
+        monkeypatch.setattr(report_cli, "howard_solve_many", counted)
         rpt = tmp_path / "report"
         assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
-        # one solve per distinct sigma: the sweep's 1.7 and the configured 1.85
-        assert sorted(sigmas) == [1.7, 1.85]
+        # one batch, one solve per distinct sigma: the sweep's 1.7 and the configured 1.85
+        assert len(batches) == 1 and sorted(batches[0]) == [1.7, 1.85]
         report = json.loads((rpt / "manifest.json").read_text())
         assert set(report["timings"]) == {"fb_seconds", "sb_seconds", "voi_seconds",
                                           "sweep_seconds", "sim_seconds", "total_seconds"}
@@ -417,8 +417,33 @@ class TestReportComposition:
 
     def test_sweep_stage_keeps_its_solutions_local(self, tmp_path):
         # the sweep's solutions must be freed with its stage, not held in
-        # the run's solved dict through the simulate stage
-        cfg = load(None, FAST[1::2])
-        solved = {}
+        # the run's solved dict through the simulate stage: only the
+        # configured sigma stays
+        cfg = load(None, [*FAST[1::2], "sweep.sigmas=1.7,2.0"])
+        solved = dict.fromkeys([1.85, 1.7, 2.0])
         assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
-        assert solved == {}
+        assert list(solved) == [1.85] and solved[1.85].grid.n == 201
+
+    def test_repeated_sweep_sigma_is_solved_once(self, tmp_path, monkeypatch):
+        batches = []
+        solve = report_cli.howard_solve_many
+
+        def counted(params, sigmas, *args, **kwargs):
+            batches.append(list(sigmas))
+            return solve(params, sigmas, *args, **kwargs)
+
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert cli_dispatch(["sweep", "--out", str(once), *FAST,
+                             "--set", "sweep.sigmas=1.7,1.85"]) == 0
+        monkeypatch.setattr(report_cli, "howard_solve_many", counted)
+        assert cli_dispatch(["sweep", "--out", str(twice), *FAST,
+                             "--set", "sweep.sigmas=1.7,1.7,1.85"]) == 0
+        assert batches == [[1.7, 1.85]]
+        # the repeated sigma's rows are written twice, as listed
+        one, two = ((out / "sweep.csv").read_bytes().splitlines() for out in (once, twice))
+        rows_17 = [row for row in one[1:] if row.startswith(b"1.7,")]
+        assert two == one[:1] + rows_17 + one[1:]
+        solved, failures = sigma_sweep(load(None, FAST[1::2]).params, [1.7, 1.7],
+                                       grid=Grid.make(1.0, 201))
+        assert batches[1:] == [[1.7]]
+        assert failures == [] and solved[0][1] is solved[1][1]

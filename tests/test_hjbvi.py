@@ -11,12 +11,14 @@ from contract_solve import (
     NoConvergence,
     NonMonotoneScheme,
     howard_solve,
+    howard_solve_many,
     residual_check,
 )
 from contract_solve import hjbvi
 from contract_solve.hjbvi import _best_effort, _evaluate
 
-from .helpers import discretize, golden_max, grid_argmax, hamiltonian_max, unbatched_improve
+from .helpers import (discretize, golden_max, grid_argmax, hamiltonian_max, unbatched_improve,
+                      whole_system_evaluate)
 
 
 def _effort_value(params, a, dw, d2w):
@@ -117,6 +119,19 @@ class TestBestEffort:
         d2w = np.array([-2.0, -1e-300, 0.0, 1e-300, 3.0])
         _, _, n_convex = _best_effort(params, np.full(5, -1.0), d2w)
         assert n_convex == 3
+
+    def test_sigma_column_gives_each_scalar_sigmas_bits(self, params, grid, sb):
+        # numpy's array square rounds D0 differently from the scalar power
+        # at sigma 1.8809, and D(50) at 1.5094; a batch must keep the scalar
+        sigmas = [1.8809, 1.5094, 1.85]
+        dw = np.diff(sb.w)[:-1] / grid.dx
+        d2w = np.diff(sb.w, 2) / grid.dx**2
+        batch = dataclasses.replace(params, sigma=np.array(sigmas)[:, None])
+        got = _best_effort(batch, np.tile(dw, (3, 1)), np.tile(d2w, (3, 1)))
+        for p, sigma in enumerate(sigmas):
+            want = _best_effort(dataclasses.replace(params, sigma=sigma), dw, d2w)
+            for g, w in zip(got, want):
+                assert np.array_equal(g[p], w), sigma
 
 
 class TestDiscretize:
@@ -293,60 +308,170 @@ class TestHowardSolve:
             _evaluate(params, g, r, a, stop, -g.x**4)
 
 
+_FIELDS = ("w", "r_star", "a_star", "stop", "b_hat", "k_growth", "iterations", "residual",
+           "effort_convex_nodes")
+
+
+def _assert_same_solution(got, want):
+    for name in _FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _row_params(params, p):
+    """A batch's params for its problem p alone, with a scalar sigma."""
+    return dataclasses.replace(params, sigma=float(params.sigma[p, 0]))
+
+
+def _rowwise_improve(params, grid, w, psi, r_cur, a_cur):
+    """The batched _improve built from the unbatched oracle, one problem at a time."""
+    rows = [unbatched_improve(_row_params(params, p), grid, w[p], psi, r_cur[p], a_cur[p])
+            for p in range(w.shape[0])]
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _recording(monkeypatch, name):
+    """Patch hjbvi.<name> to record its arguments; returns the list and the original."""
+    real = getattr(hjbvi, name)
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hjbvi, name, recording)
+    return calls, real
+
+
 class TestBatchedImprove:
-    """_improve's one stacked _best_response call against the three-call oracle."""
+    """_improve's one stacked _best_response call against the three-call
+    oracle, problem by problem."""
 
     @staticmethod
-    def _assert_same(got, want):
+    def _assert_same_row(got, want, p):
         for g, w in zip(got[:3], want[:3]):
-            assert np.array_equal(g, w)
-        assert got[3] == want[3]
+            assert np.array_equal(g[p], w)
+        assert got[3][p] == want[3]
 
     def test_every_sweep_of_a_default_solve(self, params, grid, sb, monkeypatch):
-        real = hjbvi._improve
-        calls = []
-
-        def recording(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(hjbvi, "_improve", recording)
+        calls, real = _recording(monkeypatch, "_improve")
         sol = howard_solve(params, grid)
         assert len(calls) == sol.iterations == sb.iterations
+        sols = howard_solve_many(params, [1.5, 1.85, 2.2], grid)
+        assert len(calls) - sol.iterations < sum(s.iterations for s in sols)
         assert sorted({args[1].n for args in calls}) == [251, 501, 1001, 2001]
         for args in calls:
-            self._assert_same(real(*args), unbatched_improve(*args))
+            batch, grid_, w, psi, r, a = args
+            got = real(*args)
+            for p in range(w.shape[0]):
+                want = unbatched_improve(_row_params(batch, p), grid_, w[p], psi, r[p], a[p])
+                self._assert_same_row(got, want, p)
 
     def test_perturbed_value(self, params, grid, sb):
         # random kinks give both curvature signs and wild slopes
         w = sb.w + 1e-4 * np.random.default_rng(3).standard_normal(grid.n)
         args = (params, grid, w, -params.u_inv(grid.x), sb.r_star, sb.a_star)
         got = hjbvi._improve(*args)
-        self._assert_same(got, unbatched_improve(*args))
+        self._assert_same_row([v[None] for v in got], unbatched_improve(*args), 0)
         assert 0 < got[3] < 2 * grid.n
 
     @pytest.mark.parametrize("sigma", [1.5, 1.85, 2.2])
     def test_whole_solution(self, params, grid, sb_for_sigma, monkeypatch, sigma):
         want = sb_for_sigma(sigma)
-        monkeypatch.setattr(hjbvi, "_improve", unbatched_improve)
+        monkeypatch.setattr(hjbvi, "_improve", _rowwise_improve)
         got = howard_solve(dataclasses.replace(params, sigma=sigma), grid)
-        for name in ("w", "r_star", "a_star", "stop"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        for name in ("b_hat", "k_growth", "iterations", "residual", "effort_convex_nodes"):
-            assert getattr(got, name) == getattr(want, name), name
+        _assert_same_solution(got, want)
 
     def test_one_effort_maximization_per_sweep(self, params, grid, monkeypatch):
-        real = hjbvi._best_effort
-        count = 0
-
-        def counting(*args):
-            nonlocal count
-            count += 1
-            return real(*args)
-
-        monkeypatch.setattr(hjbvi, "_best_effort", counting)
+        efforts, _ = _recording(monkeypatch, "_best_effort")
+        sweeps, _ = _recording(monkeypatch, "_improve")
         sol = howard_solve(params, grid)
-        assert count == sol.iterations
+        assert len(efforts) == len(sweeps) == sol.iterations
+        del efforts[:], sweeps[:]
+        # one batched sweep per sweep of the slowest problem of each level:
+        # 56 + 9 + 9 + 5 for sigma 1.5, 1.85 and 2.2
+        howard_solve_many(params, [1.5, 1.85, 2.2], grid)
+        assert len(efforts) == len(sweeps) == 79
+
+
+class TestRunEvaluate:
+    """_evaluate's elimination run by run against one elimination of the
+    whole system with identity rows."""
+
+    def test_every_sweep_of_a_batch(self, params, grid, monkeypatch):
+        calls, real = _recording(monkeypatch, "_evaluate")
+        howard_solve_many(params, [1.5, 1.85, 2.2], grid)
+        assert len(calls) == 79
+        for batch, grid_, r, a, stop, psi in calls:
+            got = real(batch, grid_, r, a, stop, psi)
+            for p in range(r.shape[0]):
+                want = whole_system_evaluate(_row_params(batch, p), grid_, r[p], a[p], stop[p], psi)
+                assert np.array_equal(got[p], want)
+
+    def test_scattered_stop_set(self, params, grid, sb):
+        # runs that start at the left end, end at the right end, and single
+        # continuation rows between stopped ones
+        psi = -params.u_inv(grid.x)
+        stop = np.random.default_rng(5).random(grid.n) < 0.5
+        stop[[0, 1, 2, 5, -2]] = [False, False, True, True, False]
+        stop[-1] = True
+        got = _evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        want = whole_system_evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[stop], psi[stop])
+
+
+class TestHowardSolveMany:
+    """A batch gives each sigma the bits of its solve alone."""
+
+    @pytest.mark.parametrize("sigmas, n", [
+        ((1.5, 1.85, 2.2), 2001),
+        ((1.5, 1.7, 1.85, 2.0, 2.2), 2001),
+        ((1.85,), 4001),
+        ((1.2, 3.0), 401),
+    ])
+    def test_each_solution_is_its_single_solve(self, params, sb_for_sigma, sigmas, n):
+        g = Grid.make(x_max=1.0, n=n)
+        sols = howard_solve_many(params, sigmas, g)
+        for sigma, got in zip(sigmas, sols):
+            if n == 2001:
+                want = sb_for_sigma(sigma)
+            else:
+                want = howard_solve(dataclasses.replace(params, sigma=sigma), g)
+            assert got.grid is g
+            _assert_same_solution(got, want)
+
+    def test_budget_is_per_problem(self, params, grid, sb_for_sigma):
+        # 1.85 takes 43/9/5/4 sweeps, so a budget of 57 runs out exactly
+        # when its 1001-node level ends; 2.2 converges in 53 sweeps
+        failed, solved = howard_solve_many(params, [1.85, 2.2], grid, max_iter=57)
+        with pytest.raises(NoConvergence) as alone:
+            howard_solve(params, grid, max_iter=57)
+        assert isinstance(failed, NoConvergence)
+        assert failed.iterations == 57
+        assert failed.residual == alone.value.residual
+        assert solved.iterations == 53
+        _assert_same_solution(solved, sb_for_sigma(2.2))
+
+    def test_budget_spent_inside_a_level(self, params, grid, monkeypatch):
+        # 1.5 takes 56/5/5/5 sweeps, so 65 run out on the 4th sweep of its
+        # 1001-node level; 2.2 takes 37/3/9/4 and sweeps on without it
+        calls, real = _recording(monkeypatch, "_improve")
+        failed, solved = howard_solve_many(params, [1.5, 2.2], grid, max_iter=65)
+        assert isinstance(failed, NoConvergence) and failed.iterations == 65
+        assert solved.iterations == 53
+        with_15 = [args for args in calls if 1.5 in args[0].sigma]
+        assert len(with_15) == 65 and with_15[-1][1].n == 1001
+        assert calls[-1][1].n == 2001
+        # the reported defect is that of the last value and the policy improved from it
+        batch, grid_, w, psi, _, _ = with_15[-1]
+        assert batch.sigma.ravel().tolist() == [1.5, 2.2]
+        r, a, stop, _ = real(*with_15[-1])
+        assert failed.residual == hjbvi._max_defect(batch, grid_, w, r, a, stop, psi)[0]
+
+    def test_empty_batch_and_bad_budget(self, params, grid):
+        assert howard_solve_many(params, [], grid) == []
+        with pytest.raises(ValueError, match="max_iter"):
+            howard_solve_many(params, [1.85], grid, max_iter=0)
 
 
 class TestRobustness:

@@ -231,6 +231,16 @@ class TestDeterminism:
             assert sum(drawn) == _normals_per_run(steps, 4, snapshot_block), snapshot_block
         assert sum(drawn) > 8 * _normals_per_run(steps, 4, 1)  # all refills redraw at 100
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_rekey_is_the_keyed_philox_stream(self, seed):
+        gen = np.random.Generator(np.random.Philox(0))
+        start = sim._philox_start(seed)
+        for path_id in (0, 1, 9_999):
+            gen.standard_normal(3)  # leave state and buffer behind
+            sim._rekey(gen, start, path_id)
+            want = np.random.Generator(np.random.Philox(key=(seed << 64) | path_id))
+            assert np.array_equal(gen.standard_normal(1_000), want.standard_normal(1_000))
+
     def test_seed_changes_draws(self, params, sb):
         a = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=1))
         b = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=2))
