@@ -163,6 +163,8 @@ def build(raw) -> RunConfig:
         raise ConfigError("sim.n_paths must be >= 1")
     if not 0 <= values["sim.seed"] < 2**64:
         raise ConfigError("sim.seed must fit in 64 bits")
+    if not values["sweep.sigmas"]:
+        raise ConfigError("sweep.sigmas must list at least one sigma")
     if any(s <= 0.0 for s in values["sweep.sigmas"]):
         raise ConfigError("sweep.sigmas must all be > 0")
     for key in ("fb.x_n", "fb.t_n", "voi.x_n"):

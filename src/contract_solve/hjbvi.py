@@ -254,7 +254,7 @@ def _best_effort(params: ModelParams, dw, d2w):
     cap = convex & (g_cap > g)
     a = np.where(cap, _A_HI, a)
     g = np.where(cap, g_cap, g)
-    g0 = _diffusion(params, np.zeros_like(a)) * d2w
+    g0 = _diffusion(params, np.zeros(a.shape[:-1] + (1,))) * d2w  # D(0), one per problem
     better = g > g0
     return np.where(better, a, 0.0), np.where(better, g, g0), convex.sum(axis=-1)
 

@@ -419,8 +419,6 @@ def _voi(cfg: RunConfig, outdir, solved):
 
 
 def _sweep(cfg: RunConfig, outdir, solved):
-    if not cfg.sweep_sigmas:
-        raise ConfigError("sweep.sigmas must list at least one sigma")
     done = _solutions(cfg, solved)
     failed = [sg for sg in cfg.sweep_sigmas if isinstance(done[sg], NoConvergence)]
     per_sigma = [(np.full(done[sg].grid.n, sg), done[sg].grid.x, done[sg].w)

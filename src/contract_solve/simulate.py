@@ -6,17 +6,23 @@ as an independent check on the PDE solve, tests incentive compatibility
 against deviating effort policies, and reconstructs the driving noise from
 the simulated output path.
 
+A recorded path keeps only what the run alone knows: the state, output and
+noise at each node, and per path its payoff and how it ended. The policies
+on each step, the stopping time and the terminal payment follow from those
+and the solution (interpolate_policy, the last t, u_inv of the settled state).
+
 Paths run through a fixed pool of _CHUNK lanes: a lane steps one path at a
 time, takes the next unstarted path when it ends, and leaves the pool once
 none is left, so no arithmetic runs for finished paths. Each step locates
 the new states on the grid once (_Lookup: one division by dx gives both
 np.interp's interval for the policies and the nearest node for the stop
 flag, bitwise what interpolate_policy and in_stop_region return). A
-recording run writes each step's rows into growable column buffers, which
-simulate_paths permutes one column at a time into the table. Randomness is
-counter-based: each path draws from its own Philox stream keyed by
-(seed, path_id), so results are bitwise identical regardless of the pool
-width, which lane runs a path, or which other paths run alongside.
+recording run writes each step's state, output and noise into growable
+column buffers, which simulate_paths permutes one column at a time into the
+table. Randomness is counter-based: each path draws from its own Philox
+stream keyed by (seed, path_id), so results are bitwise identical
+regardless of the pool width, which lane runs a path, or which other paths
+run alongside.
 Deviation arms reuse the same streams (common random numbers). One
 generator serves the whole pool: each refill re-keys it to the lane's path
 and redraws the blocks the path has already used, or, from _SNAPSHOT_BLOCK
@@ -88,12 +94,12 @@ class PathBundle:
     """One simulated path, stored up to its stopping step.
 
     times has len(w_increments) + 1 entries; j_path and x_path align with
-    times; r_path and a_path hold the policies applied on each step
-    interval. The arrays are views of a PathTable's columns. tau is the
+    times. The arrays are views of a PathTable's columns. times[-1] is the
     stopping time, censored at the horizon when the path is still alive
     there. j_path keeps the raw Euler states: a floored path ends with a
-    small negative value, while its settlement, and the terminal payment,
-    use the floor convention (pay nothing at or below 0).
+    small negative value, while its settlement uses the floor convention
+    (pay nothing at or below 0). The policies on each step are the
+    solution's at j_path[:-1] (interpolate_policy).
     """
 
     path_id: int
@@ -101,11 +107,7 @@ class PathBundle:
     j_path: np.ndarray
     x_path: np.ndarray
     w_increments: np.ndarray
-    r_path: np.ndarray
-    a_path: np.ndarray
-    tau: float
     discounted_payoff: float
-    terminal_payment: float
     floor: bool
     censored: bool
 
@@ -217,16 +219,14 @@ class _Lookup:
 
 
 class _Paths:
-    """Per-path results of one run, indexed by path id; agent, tau and
-    terminal are None unless the run accumulates them."""
+    """Per-path results of one run, indexed by path id; agent is None
+    unless the run accumulates it."""
 
-    __slots__ = ("principal", "agent", "tau", "terminal", "floor", "censored", "records")
+    __slots__ = ("principal", "agent", "floor", "censored", "records")
 
-    def __init__(self, n, agent, record):
+    def __init__(self, n, agent):
         self.principal = np.zeros(n)
         self.agent = np.zeros(n) if agent else None
-        self.tau = np.zeros(n) if record else None
-        self.terminal = np.zeros(n) if record else None
         self.floor = np.zeros(n, dtype=bool)
         self.censored = np.zeros(n, dtype=bool)
         self.records = None
@@ -236,18 +236,17 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
                cfg: SimConfig, effort_map=None, agent=False, record=False) -> _Paths:
     """Step all cfg.n_paths paths through a pool of _CHUNK lanes.
 
-    A lane's own step count picks its noise column, its censoring step and
-    its tau; its noise row is noise[row[lane]], refilled with its path's
-    next _NOISE_BLOCK normals at each multiple of the block: the one place
-    the run's one generator is positioned on a path's stream. Each step
+    A lane's own step count picks its noise column and its censoring step;
+    its noise row is noise[row[lane]], refilled with its path's next
+    _NOISE_BLOCK normals at each multiple of the block: the one place the
+    run's one generator is positioned on a path's stream. Each step
     finds the grid interval and the stop node of the new states with one
     _Lookup.locate. A lane whose path ends takes the next unstarted path id;
     once the queue is empty, finished lanes leave the pool (row is
     compacted, the noise buffer is not). The principal's payoff is always
-    accumulated; agent adds the agent's, and record adds tau, the terminal
-    payment and the step records: pid, j, x, dw, r, a in step order, written
-    into six column buffers that double when full and are trimmed to size at
-    the end.
+    accumulated; agent adds the agent's, and record adds the step records:
+    pid, j, x, dw in step order, written into four column buffers that
+    double when full and are trimmed to size at the end.
     """
     b_hat = solution.b_hat
     if not 0.0 < x0 < b_hat:
@@ -262,7 +261,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     sqrt_dt = np.sqrt(dt)
     decay_d = np.exp(-params.delta * dt)
     decay_l = np.exp(-params.lam * dt)
-    out = _Paths(n, agent, record)
+    out = _Paths(n, agent)
 
     width = min(_CHUNK, n)
     pid = np.arange(width)
@@ -286,7 +285,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         # recorded path ids take the narrowest unsigned type: the records set
         # the peak memory of a recording run
         cap, used = width * _NOISE_BLOCK, 0
-        rec = [np.empty(cap, np.min_scalar_type(n))] + [np.empty(cap) for _ in range(5)]
+        rec = [np.empty(cap, np.min_scalar_type(n))] + [np.empty(cap) for _ in range(3)]
 
     while pid.size:
         col = step % _NOISE_BLOCK
@@ -330,7 +329,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
                 cap *= 2
                 for buf in rec:
                     buf.resize(cap, refcheck=False)  # no view of buf exists
-            for buf, v in zip(rec, (pid, j_new, x, dw, r, a_applied)):
+            for buf, v in zip(rec, (pid, j_new, x, dw)):
                 buf[used:used + pid.size] = v
             used += pid.size
 
@@ -355,9 +354,6 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
             out.agent[ids] = pay_a[ended] + disc_l[ended] * j_settle
         out.floor[ids] = fl
         out.censored[ids] = ~done[ended]
-        if record:
-            out.tau[ids] = step[ended] * dt
-            out.terminal[ids] = xi
 
         fresh = ended[:n - next_pid]
         if fresh.size:
@@ -396,9 +392,9 @@ class PathTable(Sequence):
 
     Per node, paths in id order: path_id, t, j, x, dw (0 on a path's first
     row), stopped (True on the last row of a path that ended before the
-    horizon). Per step: r, a. Per path: starts (first node row), steps, tau,
-    payoff, terminal, floor, censored. As a sequence, table[i] is path i's
-    PathBundle of views of the columns; slices and iteration act as on a list.
+    horizon). Per path: starts (first node row), steps, payoff, floor,
+    censored. As a sequence, table[i] is path i's PathBundle of views of the
+    columns; slices and iteration act as on a list.
     """
 
     path_id: np.ndarray
@@ -407,13 +403,9 @@ class PathTable(Sequence):
     x: np.ndarray
     dw: np.ndarray
     stopped: np.ndarray
-    r: np.ndarray
-    a: np.ndarray
     starts: np.ndarray
     steps: np.ndarray
-    tau: np.ndarray
     payoff: np.ndarray
-    terminal: np.ndarray
     floor: np.ndarray
     censored: np.ndarray
 
@@ -429,10 +421,8 @@ class PathTable(Sequence):
         i %= len(self)
         s, n = int(self.starts[i]), int(self.steps[i])
         nodes = slice(s, s + n + 1)
-        steps = slice(s - i, s - i + n)  # the i earlier paths each have one more node than steps
         return PathBundle(i, self.t[nodes], self.j[nodes], self.x[nodes],
-                          self.dw[s + 1:s + n + 1], self.r[steps], self.a[steps],
-                          float(self.tau[i]), float(self.payoff[i]), float(self.terminal[i]),
+                          self.dw[s + 1:s + n + 1], float(self.payoff[i]),
                           bool(self.floor[i]), bool(self.censored[i]))
 
 
@@ -446,13 +436,11 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     horizon state).
     """
     out = _run_paths(params, solution, x0, cfg, record=True)
-    pids, j, x, dw, r, a = out.records
+    pids, j, x, dw = out.records
     out.records = None  # so each step-order column is freed once its column is built
     order = np.argsort(pids, kind="stable")  # path by path, each in step order
     steps = np.bincount(pids, minlength=cfg.n_paths)
     del pids
-    r = r[order]
-    a = a[order]
     first = np.cumsum(steps) - steps  # each path's first step row
     starts = first + np.arange(cfg.n_paths)
     src = np.insert(order, first, 0)  # node row -> step record; starts are set below
@@ -471,8 +459,8 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     stopped = np.zeros(j.size, dtype=bool)
     stopped[starts + steps] = ~out.censored  # stop region or floor
     path_id = np.repeat(np.arange(cfg.n_paths, dtype=np.min_scalar_type(cfg.n_paths)), sizes)
-    return PathTable(path_id, t, j, x, dw, stopped, r, a, starts, steps, out.tau,
-                     out.principal, out.terminal, out.floor, out.censored)
+    return PathTable(path_id, t, j, x, dw, stopped, starts, steps, out.principal,
+                     out.floor, out.censored)
 
 
 def _std_error(values) -> float:
@@ -539,44 +527,49 @@ def _inverted_noise(params: ModelParams, dx, a, dt):
     return (dx - params.phi(a) * dt) / params.sigma
 
 
-def reconstruct_state(params: ModelParams, bundle: PathBundle) -> float:
-    """Max error rebuilding the state path from the output path.
+def reconstruct_state(params: ModelParams, solution: SecondBestSolution,
+                      bundle: PathBundle) -> float:
+    """Max error rebuilding the state path from the output path and the contract.
 
-    Re-runs the discrete state recursion with the noise recovered from X
-    (the Euler output step inverted, as in noise_reconstruction_report),
-    checking that output plus policies determine the state: the discrete
-    form of the filtration coincidence at the optimum. Raises
-    DegenerateEffort if any step has zero effort: there the output carries
-    no trace of the noise.
+    Re-runs the discrete state recursion from j_path[0], reading the
+    policies at the state rebuilt so far (interpolate_policy) and the noise
+    from X (the Euler output step inverted, as in noise_reconstruction_report).
+    Only output plus the contract enter, the principal's information, so a
+    round-off error is the discrete form of the filtration coincidence at the
+    optimum. Raises DegenerateEffort at a step with zero effort: there the
+    output carries no trace of the noise.
     """
-    if np.any(bundle.a_path <= 0.0):
-        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
     dt = np.diff(bundle.times)
-    dw = _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
+    dx = np.diff(bundle.x_path)
     j = bundle.j_path[0]
     err = 0.0
     for k in range(dt.size):
-        r, a = bundle.r_path[k], bundle.a_path[k]
-        drift = params.lam * j - params.u(r) + params.h(a)
-        j = j + drift * dt[k] + float(params.exposure(a)) * dw[k]
+        r, a = interpolate_policy(solution, j)
+        if a <= 0.0:
+            raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
+        dw = _inverted_noise(params, dx[k], a, dt[k])
+        j = j + (params.lam * j - params.u(r) + params.h(a)) * dt[k] + params.exposure(a) * dw
         err = max(err, abs(j - bundle.j_path[k + 1]))
     return float(err)
 
 
-def noise_reconstruction_report(params: ModelParams, table: PathTable) -> tuple[float, int]:
+def noise_reconstruction_report(params: ModelParams, solution: SecondBestSolution,
+                                table: PathTable) -> tuple[float, int]:
     """(max reconstruction error over clean paths, number excluded).
 
     Rebuilds each step's noise increment from the output path by inverting
-    the Euler output step, on the table's columns. The inversion repeats the
+    the Euler output step, on the table's columns, with the effort the
+    solution sets at each step's starting state. The inversion repeats the
     step's own arithmetic, so the error is pure round-off. A path with a
     zero-effort step is excluded: there the output carries no trace of the
     noise. Each other path's error is its max over steps.
     """
-    inner = np.ones(table.t.size - 1, dtype=bool)  # node differences within one path
+    inner = np.ones(table.t.size - 1, dtype=bool)  # nodes that start a step
     inner[table.starts[1:] - 1] = False
-    dw = _inverted_noise(params, np.diff(table.x)[inner], table.a, np.diff(table.t)[inner])
+    _, a = interpolate_policy(solution, table.j[:-1][inner])
+    dw = _inverted_noise(params, np.diff(table.x)[inner], a, np.diff(table.t)[inner])
     err = np.abs(dw - table.dw[1:][inner])
     first = table.starts - np.arange(len(table))  # each path's first step row
-    excluded = np.logical_or.reduceat(table.a <= 0.0, first)
+    excluded = np.logical_or.reduceat(a <= 0.0, first)
     worst = np.maximum.reduceat(err, first)[~excluded]
     return float(np.max(worst, initial=0.0)), int(excluded.sum())

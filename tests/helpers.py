@@ -203,37 +203,37 @@ def split_bundles(params, solution, x0, cfg):
     out = _run_paths(params, solution, x0, cfg, record=True)
     pids, *records = out.records
     order = np.argsort(pids, kind="stable")
-    j, x, dw, r, a = (v[order] for v in records)
+    j, x, dw = (v[order] for v in records)
     steps = np.bincount(pids, minlength=cfg.n_paths)
     starts = np.cumsum(steps) - steps
-    cuts, cuts_1 = starts[1:], starts[1:] + np.arange(1, cfg.n_paths)
+    cuts_1 = starts[1:] + np.arange(1, cfg.n_paths)
     columns = zip(steps, np.split(np.insert(j, starts, x0), cuts_1),
-                  np.split(np.insert(x, starts, 0.0), cuts_1),
-                  *(np.split(v, cuts) for v in (dw, r, a)))
-    return [PathBundle(pid, np.arange(n + 1) * cfg.dt, *arrays, float(out.tau[pid]),
-                       float(out.principal[pid]), float(out.terminal[pid]),
+                  np.split(np.insert(x, starts, 0.0), cuts_1), np.split(dw, starts[1:]))
+    return [PathBundle(pid, np.arange(n + 1) * cfg.dt, *arrays, float(out.principal[pid]),
                        bool(out.floor[pid]), bool(out.censored[pid]))
             for pid, (n, *arrays) in enumerate(columns)]
 
 
-def reconstruct_noise(params, bundle):
+def reconstruct_noise(params, solution, bundle):
     """Max error rebuilding one bundle's noise increments from its output
     path: noise_reconstruction_report for one path, as a bitwise oracle.
 
+    The effort on each step is the solution's at the step's starting state.
     The recovered noise inverts the same Euler step, so the error is pure
     round-off. Raises DegenerateEffort on a zero-effort step.
     """
-    from contract_solve import DegenerateEffort
+    from contract_solve import DegenerateEffort, interpolate_policy
     from contract_solve.simulate import _inverted_noise
 
-    if np.any(bundle.a_path <= 0.0):
+    _, a = interpolate_policy(solution, bundle.j_path[:-1])
+    if np.any(a <= 0.0):
         raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
     dt = np.diff(bundle.times)
-    dw = _inverted_noise(params, np.diff(bundle.x_path), bundle.a_path, dt)
+    dw = _inverted_noise(params, np.diff(bundle.x_path), a, dt)
     return float(np.max(np.abs(dw - bundle.w_increments), initial=0.0))
 
 
-def bundle_noise_report(params, bundles):
+def bundle_noise_report(params, solution, bundles):
     """noise_reconstruction_report by reconstruct_noise path by path, as a
     bitwise oracle: (max error over clean paths, number excluded)."""
     from contract_solve import DegenerateEffort
@@ -242,7 +242,7 @@ def bundle_noise_report(params, bundles):
     excluded = 0
     for b in bundles:
         try:
-            worst = max(worst, reconstruct_noise(params, b))
+            worst = max(worst, reconstruct_noise(params, solution, b))
         except DegenerateEffort:
             excluded += 1
     return worst, excluded

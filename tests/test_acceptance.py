@@ -184,7 +184,7 @@ def test_10_no_profitable_deviation(params, default_solve_timed):
 def test_11_noise_reconstruction(params, default_solve_timed):
     sol, _ = default_solve_timed
     bundles = simulate_paths(params, sol, 0.1, SimConfig(n_paths=2000))
-    worst, excluded = noise_reconstruction_report(params, bundles)
+    worst, excluded = noise_reconstruction_report(params, sol, bundles)
     _line(11, worst <= 1e-12,
           f"max reconstruction error {worst:.2e} (<= 1e-12) over "
           f"{len(bundles) - excluded} paths ({excluded} excluded)")

@@ -70,6 +70,7 @@ class TestConfigParsing:
         for pair, frag in (("grid.n=1", "grid.n"), ("howard.tol=0", "howard.tol"),
                            ("sim.dt=-1e-3", "sim.dt"), ("fb.x_n=1", "fb.x_n"),
                            ("sweep.sigmas=1.5,-2", "sweep.sigmas"),
+                           ("sweep.sigmas=", "sweep.sigmas"),
                            ("grid.n=abc", "grid.n"), ("bogus=1", "bogus"),
                            ("lambda=0.05", "lambda"), ("sim.seed=-3", "sim.seed"),
                            ("fb.x_min=-1", "fb.x_min"), ("fb.t_max=-1", "fb.t_max"),
@@ -219,10 +220,13 @@ class TestDispatch:
         assert not (tmp_path / "voi.csv").exists()
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
-        code = cli_dispatch(["sweep", "--out", str(tmp_path), *FAST,
-                             "--set", "sweep.sigmas="])
-        assert code == 1
-        assert "sweep.sigmas" in capsys.readouterr().err
+        # the config rejects it before any stage runs: report writes nothing
+        for sub in ("sweep", "report"):
+            out = tmp_path / sub
+            code = cli_dispatch([sub, "--out", str(out), *FAST, "--set", "sweep.sigmas="])
+            assert code == 1
+            assert "sweep.sigmas" in capsys.readouterr().err
+            assert not out.exists() or not os.listdir(out)
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sw"

@@ -28,7 +28,7 @@ from .helpers import bundle_noise_report, lockstep_paths, reconstruct_noise, spl
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 # record buffers start at one noise block per lane; these rows outgrow that twice
 CFG_GROWING = SimConfig(n_paths=3000, seed=7)
-BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments", "r_path", "a_path")
+BUNDLE_ARRAYS = ("times", "j_path", "x_path", "w_increments")
 
 
 def _deviations(sb):
@@ -42,17 +42,22 @@ def _bits(v):
     return np.asarray(v, dtype=float).view(np.uint64)
 
 
-def _assert_matches_lockstep(table, ref, cfg):
+def _assert_matches_lockstep(params, sb, table, ref, cfg):
     assert len(table) == cfg.n_paths
-    for pid, (b, arrays) in enumerate(zip(table, ref["paths"])):
+    for pid, (b, (j, x, dw, r, a)) in enumerate(zip(table, ref["paths"])):
         assert b.path_id == pid
-        assert np.array_equal(b.times, np.arange(arrays[2].size + 1) * cfg.dt)
-        for name, want in zip(BUNDLE_ARRAYS[1:], arrays):
+        assert np.array_equal(b.times, np.arange(dw.size + 1) * cfg.dt)
+        for name, want in zip(BUNDLE_ARRAYS[1:], (j, x, dw)):
             assert np.array_equal(getattr(b, name), want), (pid, name)
-        assert (b.tau, b.discounted_payoff, b.terminal_payment, b.floor,
-                b.censored) == (ref["tau"][pid], ref["principal"][pid],
-                                ref["terminal"][pid], ref["floor"][pid],
-                                ref["censored"][pid])
+        # what the table leaves out comes back from it and the solution, bitwise:
+        # the policies at each step's start, and the stopping time
+        for got, want in zip(interpolate_policy(sb, b.j_path[:-1]), (r, a)):
+            assert np.array_equal(_bits(got), _bits(want)), pid
+        assert (b.times[-1], b.discounted_payoff, b.floor, b.censored) == (
+            ref["tau"][pid], ref["principal"][pid], ref["floor"][pid], ref["censored"][pid])
+    # and the terminal payment, under the floor convention
+    settled = np.where(table.floor, 0.0, table.j[table.starts + table.steps])
+    assert np.array_equal(_bits(params.u_inv(settled)), _bits(ref["terminal"]))
 
 
 def _count_normals(monkeypatch):
@@ -95,9 +100,8 @@ def _assert_same_bundles(got, want):
     for b1, b2 in zip(got, want):
         for name in BUNDLE_ARRAYS:
             assert np.array_equal(getattr(b1, name), getattr(b2, name)), (b1.path_id, name)
-        assert (b1.path_id, b1.tau, b1.discounted_payoff, b1.terminal_payment,
-                b1.floor, b1.censored) == (b2.path_id, b2.tau, b2.discounted_payoff,
-                                           b2.terminal_payment, b2.floor, b2.censored)
+        assert (b1.path_id, b1.discounted_payoff, b1.floor, b1.censored) == (
+            b2.path_id, b2.discounted_payoff, b2.floor, b2.censored)
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +272,7 @@ class TestLockstepOracle:
             for key in ("principal", "floor", "censored"):
                 assert np.array_equal(getattr(out, key), ref[key]), key
             # an estimate allocates nothing for the agent or for recording
-            assert (out.agent, out.tau, out.terminal, out.records) == (None,) * 4
+            assert (out.agent, out.records) == (None, None)
             mc = mc_principal_value(params, sb, 0.1, cfg)
             assert mc.estimate == np.mean(ref["principal"])
             assert mc.n_floor == ref["floor"].sum()
@@ -286,7 +290,7 @@ class TestLockstepOracle:
 
     def test_recorded_paths(self, params, sb, oracle):
         for cfg, ref in oracle.items():
-            _assert_matches_lockstep(simulate_paths(params, sb, 0.1, cfg), ref, cfg)
+            _assert_matches_lockstep(params, sb, simulate_paths(params, sb, 0.1, cfg), ref, cfg)
 
     @pytest.mark.parametrize("snapshot_block", [1, 3])
     def test_paths_past_the_snapshot_block(self, params, sb, monkeypatch, snapshot_block):
@@ -299,7 +303,7 @@ class TestLockstepOracle:
             ref = lockstep_paths(params, sb, 0.1, cfg, block=4)
             table = simulate_paths(params, sb, 0.1, cfg)
             assert np.median(table.steps) > 4 * snapshot_block
-            _assert_matches_lockstep(table, ref, cfg)
+            _assert_matches_lockstep(params, sb, table, ref, cfg)
             out = sim._run_paths(params, sb, 0.1, cfg)
             for key in ("principal", "floor", "censored"):
                 assert np.array_equal(getattr(out, key), ref[key]), key
@@ -363,11 +367,16 @@ class TestPathContents:
         last = table.starts + table.steps
         begins = np.ones(table.j.size, dtype=bool)  # nodes that start a step
         begins[last] = False
+        # the stepper's lookup at the states it recorded
+        lookup = sim._Lookup(sb)
+        k, stop = lookup.locate(table.j[begins])
+        policy = lookup.policy(table.j[begins], k)
         # the references must not route through the stepper's lookup
         monkeypatch.setattr(sim, "_Lookup", None)
-        r, a = interpolate_policy(sb, table.j[begins])
-        assert np.array_equal(_bits(table.r), _bits(r))
-        assert np.array_equal(_bits(table.a), _bits(a))
+        for got, want in zip(policy, interpolate_policy(sb, table.j[begins])):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(stop, in_stop_region(sb, table.j[begins]))
+        assert not stop.any()
         ends = last[~table.floor]
         assert np.array_equal(table.stopped[ends], in_stop_region(sb, table.j[ends]))
         assert table.stopped[ends].all() and table.floor.any()
@@ -380,11 +389,10 @@ class TestPathContents:
             assert b.times.size == n + 1
             assert b.j_path.size == n + 1
             assert b.x_path.size == n + 1
-            assert b.r_path.size == n
-            assert b.a_path.size == n
-            assert b.tau == pytest.approx(b.times[-1])
 
     def test_terminal_conventions(self, params, sb, bundles):
+        # the payoff is the discounted flow less the discounted terminal
+        # payment u_inv(J_tau), which is nothing at the floor
         saw_floor = saw_stop = False
         for b in bundles:
             if b.censored:
@@ -392,13 +400,16 @@ class TestPathContents:
             elif b.floor:
                 saw_floor = True
                 assert b.j_path[-1] <= 0.0
-                assert b.terminal_payment == 0.0
             else:
                 saw_stop = True
                 assert in_stop_region(sb, b.j_path[-1])
-                # array and scalar power can differ in the last ulp
-                assert b.terminal_payment == pytest.approx(
-                    params.u_inv(b.j_path[-1]), rel=1e-14)
+            r, a = interpolate_policy(sb, b.j_path[:-1])
+            disc = np.exp(-params.delta * b.times)
+            flow = np.sum(disc[:-1] * (params.phi(a) - r)) * CFG_SMALL.dt
+            terminal = 0.0 if b.floor else params.u_inv(b.j_path[-1])
+            # the stepper discounts by repeated products and sums in step order
+            assert b.discounted_payoff == pytest.approx(flow - disc[-1] * terminal,
+                                                        rel=1e-11, abs=1e-14)
         assert saw_floor and saw_stop
 
     def test_zero_effort_state_still_loads_on_noise(self, params, sb):
@@ -407,21 +418,24 @@ class TestPathContents:
         lazy = dataclasses.replace(sb, a_star=np.zeros_like(sb.a_star))
         cfg = SimConfig(horizon=0.05, n_paths=4, seed=4)
         for b in simulate_paths(params, lazy, 0.1, cfg):
-            drift = params.lam * b.j_path[:-1] - params.u(b.r_path) + params.h(b.a_path)
+            r, a = interpolate_policy(lazy, b.j_path[:-1])
+            assert not a.any()
+            drift = params.lam * b.j_path[:-1] - params.u(r) + params.h(a)
             noise = np.diff(b.j_path) - drift * cfg.dt
             assert np.allclose(noise, params.exposure(0.0) * b.w_increments,
                                rtol=1e-9, atol=1e-15)
             assert np.all(noise != 0.0)
 
-    def test_output_consistent_with_noise(self, params, bundles):
+    def test_output_consistent_with_noise(self, params, sb, bundles):
         # X is a deterministic function of effort and the stored noise
         for b in bundles[:32]:
-            dx = params.phi(b.a_path) * CFG_SMALL.dt + params.sigma * b.w_increments
+            _, a = interpolate_policy(sb, b.j_path[:-1])
+            dx = params.phi(a) * CFG_SMALL.dt + params.sigma * b.w_increments
             assert np.allclose(np.diff(b.x_path), dx, atol=1e-15)
 
 
 class TestMartingaleProperty:
-    def test_discounted_agent_value_is_flat(self, params, bundles):
+    def test_discounted_agent_value_is_flat(self, params, sb, bundles):
         # e^{-lam(t^tau)} J + int_0^{t^tau} e^{-lam s}(U(r)-h(a)) ds has
         # constant mean across checkpoints (it is the agent's value process)
         lam, dt = params.lam, CFG_SMALL.dt
@@ -429,7 +443,8 @@ class TestMartingaleProperty:
         stats = {t: [] for t in checkpoints}
         for b in bundles:
             n = b.w_increments.size
-            flows = (params.u(b.r_path) - params.h(b.a_path)) * dt
+            r, a = interpolate_policy(sb, b.j_path[:-1])
+            flows = (params.u(r) - params.h(a)) * dt
             disc = np.exp(-lam * b.times[:-1])
             cum = np.concatenate([[0.0], np.cumsum(disc * flows)])
             for t in checkpoints:
@@ -490,28 +505,31 @@ class TestIncentives:
 
 
 class TestReconstruction:
-    def test_noise_recovery_is_roundoff(self, params, bundles):
-        worst, excluded = noise_reconstruction_report(params, bundles)
+    def test_noise_recovery_is_roundoff(self, params, sb, bundles):
+        worst, excluded = noise_reconstruction_report(params, sb, bundles)
         assert worst <= 1e-12
         assert excluded == 0  # baseline effort is strictly positive
 
     def test_report_is_the_per_bundle_loop(self, params, sb, bundles):
-        assert noise_reconstruction_report(params, bundles) == bundle_noise_report(params, bundles)
+        assert noise_reconstruction_report(params, sb, bundles) == bundle_noise_report(
+            params, sb, bundles)
         # zero effort low in the continuation region: paths that go there are excluded
         lazy = dataclasses.replace(sb, a_star=np.where(sb.grid.x < 0.09, 0.0, sb.a_star))
         table = simulate_paths(params, lazy, 0.1, SimConfig(n_paths=200, seed=5))
-        got = noise_reconstruction_report(params, table)
-        assert got == bundle_noise_report(params, table)
+        got = noise_reconstruction_report(params, lazy, table)
+        assert got == bundle_noise_report(params, lazy, table)
         assert 0 < got[1] < len(table) and got[0] > 0.0
 
-    def test_state_recovery_is_roundoff(self, params, bundles):
-        for b in bundles[:50]:
-            assert reconstruct_noise(params, b) <= 1e-12
-            assert reconstruct_state(params, b) <= 1e-12
+    def test_state_recovery_is_roundoff(self, params, sb, bundles):
+        # from the principal's information: output plus the contract, and J_0;
+        # the stored noise goes unread and the later states are only compared
+        for b in bundles[:300]:
+            blind = dataclasses.replace(b, w_increments=np.full_like(b.w_increments, np.nan))
+            assert reconstruct_state(params, sb, blind) <= 1e-12
 
-    def test_zero_effort_step_is_degenerate(self, params, bundles):
-        b = bundles[0]
-        dead = dataclasses.replace(b, a_path=np.zeros_like(b.a_path))
+    def test_zero_effort_step_is_degenerate(self, params, sb):
+        lazy = dataclasses.replace(sb, a_star=np.zeros_like(sb.a_star))
+        b = simulate_paths(params, lazy, 0.1, SimConfig(horizon=0.05, n_paths=1, seed=4))[0]
         for reconstruct in (reconstruct_noise, reconstruct_state):
             with pytest.raises(DegenerateEffort):
-                reconstruct(params, dead)
+                reconstruct(params, lazy, b)

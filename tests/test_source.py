@@ -62,3 +62,35 @@ def test_solve_and_estimate_leave_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_benchmark_counters_read_real_results(tmp_path):
+    # the traced benchmark reads its counters off the results of the wrapped
+    # calls (bench/spans.py's _COUNTERS), so a change to the data model can
+    # break it while every other test passes; the file is run from its
+    # source, not imported, so the test leaves bench/ untouched
+    import contract_solve as cs
+
+    path = ROOT / "bench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    params, grid = cs.default_params(), cs.Grid.make(n=201)
+    cfg = cs.SimConfig(n_paths=50, seed=3)
+    sol = cs.howard_solve(params, grid)
+    table = cs.simulate_paths(params, sol, 0.1, cfg)
+    csv_args = (str(tmp_path / "x.csv"), ("x",), (grid.x,))
+    cs.write_csv(*csv_args)
+    # span name -> (positional arguments, result, the counter's value)
+    calls = {
+        "hjbvi.howard_solve": ((params, grid), sol, sol.iterations),
+        "simulate.mc_principal_value": ((params, sol, 0.1, cfg),
+                                        cs.mc_principal_value(params, sol, 0.1, cfg),
+                                        cfg.n_paths),
+        "simulate.simulate_paths": ((params, sol, 0.1, cfg), table, table.steps.sum()),
+        "report_cli.write_csv": (csv_args, None, (tmp_path / "x.csv").stat().st_size),
+    }
+    counters = spans["_COUNTERS"]
+    assert set(counters) == set(calls)
+    for name, (args, out, want) in calls.items():
+        assert counters[name][1](args, out) == want, name
+    assert table.steps.sum() > len(table) > 1
