@@ -45,7 +45,6 @@ from .model import (
 )
 from .report_cli import cli_dispatch, sigma_sweep, value_of_information, write_csv
 from .simulate import (
-    DegenerateEffort,
     DeviationResult,
     IncentiveReport,
     InvalidStart,
@@ -58,8 +57,7 @@ from .simulate import (
     incentive_check,
     interpolate_policy,
     mc_principal_value,
-    noise_reconstruction_report,
-    reconstruct_state,
+    reconstruction_report,
     simulate_paths,
     summarize_paths,
 )

@@ -169,8 +169,9 @@ def _rent_candidate(params: ModelParams, dw):
     return np.where(neg, np.minimum(params.du_inv(y), _R_CAP), 0.0)
 
 
-def _effort_objective(params: ModelParams, a, dw, d2w):
-    return _diffusion(params, a) * d2w + params.h(a) * dw + params.phi(a)
+def _effort_objective(params: ModelParams, a, h_a, dw, d2w):
+    """D(a) w'' + h(a) w' + phi(a), given h_a = h(a)."""
+    return _diffusion(params, a) * d2w + h_a * dw + params.phi(a)
 
 
 def _best_effort(params: ModelParams, dw, d2w):
@@ -247,7 +248,7 @@ def _best_effort(params: ModelParams, dw, d2w):
             idx, lo, hi, Ai, Bi, t = idx[keep], lo[keep], hi[keep], Ai[keep], Bi[keep], t[keep]
     np.put(a, idx, t)
 
-    g = _effort_objective(params, a, dw, d2w)
+    g = _effort_objective(params, a, params.h(a), dw, d2w)
     ratio_cap = params.cost_impact_ratio(_A_HI)
     d_cap = _per_problem(params.sigma, lambda s: 0.5 * (s * ratio_cap) ** 2)  # D(_A_HI)
     g_cap = d_cap * d2w + params.h(_A_HI) * dw + params.phi(_A_HI)
@@ -320,10 +321,9 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
     h_0 = h_f + u_all[..., fwd] * dw_f + r_f
 
     ri, ai = r_cur[..., 1:-1], a_cur[..., 1:-1]
-    b_inc = params.lam * xi - params.u(ri) + params.h(ai)
-    dw_inc = np.where(b_inc >= 0.0, dw_f, dw_b)
-    h_inc = (_effort_objective(params, ai, dw_inc, d2w)
-             + (params.lam * xi - params.u(ri)) * dw_inc - ri)
+    drift_r, h_ai = params.lam * xi - params.u(ri), params.h(ai)  # drift = drift_r + h(a)
+    dw_inc = np.where(drift_r + h_ai >= 0.0, dw_f, dw_b)
+    h_inc = _effort_objective(params, ai, h_ai, dw_inc, d2w) + drift_r * dw_inc - ri
 
     neg_inf = -np.inf
     stack_h = np.stack([

@@ -8,9 +8,9 @@ fixtures.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
-together. When a stage first asks for a solution, every distinct sigma the
-run's stages need (cfg's own, and sweep.sigmas for the sweep) is solved in
-one howard_solve_many batch, so each sigma is solved once per run.
+together. Before the first stage, one howard_solve_many batch solves each
+distinct sigma the run's stages need (cfg's own, and sweep.sigmas for the
+sweep), and a run that simulates checks sim.x0, so a bad start writes nothing.
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
 out of range, output directory not writable), 2 solver failure.
@@ -31,8 +31,8 @@ from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
 from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve_many
 from .model import ModelParams
-from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, simulate_paths,
-                       summarize_paths)
+from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, check_start,
+                       simulate_paths, summarize_paths)
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -322,22 +322,19 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     return solved, failures
 
 
-# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps each
-# sigma the run's stages need to its SecondBestSolution, or the NoConvergence
-# of its solve, on cfg's grid, tol and max_iter. The entries are None until a
-# stage first asks; that ask solves them all in one howard_solve_many batch.
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved is _solve's
+# dict of the sigmas the run's stages need, made before the first stage runs.
 
-def _solutions(cfg: RunConfig, solved):
-    pending = [sg for sg, sol in solved.items() if sol is None]
-    if pending:
-        solved.update(zip(pending, howard_solve_many(
-            cfg.params, pending, Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n),
-            tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)))
-    return solved
+def _solve(cfg: RunConfig, sigmas) -> dict:
+    """Each sigma's SecondBestSolution, or the NoConvergence of its solve, on
+    cfg's grid, tol and max_iter, from one howard_solve_many batch."""
+    grid = Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n)
+    return dict(zip(sigmas, howard_solve_many(cfg.params, sigmas, grid, tol=cfg.howard_tol,
+                                              max_iter=cfg.howard_max_iter)))
 
 
 def _own_solution(cfg: RunConfig, solved):
-    sol = _solutions(cfg, solved)[cfg.params.sigma]
+    sol = solved[cfg.params.sigma]
     if isinstance(sol, NoConvergence):
         raise sol
     return sol
@@ -382,10 +379,7 @@ def _simulate(cfg: RunConfig, outdir, solved):
     sol = _own_solution(cfg, solved)
     sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
-    try:
-        table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
-    except InvalidStart as exc:  # a bad sim.x0, not a solver failure
-        raise ConfigError(f"sim.{exc}") from None
+    table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
     names = ("path_id", "t", "j", "x", "dw", "stopped")
     write_csv(os.path.join(outdir, "paths.csv"), names, [getattr(table, k) for k in names])
     mc = summarize_paths(cfg.params, sol, sim_cfg, table)
@@ -419,15 +413,14 @@ def _voi(cfg: RunConfig, outdir, solved):
 
 
 def _sweep(cfg: RunConfig, outdir, solved):
-    done = _solutions(cfg, solved)
-    failed = [sg for sg in cfg.sweep_sigmas if isinstance(done[sg], NoConvergence)]
-    per_sigma = [(np.full(done[sg].grid.n, sg), done[sg].grid.x, done[sg].w)
+    failed = [sg for sg in cfg.sweep_sigmas if isinstance(solved[sg], NoConvergence)]
+    per_sigma = [(np.full(solved[sg].grid.n, sg), solved[sg].grid.x, solved[sg].w)
                  for sg in cfg.sweep_sigmas if sg not in failed]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
               [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
-        "sweep_failures": [f"{sg}: NoConvergence: {done[sg]}" for sg in failed],
+        "sweep_failures": [f"{sg}: NoConvergence: {solved[sg]}" for sg in failed],
     }
     # the sweep's own solutions are freed with this stage
     for sg in cfg.sweep_sigmas:
@@ -440,7 +433,7 @@ def _own_sigma(cfg: RunConfig):
     return (cfg.params.sigma,)
 
 
-# (timings key prefix, stage, the sigmas it solves) in run order
+# (timings key prefix, stage, the sigmas it needs solved) in run order
 _FB, _SB, _VOI, _SWEEP, _SIM = (("fb", _first_best, lambda cfg: ()),
                                 ("sb", _second_best, _own_sigma),
                                 ("voi", _voi, _own_sigma),
@@ -507,10 +500,17 @@ def cli_dispatch(argv) -> int:
         return 1
 
     stages = _SUBCOMMANDS[sub]
-    solved = dict.fromkeys(sg for _, _, sigmas in stages for sg in sigmas(cfg))
+    sigmas = list(dict.fromkeys(sg for _, _, need in stages for sg in need(cfg)))
     files, diag, timings = [], {}, {}
     try:
         os.makedirs(out_dir, exist_ok=True)
+        solved = {}
+        if sigmas:
+            t0 = time.perf_counter()
+            solved = _solve(cfg, sigmas)
+            timings["solve_seconds"] = time.perf_counter() - t0
+        if _SIM in stages and not isinstance(solved[cfg.params.sigma], NoConvergence):
+            check_start(solved[cfg.params.sigma], cfg.sim_x0)  # a bad sim.x0 writes no file
         for key, stage, _ in stages:
             t0 = time.perf_counter()
             stage_files, stage_diag = stage(cfg, out_dir, solved)
@@ -531,6 +531,9 @@ def cli_dispatch(argv) -> int:
             fh.write("\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvalidStart as exc:  # a bad sim.x0, not a solver failure
+        print(f"error: sim.{exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)

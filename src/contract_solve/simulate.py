@@ -3,8 +3,10 @@
 Simulates the agent's continuation value J under the stored feedback
 policies (Euler-Maruyama), estimates the principal's value by Monte Carlo
 as an independent check on the PDE solve, tests incentive compatibility
-against deviating effort policies, and reconstructs the driving noise from
-the simulated output path.
+against deviating effort policies, and replays the principal's
+information: from output, the contract and J_0 alone, reconstruction_report
+rebuilds every path's noise and state, all paths of a table stepping
+together.
 
 A recorded path keeps only what the run alone knows: the state, output and
 noise at each node, and per path its payoff and how it ended. The policies
@@ -58,10 +60,6 @@ class PolicyOutOfRange(ValueError):
 
 class InvalidStart(PolicyOutOfRange):
     """x0 is not a continuation state: outside (0, b_hat), or on a stopped node."""
-
-
-class DegenerateEffort(RuntimeError):
-    """Noise reconstruction hit a step with zero effort (no output exposure)."""
 
 
 @dataclass(frozen=True)
@@ -158,6 +156,18 @@ def in_stop_region(solution: SecondBestSolution, x):
     return solution.stop[idx]
 
 
+def check_start(solution: SecondBestSolution, x0: float) -> None:
+    """Raise InvalidStart unless x0 is a continuation state: strictly inside
+    (0, b_hat) and not on a stopped node (in_stop_region), where a path
+    would have zero length."""
+    b_hat = solution.b_hat
+    if not 0.0 < x0 < b_hat:
+        raise InvalidStart(f"x0 = {x0:.6g} must lie strictly inside (0, b_hat = {b_hat:.6g})")
+    if in_stop_region(solution, x0):
+        raise InvalidStart(f"x0 = {x0:.6g} rounds to a stopped grid node "
+                           f"(within dx/2 of b_hat = {b_hat:.6g})")
+
+
 def _philox_start(seed: int) -> dict:
     """Philox start state for _rekey: 128-bit key (path id low word, seed
     high word), counter 0, empty buffer. One per run: _rekey writes its key.
@@ -248,14 +258,9 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     pid, j, x, dw in step order, written into four column buffers that
     double when full and are trimmed to size at the end.
     """
-    b_hat = solution.b_hat
-    if not 0.0 < x0 < b_hat:
-        raise InvalidStart(f"x0 = {x0:.6g} must lie strictly inside (0, b_hat = {b_hat:.6g})")
+    check_start(solution, x0)
     lookup = _Lookup(solution)
-    (k0,), (stop0,) = lookup.locate(np.array([float(x0)]))
-    if stop0:  # a zero-length path
-        raise InvalidStart(f"x0 = {x0:.6g} rounds to a stopped grid node "
-                           f"(within dx/2 of b_hat = {b_hat:.6g})")
+    (k0,), _ = lookup.locate(np.array([float(x0)]))
     x_max = solution.grid.x_max
     n, dt, last = cfg.n_paths, cfg.dt, cfg.n_steps - 1
     sqrt_dt = np.sqrt(dt)
@@ -522,54 +527,41 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
                            all(r.satisfied for r in rows))
 
 
-def _inverted_noise(params: ModelParams, dx, a, dt):
-    """dW = (dX - phi(a) dt) / sigma, the Euler output step inverted."""
-    return (dx - params.phi(a) * dt) / params.sigma
+def _replay(params: ModelParams, solution: SecondBestSolution, table: PathTable):
+    """Per path: the worst noise and state errors, and whether a step had zero
+    effort, the paths of the table stepping together from their J_0. Each
+    step reads the policies at the rebuilt state (interpolate_policy),
+    inverts the Euler output step for dW = (dX - phi(a) dt) / sigma and
+    takes the Euler state step; dw and j are read only to be compared. A
+    path stops at its first zero-effort step."""
+    noise, state = np.zeros(len(table)), np.zeros(len(table))
+    excluded = np.zeros(len(table), dtype=bool)
+    j = table.j[table.starts]
+    live = np.arange(len(table))
+    for k in range(int(table.steps.max(initial=0))):
+        live = live[table.steps[live] > k]
+        r, a = interpolate_policy(solution, j[live])
+        run = a > 0.0
+        excluded[live[~run]] = True
+        live, r, a = live[run], r[run], a[run]
+        row = table.starts[live] + k  # the step's first node
+        dt = table.t[row + 1] - table.t[row]
+        dw = (table.x[row + 1] - table.x[row] - params.phi(a) * dt) / params.sigma
+        jk = j[live]
+        jk = jk + (params.lam * jk - params.u(r) + params.h(a)) * dt + params.exposure(a) * dw
+        j[live] = jk
+        noise[live] = np.maximum(noise[live], np.abs(dw - table.dw[row + 1]))
+        state[live] = np.maximum(state[live], np.abs(jk - table.j[row + 1]))
+    return noise, state, excluded
 
 
-def reconstruct_state(params: ModelParams, solution: SecondBestSolution,
-                      bundle: PathBundle) -> float:
-    """Max error rebuilding the state path from the output path and the contract.
-
-    Re-runs the discrete state recursion from j_path[0], reading the
-    policies at the state rebuilt so far (interpolate_policy) and the noise
-    from X (the Euler output step inverted, as in noise_reconstruction_report).
-    Only output plus the contract enter, the principal's information, so a
-    round-off error is the discrete form of the filtration coincidence at the
-    optimum. Raises DegenerateEffort at a step with zero effort: there the
-    output carries no trace of the noise.
-    """
-    dt = np.diff(bundle.times)
-    dx = np.diff(bundle.x_path)
-    j = bundle.j_path[0]
-    err = 0.0
-    for k in range(dt.size):
-        r, a = interpolate_policy(solution, j)
-        if a <= 0.0:
-            raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
-        dw = _inverted_noise(params, dx[k], a, dt[k])
-        j = j + (params.lam * j - params.u(r) + params.h(a)) * dt[k] + params.exposure(a) * dw
-        err = max(err, abs(j - bundle.j_path[k + 1]))
-    return float(err)
-
-
-def noise_reconstruction_report(params: ModelParams, solution: SecondBestSolution,
-                                table: PathTable) -> tuple[float, int]:
-    """(max reconstruction error over clean paths, number excluded).
-
-    Rebuilds each step's noise increment from the output path by inverting
-    the Euler output step, on the table's columns, with the effort the
-    solution sets at each step's starting state. The inversion repeats the
-    step's own arithmetic, so the error is pure round-off. A path with a
-    zero-effort step is excluded: there the output carries no trace of the
-    noise. Each other path's error is its max over steps.
-    """
-    inner = np.ones(table.t.size - 1, dtype=bool)  # nodes that start a step
-    inner[table.starts[1:] - 1] = False
-    _, a = interpolate_policy(solution, table.j[:-1][inner])
-    dw = _inverted_noise(params, np.diff(table.x)[inner], a, np.diff(table.t)[inner])
-    err = np.abs(dw - table.dw[1:][inner])
-    first = table.starts - np.arange(len(table))  # each path's first step row
-    excluded = np.logical_or.reduceat(a <= 0.0, first)
-    worst = np.maximum.reduceat(err, first)[~excluded]
-    return float(np.max(worst, initial=0.0)), int(excluded.sum())
+def reconstruction_report(params: ModelParams, solution: SecondBestSolution,
+                          table: PathTable) -> tuple[float, float, int]:
+    """(worst noise error, worst state error, paths excluded) of the
+    principal's replay (_replay): only output, the contract and J_0 enter,
+    so round-off errors are the discrete form of the filtration coincidence
+    at the optimum. A path with a zero-effort step is excluded, as there the
+    output carries no trace of the noise."""
+    noise, state, excluded = _replay(params, solution, table)
+    return (float(np.max(noise[~excluded], initial=0.0)),
+            float(np.max(state[~excluded], initial=0.0)), int(excluded.sum()))

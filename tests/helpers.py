@@ -6,8 +6,8 @@ internals, so that closed-form results in the package can be checked against
 a second, dumber route. The exceptions are former production routes kept as
 bitwise oracles for their faster replacements: lockstep_paths (the Monte
 Carlo stepper), split_bundles (the per-path bundles of simulate_paths),
-reconstruct_noise and bundle_noise_report (the noise reconstruction
-report, one path at a time), discretize (the variational-inequality defect,
+replay_bundle (the principal's replay of one path, one step at a time),
+discretize (the variational-inequality defect,
 one node at a time), hamiltonian_max (the best response at one point),
 unbatched_improve (the Howard improvement sweep), whole_system_evaluate (the
 policy evaluation of one problem in one elimination) and percent_write_csv
@@ -214,38 +214,31 @@ def split_bundles(params, solution, x0, cfg):
             for pid, (n, *arrays) in enumerate(columns)]
 
 
-def reconstruct_noise(params, solution, bundle):
-    """Max error rebuilding one bundle's noise increments from its output
-    path: noise_reconstruction_report for one path, as a bitwise oracle.
+def replay_bundle(params, solution, bundle):
+    """simulate.reconstruction_report's replay of one path, one scalar step
+    at a time, as a bitwise oracle.
 
-    The effort on each step is the solution's at the step's starting state.
-    The recovered noise inverts the same Euler step, so the error is pure
-    round-off. Raises DegenerateEffort on a zero-effort step.
+    From j_path[0], each step reads the policies at the state rebuilt so far
+    (interpolate_policy), inverts the Euler output step for the noise and
+    takes the Euler state step. Returns (worst noise error, worst state
+    error) against the bundle's stored noise and states, or None at a step
+    with zero effort.
     """
-    from contract_solve import DegenerateEffort, interpolate_policy
-    from contract_solve.simulate import _inverted_noise
+    from contract_solve import interpolate_policy
 
-    _, a = interpolate_policy(solution, bundle.j_path[:-1])
-    if np.any(a <= 0.0):
-        raise DegenerateEffort(f"path {bundle.path_id} has a zero-effort step")
     dt = np.diff(bundle.times)
-    dw = _inverted_noise(params, np.diff(bundle.x_path), a, dt)
-    return float(np.max(np.abs(dw - bundle.w_increments), initial=0.0))
-
-
-def bundle_noise_report(params, solution, bundles):
-    """noise_reconstruction_report by reconstruct_noise path by path, as a
-    bitwise oracle: (max error over clean paths, number excluded)."""
-    from contract_solve import DegenerateEffort
-
-    worst = 0.0
-    excluded = 0
-    for b in bundles:
-        try:
-            worst = max(worst, reconstruct_noise(params, solution, b))
-        except DegenerateEffort:
-            excluded += 1
-    return worst, excluded
+    dx = np.diff(bundle.x_path)
+    j = bundle.j_path[0]
+    noise = state = 0.0
+    for k in range(dt.size):
+        r, a = interpolate_policy(solution, j)
+        if a <= 0.0:
+            return None
+        dw = (dx[k] - params.phi(a) * dt[k]) / params.sigma
+        j = j + (params.lam * j - params.u(r) + params.h(a)) * dt[k] + params.exposure(a) * dw
+        noise = max(noise, float(abs(dw - bundle.w_increments[k])))
+        state = max(state, float(abs(j - bundle.j_path[k + 1])))
+    return noise, state
 
 
 def hamiltonian_max(params, x, dw, d2w):
@@ -315,7 +308,7 @@ def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
     ri, ai = r_cur[1:-1], a_cur[1:-1]
     b_inc = params.lam * xi - params.u(ri) + params.h(ai)
     dw_inc = np.where(b_inc >= 0.0, dw_f, dw_b)
-    h_inc = (_effort_objective(params, ai, dw_inc, d2w)
+    h_inc = (_effort_objective(params, ai, params.h(ai), dw_inc, d2w)
              + (params.lam * xi - params.u(ri)) * dw_inc - ri)
 
     stack_h = np.stack([np.where(b_f >= 0.0, h_f, -np.inf),

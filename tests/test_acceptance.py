@@ -22,7 +22,7 @@ from contract_solve import (
     howard_solve,
     incentive_check,
     mc_principal_value,
-    noise_reconstruction_report,
+    reconstruction_report,
     residual_check,
     schedules,
     simulate_paths,
@@ -183,11 +183,11 @@ def test_10_no_profitable_deviation(params, default_solve_timed):
 
 def test_11_noise_reconstruction(params, default_solve_timed):
     sol, _ = default_solve_timed
-    bundles = simulate_paths(params, sol, 0.1, SimConfig(n_paths=2000))
-    worst, excluded = noise_reconstruction_report(params, sol, bundles)
-    _line(11, worst <= 1e-12,
-          f"max reconstruction error {worst:.2e} (<= 1e-12) over "
-          f"{len(bundles) - excluded} paths ({excluded} excluded)")
+    table = simulate_paths(params, sol, 0.1, SimConfig(n_paths=2000))
+    noise, state, excluded = reconstruction_report(params, sol, table)
+    _line(11, max(noise, state) <= 1e-12,
+          f"max reconstruction error: noise {noise:.2e}, state {state:.2e} (<= 1e-12) "
+          f"over {len(table) - excluded} paths ({excluded} excluded)")
 
 
 def test_12_value_of_information(params, default_solve_timed):

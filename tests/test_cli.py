@@ -200,12 +200,17 @@ class TestDispatch:
 
     def test_simulate_start_on_stopped_node(self, tmp_path, capsys):
         # inside (0, b_hat = 0.4655) but within dx/2 of it: the path would
-        # stop at once, which is a bad sim.x0, not a solver failure
-        code = cli_dispatch(["simulate", "--out", str(tmp_path), "--set", "sim.n_paths=30",
-                             "--set", "sim.x0=0.4654"])
-        assert code == 1
-        assert "error: sim.x0" in capsys.readouterr().err
-        assert not (tmp_path / "paths.csv").exists()
+        # stop at once, which is a bad sim.x0, not a solver failure; it is
+        # rejected right after the solve, before any stage writes
+        for sub in ("simulate", "report"):
+            out = tmp_path / sub
+            code = cli_dispatch([sub, "--out", str(out), "--set", "sim.n_paths=30",
+                                 "--set", "sim.x0=0.4654"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: sim.x0 = 0.4654 rounds to a stopped grid node "
+                "(within dx/2 of b_hat = 0.4655)\n")
+            assert not out.exists() or not os.listdir(out)
 
     def test_voi_range_exits_with_config_error(self, tmp_path, capsys):
         # beyond grid.x_max: rejected by the config itself
@@ -401,8 +406,9 @@ class TestReportComposition:
         # one batch, one solve per distinct sigma: the sweep's 1.7 and the configured 1.85
         assert len(batches) == 1 and sorted(batches[0]) == [1.7, 1.85]
         report = json.loads((rpt / "manifest.json").read_text())
-        assert set(report["timings"]) == {"fb_seconds", "sb_seconds", "voi_seconds",
-                                          "sweep_seconds", "sim_seconds", "total_seconds"}
+        assert set(report["timings"]) == {"solve_seconds", "fb_seconds", "sb_seconds",
+                                          "voi_seconds", "sweep_seconds", "sim_seconds",
+                                          "total_seconds"}
 
         files, diag, n_keys = ["manifest.json"], {}, 0
         for sub in ("first-best", "second-best", "voi", "sweep", "simulate"):
@@ -415,7 +421,8 @@ class TestReportComposition:
                     files.append(name)
             diag.update(manifest["diagnostics"])
             n_keys += len(manifest["diagnostics"])
-            assert len(manifest["timings"]) == 2
+            # the stage's own key and total_seconds, and solve_seconds if it solves
+            assert len(manifest["timings"]) == (2 if sub == "first-best" else 3)
         assert report["files"] == sorted(files)
         assert report["diagnostics"] == diag and len(diag) == n_keys
 
@@ -424,7 +431,7 @@ class TestReportComposition:
         # the run's solved dict through the simulate stage: only the
         # configured sigma stays
         cfg = load(None, [*FAST[1::2], "sweep.sigmas=1.7,2.0"])
-        solved = dict.fromkeys([1.85, 1.7, 2.0])
+        solved = report_cli._solve(cfg, [1.85, 1.7, 2.0])
         assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
         assert list(solved) == [1.85] and solved[1.85].grid.n == 201
 

@@ -8,7 +8,6 @@ import pytest
 import contract_solve
 import contract_solve.simulate as sim
 from contract_solve import (
-    DegenerateEffort,
     Grid,
     InvalidStart,
     PolicyOutOfRange,
@@ -17,13 +16,12 @@ from contract_solve import (
     incentive_check,
     interpolate_policy,
     mc_principal_value,
-    noise_reconstruction_report,
-    reconstruct_state,
+    reconstruction_report,
     simulate_paths,
     summarize_paths,
 )
 
-from .helpers import bundle_noise_report, lockstep_paths, reconstruct_noise, split_bundles
+from .helpers import lockstep_paths, replay_bundle, split_bundles
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 # record buffers start at one noise block per lane; these rows outgrow that twice
@@ -506,30 +504,32 @@ class TestIncentives:
 
 class TestReconstruction:
     def test_noise_recovery_is_roundoff(self, params, sb, bundles):
-        worst, excluded = noise_reconstruction_report(params, sb, bundles)
-        assert worst <= 1e-12
+        noise, state, excluded = reconstruction_report(params, sb, bundles)
+        assert noise <= 1e-12 and state <= 1e-12
         assert excluded == 0  # baseline effort is strictly positive
 
     def test_report_is_the_per_bundle_loop(self, params, sb, bundles):
-        assert noise_reconstruction_report(params, sb, bundles) == bundle_noise_report(
-            params, sb, bundles)
         # zero effort low in the continuation region: paths that go there are excluded
         lazy = dataclasses.replace(sb, a_star=np.where(sb.grid.x < 0.09, 0.0, sb.a_star))
-        table = simulate_paths(params, lazy, 0.1, SimConfig(n_paths=200, seed=5))
-        got = noise_reconstruction_report(params, lazy, table)
-        assert got == bundle_noise_report(params, lazy, table)
-        assert 0 < got[1] < len(table) and got[0] > 0.0
+        partly = simulate_paths(params, lazy, 0.1, SimConfig(n_paths=200, seed=5))
+        for sol, table in ((sb, bundles), (lazy, partly)):
+            noise, state, skipped = sim._replay(params, sol, table)
+            want = [replay_bundle(params, sol, b) for b in table]
+            assert [None if s else (n, e) for n, e, s in zip(noise, state, skipped)] == want
+            clean = [w for w in want if w is not None]
+            assert reconstruction_report(params, sol, table) == (
+                max(n for n, _ in clean), max(e for _, e in clean), len(table) - len(clean))
+        assert 0 < len(partly) - len(clean) < len(partly)
 
     def test_state_recovery_is_roundoff(self, params, sb, bundles):
         # from the principal's information: output plus the contract, and J_0;
         # the stored noise goes unread and the later states are only compared
-        for b in bundles[:300]:
-            blind = dataclasses.replace(b, w_increments=np.full_like(b.w_increments, np.nan))
-            assert reconstruct_state(params, sb, blind) <= 1e-12
+        blind = dataclasses.replace(bundles, dw=np.full_like(bundles.dw, np.nan))
+        noise, state, excluded = reconstruction_report(params, sb, blind)
+        assert math.isnan(noise) and excluded == 0
+        assert state == reconstruction_report(params, sb, bundles)[1] <= 1e-12
 
     def test_zero_effort_step_is_degenerate(self, params, sb):
         lazy = dataclasses.replace(sb, a_star=np.zeros_like(sb.a_star))
-        b = simulate_paths(params, lazy, 0.1, SimConfig(horizon=0.05, n_paths=1, seed=4))[0]
-        for reconstruct in (reconstruct_noise, reconstruct_state):
-            with pytest.raises(DegenerateEffort):
-                reconstruct(params, lazy, b)
+        table = simulate_paths(params, lazy, 0.1, SimConfig(horizon=0.05, n_paths=20, seed=4))
+        assert reconstruction_report(params, lazy, table) == (0.0, 0.0, len(table))

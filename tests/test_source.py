@@ -38,6 +38,26 @@ def test_benchmark_trace_targets_exist():
     assert not missing, f"benchmark trace targets missing from the package: {missing}"
 
 
+def test_benchmark_child_names_exist():
+    # bench/child.py reads contract_solve as cs and a RunConfig as cfg: every
+    # cs.<name> must exist in the package and every cfg.<field> must be a
+    # RunConfig field; the file is parsed, not imported
+    import dataclasses
+
+    import contract_solve as cs
+
+    tree = ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
+    read = {"cs": set(), "cfg": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in read:
+            read[node.value.id].add(node.attr)
+    assert read["cs"] and read["cfg"]
+    fields = {f.name for f in dataclasses.fields(cs.RunConfig)}
+    missing = sorted(f"cs.{name}" for name in read["cs"] if not hasattr(cs, name))
+    missing += sorted(f"cfg.{name}" for name in read["cfg"] - fields)
+    assert not missing, f"names bench/child.py reads are missing: {missing}"
+
+
 def test_no_numpy_strings():
     # np.strings needs numpy 2; the package declares numpy>=1.24
     pattern = re.compile(r"\b(?:np|numpy)\.strings\b")
