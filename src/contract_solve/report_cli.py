@@ -8,9 +8,10 @@ fixtures.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
-together. Before the first stage, one howard_solve_many batch solves each
-distinct sigma the run's stages need (cfg's own, and sweep.sigmas for the
-sweep), and a run that simulates checks sim.x0, so a bad start writes nothing.
+together. Before the first stage, one sigma_sweep call solves each distinct
+sigma the run's stages need (cfg's own, and sweep.sigmas for the sweep). If
+a stage needs cfg's own sigma and its solve failed, or a run that simulates
+has a bad sim.x0, the run stops there and writes nothing.
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
 out of range, output directory not writable), 2 solver failure.
@@ -29,7 +30,8 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
-from .hjbvi import Grid, NoConvergence, NonMonotoneScheme, howard_solve_many
+from . import hjbvi
+from .hjbvi import Grid, NonMonotoneScheme
 from .model import ModelParams
 from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, check_start,
                        simulate_paths, summarize_paths)
@@ -297,7 +299,8 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = 1e-9, max_iter: int = 200):
     """Second-best solves of every sigma on a shared grid, in one
-    howard_solve_many batch; a repeated sigma is solved once.
+    howard_solve_many batch; a repeated sigma is solved once. This is the
+    CLI's batch: each run solves the sigmas its stages need with one call.
 
     Returns (solved, failures): solved is a list of (sigma, solution) in
     input order, failures a list of (sigma, message). A failed sigma does
@@ -308,8 +311,8 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
         raise ValueError("sigma_sweep needs at least one sigma")
     valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
     try:
-        results = dict(zip(valid, howard_solve_many(params, valid, grid, tol=tol,
-                                                    max_iter=max_iter)))
+        results = dict(zip(valid, hjbvi.howard_solve_many(params, valid, grid, tol=tol,
+                                                          max_iter=max_iter)))
     except ValueError as exc:  # a max_iter below 1 fails every sigma
         results = dict.fromkeys(valid, exc)
     solved, failures = [], []
@@ -322,22 +325,9 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     return solved, failures
 
 
-# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved is _solve's
-# dict of the sigmas the run's stages need, made before the first stage runs.
-
-def _solve(cfg: RunConfig, sigmas) -> dict:
-    """Each sigma's SecondBestSolution, or the NoConvergence of its solve, on
-    cfg's grid, tol and max_iter, from one howard_solve_many batch."""
-    grid = Grid.make(x_max=cfg.grid_x_max, n=cfg.grid_n)
-    return dict(zip(sigmas, howard_solve_many(cfg.params, sigmas, grid, tol=cfg.howard_tol,
-                                              max_iter=cfg.howard_max_iter)))
-
-
-def _own_solution(cfg: RunConfig, solved):
-    sol = solved[cfg.params.sigma]
-    if isinstance(sol, NoConvergence):
-        raise sol
-    return sol
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps each
+# sigma the run needs to its solution or to sigma_sweep's failure message;
+# cfg's own sigma is a solution whenever a stage reads it.
 
 
 def _first_best(cfg: RunConfig, outdir, solved):
@@ -360,7 +350,7 @@ def _first_best(cfg: RunConfig, outdir, solved):
 
 
 def _second_best(cfg: RunConfig, outdir, solved):
-    sol = _own_solution(cfg, solved)
+    sol = solved[cfg.params.sigma]
     g = sol.grid
     write_csv(os.path.join(outdir, "sb_solution.csv"),
               ("x", "w", "r_star", "a_star", "stop"),
@@ -376,7 +366,7 @@ def _second_best(cfg: RunConfig, outdir, solved):
 
 
 def _simulate(cfg: RunConfig, outdir, solved):
-    sol = _own_solution(cfg, solved)
+    sol = solved[cfg.params.sigma]
     sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
                         n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
     table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
@@ -398,7 +388,7 @@ def _simulate(cfg: RunConfig, outdir, solved):
 
 
 def _voi(cfg: RunConfig, outdir, solved):
-    sol = _own_solution(cfg, solved)
+    sol = solved[cfg.params.sigma]
     xs = np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
     try:
         table = value_of_information(cfg.params, xs, sol)
@@ -413,14 +403,14 @@ def _voi(cfg: RunConfig, outdir, solved):
 
 
 def _sweep(cfg: RunConfig, outdir, solved):
-    failed = [sg for sg in cfg.sweep_sigmas if isinstance(solved[sg], NoConvergence)]
+    failed = [sg for sg in cfg.sweep_sigmas if isinstance(solved[sg], str)]
     per_sigma = [(np.full(solved[sg].grid.n, sg), solved[sg].grid.x, solved[sg].w)
                  for sg in cfg.sweep_sigmas if sg not in failed]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
               [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
-        "sweep_failures": [f"{sg}: NoConvergence: {solved[sg]}" for sg in failed],
+        "sweep_failures": [f"{sg}: {solved[sg]}" for sg in failed],
     }
     # the sweep's own solutions are freed with this stage
     for sg in cfg.sweep_sigmas:
@@ -500,17 +490,24 @@ def cli_dispatch(argv) -> int:
         return 1
 
     stages = _SUBCOMMANDS[sub]
-    sigmas = list(dict.fromkeys(sg for _, _, need in stages for sg in need(cfg)))
+    sigmas = [sg for _, _, need in stages for sg in need(cfg)]
     files, diag, timings = [], {}, {}
     try:
         os.makedirs(out_dir, exist_ok=True)
         solved = {}
         if sigmas:
             t0 = time.perf_counter()
-            solved = _solve(cfg, sigmas)
+            # no other reference to a solution outlives solved, so the sweep stage frees its own
+            solved = {sg: res for part in sigma_sweep(
+                cfg.params, sigmas, grid=Grid.make(cfg.grid_x_max, cfg.grid_n),
+                tol=cfg.howard_tol, max_iter=cfg.howard_max_iter) for sg, res in part}
             timings["solve_seconds"] = time.perf_counter() - t0
-        if _SIM in stages and not isinstance(solved[cfg.params.sigma], NoConvergence):
-            check_start(solved[cfg.params.sigma], cfg.sim_x0)  # a bad sim.x0 writes no file
+        own = solved.get(cfg.params.sigma)
+        if isinstance(own, str) and any(need is _own_sigma for _, _, need in stages):
+            print(f"solver failure: {own}", file=sys.stderr)  # before any file is written
+            return 2
+        if _SIM in stages:
+            check_start(own, cfg.sim_x0)  # a bad sim.x0 writes no file
         for key, stage, _ in stages:
             t0 = time.perf_counter()
             stage_files, stage_diag = stage(cfg, out_dir, solved)
@@ -538,7 +535,7 @@ def cli_dispatch(argv) -> int:
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
-    except (NoConvergence, NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
+    except (NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for name in manifest["files"]:

@@ -140,10 +140,11 @@ class IncentiveReport:
 
 
 def interpolate_policy(solution: SecondBestSolution, x):
-    """Piecewise-linear (r*, a*) at x; raises PolicyOutOfRange off the grid."""
+    """Piecewise-linear (r*, a*) at x; raises PolicyOutOfRange off the grid
+    or at a NaN state."""
     x = np.asarray(x, dtype=float)
     g = solution.grid
-    if np.any(x < 0.0) or np.any(x > g.x_max):
+    if not np.all((x >= 0.0) & (x <= g.x_max)):  # NaN fails both comparisons
         raise PolicyOutOfRange("state outside [0, x_max]")
     return np.interp(x, g.x, solution.r_star), np.interp(x, g.x, solution.a_star)
 

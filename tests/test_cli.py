@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +187,26 @@ class TestDispatch:
     @pytest.mark.parametrize("budget", [43, 52, 57])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
                                                                   budget):
-        # the default cascade levels take 43/9/5/4 sweeps
-        code = cli_dispatch(["second-best", "--out", str(tmp_path),
-                             "--set", f"howard.max_iter={budget}"])
-        assert code == 2
-        assert f"solver failure: NoConvergence: no convergence after {budget} iterations" \
-            in capsys.readouterr().err
+        # the default cascade levels take 43/9/5/4 sweeps; the configured
+        # sigma's failure is known after the batch, so report writes nothing
+        residual = {43: "5.152e-01", 52: "2.798e-07", 57: "7.032e-02"}[budget]
+        for sub in ("second-best", "report"):
+            out = tmp_path / sub
+            code = cli_dispatch([sub, "--out", str(out), "--set", f"howard.max_iter={budget}"])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"solver failure: NoConvergence: no convergence after {budget} iterations "
+                f"(residual {residual})\n")
+            assert not out.exists() or not os.listdir(out)
+
+    def test_sweep_lists_its_failures_and_exits_0(self, tmp_path):
+        # sigma = 1.85 is a sweep sigma here, not one a stage needs as its own
+        out = tmp_path / "sw"
+        assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=57"]) == 0
+        failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
+        assert failures == [
+            "1.5: NoConvergence: no convergence after 57 iterations (residual 1.171e+10)",
+            "1.85: NoConvergence: no convergence after 57 iterations (residual 7.032e-02)"]
 
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
         code = cli_dispatch(["simulate", "--out", str(tmp_path), *FAST,
@@ -393,17 +409,24 @@ class TestPathsCsv:
 
 class TestReportComposition:
     def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
-        batches = []
-        solve = report_cli.howard_solve_many
+        sweeps, batches = [], []
+        sweep, solve = report_cli.sigma_sweep, hjbvi.howard_solve_many
+
+        def counted_sweep(params, sigmas, **kwargs):
+            sweeps.append(list(sigmas))
+            return sweep(params, sigmas, **kwargs)
 
         def counted(params, sigmas, *args, **kwargs):
             batches.append(list(sigmas))
             return solve(params, sigmas, *args, **kwargs)
 
-        monkeypatch.setattr(report_cli, "howard_solve_many", counted)
+        monkeypatch.setattr(report_cli, "sigma_sweep", counted_sweep)
+        monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
         rpt = tmp_path / "report"
         assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
-        # one batch, one solve per distinct sigma: the sweep's 1.7 and the configured 1.85
+        # one sigma_sweep call, one batch, one solve per distinct sigma: the
+        # sweep's 1.7 and the configured 1.85
+        assert len(sweeps) == 1 and sorted(set(sweeps[0])) == [1.7, 1.85]
         assert len(batches) == 1 and sorted(batches[0]) == [1.7, 1.85]
         report = json.loads((rpt / "manifest.json").read_text())
         assert set(report["timings"]) == {"solve_seconds", "fb_seconds", "sb_seconds",
@@ -431,13 +454,36 @@ class TestReportComposition:
         # the run's solved dict through the simulate stage: only the
         # configured sigma stays
         cfg = load(None, [*FAST[1::2], "sweep.sigmas=1.7,2.0"])
-        solved = report_cli._solve(cfg, [1.85, 1.7, 2.0])
+        solved = dict(sigma_sweep(cfg.params, [1.85, 1.7, 2.0],
+                                  grid=Grid.make(cfg.grid_x_max, cfg.grid_n))[0])
         assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
         assert list(solved) == [1.85] and solved[1.85].grid.n == 201
 
+    def test_only_the_own_solution_lives_through_simulate(self, tmp_path, monkeypatch):
+        # nothing in cli_dispatch may keep the sweep's solutions alive past
+        # its stage, beside the solved dict
+        refs, live = [], []
+        solve, simulate = hjbvi.howard_solve_many, report_cli.simulate_paths
+
+        def tracked(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            refs.extend(weakref.ref(sol) for sol in out)
+            return out
+
+        def counted(*args):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in refs))
+            return simulate(*args)
+
+        monkeypatch.setattr(hjbvi, "howard_solve_many", tracked)
+        monkeypatch.setattr(report_cli, "simulate_paths", counted)
+        assert cli_dispatch(["report", "--out", str(tmp_path), *FAST,
+                             "--set", "sweep.sigmas=1.7,2.0"]) == 0
+        assert len(refs) == 3 and live == [1]
+
     def test_repeated_sweep_sigma_is_solved_once(self, tmp_path, monkeypatch):
         batches = []
-        solve = report_cli.howard_solve_many
+        solve = hjbvi.howard_solve_many
 
         def counted(params, sigmas, *args, **kwargs):
             batches.append(list(sigmas))
@@ -446,7 +492,7 @@ class TestReportComposition:
         once, twice = tmp_path / "once", tmp_path / "twice"
         assert cli_dispatch(["sweep", "--out", str(once), *FAST,
                              "--set", "sweep.sigmas=1.7,1.85"]) == 0
-        monkeypatch.setattr(report_cli, "howard_solve_many", counted)
+        monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
         assert cli_dispatch(["sweep", "--out", str(twice), *FAST,
                              "--set", "sweep.sigmas=1.7,1.7,1.85"]) == 0
         assert batches == [[1.7, 1.85]]

@@ -137,6 +137,9 @@ class TestPolicyLookup:
             interpolate_policy(sb, -1e-9)
         with pytest.raises(PolicyOutOfRange):
             interpolate_policy(sb, sb.grid.x_max + 1e-9)
+        for x in (math.nan, [0.1, math.nan]):
+            with pytest.raises(PolicyOutOfRange):
+                interpolate_policy(sb, x)
 
     @pytest.mark.parametrize("x_max", [None, 0.8])
     def test_one_lookup_is_interp_and_the_stop_flag_bitwise(self, sb, x_max):
@@ -528,6 +531,14 @@ class TestReconstruction:
         noise, state, excluded = reconstruction_report(params, sb, blind)
         assert math.isnan(noise) and excluded == 0
         assert state == reconstruction_report(params, sb, bundles)[1] <= 1e-12
+
+    def test_nan_output_is_out_of_range(self, params, sb, bundles):
+        # a NaN output makes the rebuilt state NaN: rejected, not counted as
+        # a zero-effort exclusion
+        x = bundles.x.copy()
+        x[bundles.starts[np.argmax(bundles.steps >= 2)] + 1] = math.nan  # not a path's last node
+        with pytest.raises(PolicyOutOfRange):
+            reconstruction_report(params, sb, dataclasses.replace(bundles, x=x))
 
     def test_zero_effort_step_is_degenerate(self, params, sb):
         lazy = dataclasses.replace(sb, a_star=np.zeros_like(sb.a_star))
