@@ -10,11 +10,13 @@ _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
 together. Before the first stage, one sigma_sweep call solves each distinct
 sigma the run's stages need (cfg's own, and sweep.sigmas for the sweep). If
-a stage needs cfg's own sigma and its solve failed, or a run that simulates
-has a bad sim.x0, the run stops there and writes nothing.
+a stage needs cfg's own sigma and its solve failed, a run that simulates
+has a bad sim.x0, or a run with the voi stage has a voi.x_max past the
+first-best boundary, the run stops there and writes nothing.
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
-out of range, output directory not writable), 2 solver failure.
+out of range, output directory not writable), 2 solver failure. A closed
+stdout does not change them: the list of files written is dropped.
 """
 
 from __future__ import annotations
@@ -277,6 +279,16 @@ class VoiTable:
     voi: np.ndarray
 
 
+def _check_x_grid(params: ModelParams, x_grid: np.ndarray, grid: Grid) -> None:
+    """Raise ValueError unless x_grid is non-empty and inside both solvers'
+    domains: [0, min(first-best boundary, grid.x_max)]."""
+    hi = min(continuation_boundary(params), grid.x_max)
+    if x_grid.size == 0:
+        raise ValueError("x_grid is empty")
+    if np.any(x_grid < 0.0) or np.any(x_grid > hi):
+        raise ValueError(f"x_grid must lie within [0, {hi:.6g}]")
+
+
 def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
     """Full-information value minus second-best value on x_grid.
 
@@ -286,11 +298,7 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
     """
     x_grid = np.asarray(x_grid, dtype=float)
     grid = solution.grid
-    hi = min(continuation_boundary(params), grid.x_max)
-    if x_grid.size == 0:
-        raise ValueError("x_grid is empty")
-    if np.any(x_grid < 0.0) or np.any(x_grid > hi):
-        raise ValueError(f"x_grid must lie within [0, {hi:.6g}]")
+    _check_x_grid(params, x_grid, grid)
     v_fb = np.array([principal_value_fb(params, float(x)).value for x in x_grid])
     v_sb = np.interp(x_grid, grid.x, solution.w)
     return VoiTable(x=x_grid, v_fb=v_fb, v_sb=v_sb, voi=v_fb - v_sb)
@@ -387,14 +395,13 @@ def _simulate(cfg: RunConfig, outdir, solved):
     return ["paths.csv"], diag
 
 
+def _voi_x(cfg: RunConfig):
+    return np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
+
+
 def _voi(cfg: RunConfig, outdir, solved):
     sol = solved[cfg.params.sigma]
-    xs = np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
-    try:
-        table = value_of_information(cfg.params, xs, sol)
-    except ValueError as exc:
-        # config keeps xs <= grid.x_max; the first-best boundary is known only once solved
-        raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
+    table = value_of_information(cfg.params, _voi_x(cfg), sol)
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
               (table.x, table.v_fb, table.v_sb, table.voi))
@@ -479,7 +486,7 @@ def cli_dispatch(argv) -> int:
         print(_USAGE, file=sys.stderr, end="")
         return 1
     if sub is None:
-        print(_USAGE, end="")
+        _print_out(_USAGE)
         return 0
 
     out_dir = os.environ.get("CONTRACT_SOLVE_OUT") or out_dir or "out"
@@ -506,6 +513,12 @@ def cli_dispatch(argv) -> int:
         if isinstance(own, str) and any(need is _own_sigma for _, _, need in stages):
             print(f"solver failure: {own}", file=sys.stderr)  # before any file is written
             return 2
+        if _VOI in stages:  # a bad voi.x_max writes no file
+            try:
+                _check_x_grid(cfg.params, _voi_x(cfg), own.grid)
+            except ValueError as exc:
+                # config keeps voi.x_max <= grid.x_max; the first-best boundary needs a solve
+                raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
         if _SIM in stages:
             check_start(own, cfg.sim_x0)  # a bad sim.x0 writes no file
         for key, stage, _ in stages:
@@ -538,9 +551,20 @@ def cli_dispatch(argv) -> int:
     except (NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    for name in manifest["files"]:
-        print(os.path.join(out_dir, name))
+    _print_out("".join(os.path.join(out_dir, name) + "\n" for name in manifest["files"]))
     return 0
+
+
+def _print_out(text: str) -> None:
+    """Write text to stdout. A reader that closed it (a pipe into head) is
+    not an error: stdout then goes to the null device, so neither this write
+    nor the interpreter's flush at exit raises."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main() -> None:

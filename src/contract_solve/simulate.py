@@ -31,6 +31,15 @@ and redraws the blocks the path has already used, or, from _SNAPSHOT_BLOCK
 on, restores the state the lane saved at its previous refill, so a path's
 stream work stays linear in its length.
 
+Estimates (mc_principal_value, and each arm of incentive_check) shard the
+paths by id across the CPUs in the process's affinity mask (_run_sharded):
+this process steps the first contiguous range of ids and one forked child
+each other range, and a child sends back only its paths' payoffs and end
+flags. Since a path's stream is keyed by its id, the results are bitwise
+those of one process for any shard count. A recording run (simulate_paths)
+stays in one process: merging the children's step records here would hold
+them twice at once and raise the peak memory of the run behind paths.csv.
+
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
 contract's drift plus the exposure times the output surprise. The agent's
@@ -39,8 +48,11 @@ realized cost uses the deviated effort.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import os
+import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -244,8 +256,10 @@ class _Paths:
 
 
 def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
-               cfg: SimConfig, effort_map=None, agent=False, record=False) -> _Paths:
-    """Step all cfg.n_paths paths through a pool of _CHUNK lanes.
+               cfg: SimConfig, effort_map=None, agent=False, record=False,
+               first=0, stop=None) -> _Paths:
+    """Step the paths with ids first..stop - 1 (default: all cfg.n_paths)
+    through a pool of _CHUNK lanes, from an x0 that passed check_start.
 
     A lane's own step count picks its noise column and its censoring step;
     its noise row is noise[row[lane]], refilled with its path's next
@@ -257,21 +271,22 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     compacted, the noise buffer is not). The principal's payoff is always
     accumulated; agent adds the agent's, and record adds the step records:
     pid, j, x, dw in step order, written into four column buffers that
-    double when full and are trimmed to size at the end.
+    double when full and are trimmed to size at the end. The per-path
+    arrays hold path first at index 0.
     """
-    check_start(solution, x0)
+    stop = cfg.n_paths if stop is None else stop
     lookup = _Lookup(solution)
     (k0,), _ = lookup.locate(np.array([float(x0)]))
     x_max = solution.grid.x_max
-    n, dt, last = cfg.n_paths, cfg.dt, cfg.n_steps - 1
+    dt, last = cfg.dt, cfg.n_steps - 1
     sqrt_dt = np.sqrt(dt)
     decay_d = np.exp(-params.delta * dt)
     decay_l = np.exp(-params.lam * dt)
-    out = _Paths(n, agent)
+    out = _Paths(stop - first, agent)
 
-    width = min(_CHUNK, n)
-    pid = np.arange(width)
-    next_pid = width
+    width = min(_CHUNK, stop - first)
+    pid = np.arange(first, first + width)
+    next_pid = first + width
     gen = np.random.Generator(np.random.Philox(0))
     start = _philox_start(cfg.seed)
     skipped = np.empty((_SNAPSHOT_BLOCK - 1) * _NOISE_BLOCK)
@@ -291,7 +306,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         # recorded path ids take the narrowest unsigned type: the records set
         # the peak memory of a recording run
         cap, used = width * _NOISE_BLOCK, 0
-        rec = [np.empty(cap, np.min_scalar_type(n))] + [np.empty(cap) for _ in range(3)]
+        rec = [np.empty(cap, np.min_scalar_type(stop))] + [np.empty(cap) for _ in range(3)]
 
     while pid.size:
         col = step % _NOISE_BLOCK
@@ -351,7 +366,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
             continue
         # the floor settles at zero payment; the stored state stays the
         # raw Euler value so path statistics see the true increments
-        ids = pid[ended]
+        ids = pid[ended] - first
         fl = floored[ended]
         j_settle = np.where(fl, 0.0, j[ended])
         xi = params.u_inv(j_settle)
@@ -361,7 +376,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         out.floor[ids] = fl
         out.censored[ids] = ~done[ended]
 
-        fresh = ended[:n - next_pid]
+        fresh = ended[:stop - next_pid]
         if fresh.size:
             pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
             next_pid += fresh.size
@@ -389,6 +404,90 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         for buf in rec:
             buf.resize(used, refcheck=False)
         out.records = rec
+    return out
+
+
+def _fork_shard(run):
+    """Fork a child that pickles what run() returns or raises into a pipe
+    (nothing if that fails) and exits; returns (child pid, the read end).
+
+    Fork, not spawn: a spawned worker would import numpy and receive the
+    solution first, which takes longer than a shard's run. A child inherits
+    only the calling thread, so run() must need no lock another thread may
+    hold; the stepper's element-wise numpy code takes none."""
+    r, w = os.pipe()
+    try:
+        child = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if child == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps(run(), protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)  # no cleanup of the parent's state runs in the child
+    os.close(w)
+    return child, os.fdopen(r, "rb")
+
+
+def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
+                 cfg: SimConfig, effort_map=None, agent=False) -> _Paths:
+    """_run_paths' per-path results for all cfg.n_paths paths, from k =
+    min(CPUs in the affinity mask, n_paths // _CHUNK) contiguous id ranges,
+    so each fills at least one lane pool: this process runs the first, a
+    forked child each other one. Serial when k <= 1 or without os.fork or
+    os.sched_getaffinity. A child's exception is raised here, and no child
+    outlives the call: those not yet reaped are killed and reaped."""
+    check_start(solution, x0)
+    n, k = cfg.n_paths, 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = min(len(os.sched_getaffinity(0)), n // _CHUNK)
+    if k <= 1:
+        return _run_paths(params, solution, x0, cfg, effort_map, agent)
+    bounds = [n * i // k for i in range(k + 1)]
+
+    def run(i):
+        part = _run_paths(params, solution, x0, cfg, effort_map, agent,
+                          first=bounds[i], stop=bounds[i + 1])
+        return part.principal, part.agent, part.floor, part.censored
+
+    children = []  # (pid, pipe) of each child not yet reaped, in shard order
+    try:
+        for i in range(1, k):
+            children.append(_fork_shard(functools.partial(run, i)))
+        parts = [run(0)]
+        while children:
+            child, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(child, 0)
+            children.pop(0)
+            # the bytes come from this process's own fork
+            part = pickle.loads(data) if data else RuntimeError(
+                f"shard {len(parts)} of {k} ended without a result (wait status {status})")
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    finally:
+        if children:  # this call is raising
+            import signal  # only here: numpy does not load it, and it costs ~40 kB
+
+            for child, pipe in children:
+                pipe.close()
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+    out = _Paths(0, agent)
+    out.principal, out.agent, out.floor, out.censored = (
+        None if cols[0] is None else np.concatenate(cols) for cols in zip(*parts))
     return out
 
 
@@ -441,6 +540,7 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     the horizon (flagged censored; its payoff uses the obstacle value at the
     horizon state).
     """
+    check_start(solution, x0)
     out = _run_paths(params, solution, x0, cfg, record=True)
     pids, j, x, dw = out.records
     out.records = None  # so each step-order column is freed once its column is built
@@ -485,7 +585,7 @@ def _mc_value(params, solution, cfg, payoffs, n_floor, n_censored) -> MCValue:
 def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
                        x0: float, cfg: SimConfig) -> MCValue:
     """Sample mean and standard error of the discounted principal payoff."""
-    out = _run_paths(params, solution, x0, cfg)
+    out = _run_sharded(params, solution, x0, cfg)
     return _mc_value(params, solution, cfg, out.principal, int(out.floor.sum()),
                      int(out.censored.sum()))
 
@@ -498,7 +598,7 @@ def summarize_paths(params: ModelParams, solution: SecondBestSolution,
 
 
 def _agent_objectives(params, solution, x0, cfg, effort_map):
-    return _run_paths(params, solution, x0, cfg, effort_map=effort_map, agent=True).agent
+    return _run_sharded(params, solution, x0, cfg, effort_map, agent=True).agent
 
 
 def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float,

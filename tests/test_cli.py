@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -150,6 +152,28 @@ class TestDispatch:
         assert cli_dispatch(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_changes_nothing(self, tmp_path, unbuffered):
+        # a pipe whose reader has gone; buffered, the list fails only at exit's flush
+        src = str(Path(contract_solve.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        code = "from contract_solve.report_cli import main; main()"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            runs = [subprocess.run([sys.executable, "-c", code, *argv], stdout=write,
+                                   stderr=subprocess.PIPE, env=env, timeout=120)
+                    for argv in (["--help"], ["first-best", "--out", str(tmp_path / "closed"),
+                                              *FAST])]
+        finally:
+            os.close(write)
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+        assert cli_dispatch(["first-best", "--out", str(tmp_path / "open"), *FAST]) == 0
+        for name in ("fb_value.csv", "fb_schedule.csv"):
+            assert ((tmp_path / "closed" / name).read_bytes()
+                    == (tmp_path / "open" / name).read_bytes())
+        assert sorted(os.listdir(tmp_path / "closed")) == sorted(os.listdir(tmp_path / "open"))
+
     def test_unknown_subcommand(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err
@@ -233,12 +257,16 @@ class TestDispatch:
         code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "voi.x_max=1.5"])
         assert code == 1
         assert "error: voi.x_max" in capsys.readouterr().err
-        # inside a wide grid but past the first-best boundary (about 4.55)
-        code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "grid.x_max=6",
-                             "--set", "voi.x_max=5"])
-        assert code == 1
-        assert "error: voi.x_max" in capsys.readouterr().err
-        assert not (tmp_path / "voi.csv").exists()
+        # inside a wide grid but past the first-best boundary (about 4.55):
+        # caught right after the batch solve, so no stage writes a file
+        for sub in ("voi", "report"):
+            out = tmp_path / sub
+            code = cli_dispatch([sub, "--out", str(out), *FAST, "--set", "grid.x_max=5",
+                                 "--set", "voi.x_max=4.9"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n")
+            assert not out.exists() or not os.listdir(out)
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         # the config rejects it before any stage runs: report writes nothing

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -250,6 +251,85 @@ class TestDeterminism:
         a = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=1))
         b = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=2))
         assert a.estimate != b.estimate
+
+
+def _count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call of this process."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _set_cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShards:
+    """Estimates split by path id across forked processes: the serial run's
+    bits, and no process left behind."""
+
+    CFG = SimConfig(n_paths=400, seed=123)  # with 64-lane pools: up to 6 shards
+
+    def _outputs(self, params, sb):
+        return (mc_principal_value(params, sb, 0.1, self.CFG),
+                incentive_check(params, sb, 0.1, self.CFG, _deviations(sb)))
+
+    def test_shard_count_does_not_change_results(self, params, sb, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        forks = _count_forks(monkeypatch)
+        _set_cpus(monkeypatch, 1)
+        serial = self._outputs(params, sb)
+        assert not forks
+        for k in (2, 3, 5):
+            _set_cpus(monkeypatch, k)
+            forks.clear()
+            assert self._outputs(params, sb) == serial, k
+            assert len(forks) == 5 * (k - 1)  # one estimate and four incentive arms
+            _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", ["child", "parent"])
+    def test_a_shard_error_is_raised_and_no_child_is_left(self, params, sb, monkeypatch,
+                                                          failing):
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        _set_cpus(monkeypatch, 3)
+        run_paths = sim._run_paths
+
+        def failing_run_paths(*args, first=0, **kwargs):
+            if (first > 0) == (failing == "child"):
+                raise PolicyOutOfRange(f"failed from path {first}")
+            return run_paths(*args, first=first, **kwargs)
+
+        monkeypatch.setattr(sim, "_run_paths", failing_run_paths)
+        with pytest.raises(PolicyOutOfRange) as info:
+            mc_principal_value(params, sb, 0.1, self.CFG)
+        # the first shard to fail in id order: the parent's own, or the first child's
+        assert type(info.value) is PolicyOutOfRange
+        assert str(info.value) == f"failed from path {0 if failing == 'parent' else 133}"
+        _assert_no_child_left()
+
+    def test_fewer_than_two_pools_of_paths_run_in_process(self, params, sb, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        _set_cpus(monkeypatch, 8)
+        n = 2 * sim._CHUNK
+        mc_principal_value(params, sb, 0.1, SimConfig(n_paths=n - 1, seed=1))
+        assert not forks
+        mc_principal_value(params, sb, 0.1, SimConfig(n_paths=n, seed=1))
+        assert len(forks) == 1
+        # a platform without the affinity mask runs every estimate in process
+        monkeypatch.delattr(os, "sched_getaffinity")
+        mc_principal_value(params, sb, 0.1, SimConfig(n_paths=n, seed=1))
+        assert len(forks) == 1
+        _assert_no_child_left()
 
 
 class TestLockstepOracle:
