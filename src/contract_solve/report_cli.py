@@ -9,10 +9,11 @@ fixtures.
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
 together. Before the first stage, one sigma_sweep call solves each distinct
-sigma the run's stages need (cfg's own, and sweep.sigmas for the sweep). If
-a stage needs cfg's own sigma and its solve failed, a run that simulates
-has a bad sim.x0, or a run with the voi stage has a voi.x_max past the
-first-best boundary, the run stops there and writes nothing.
+sigma the run's stages need (cfg's own, and sweep.sigmas for the sweep).
+The stages write into a staging directory in the output directory, and
+only a run whose every stage succeeded moves the files out of it, the
+manifest last: a run that fails writes nothing (a killed one can leave
+its .contract-solve-* staging directory behind).
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
 out of range, output directory not writable), 2 solver failure. A closed
@@ -24,7 +25,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -35,8 +38,7 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid, NonMonotoneScheme
 from .model import ModelParams
-from .simulate import (InvalidStart, PolicyOutOfRange, SimConfig, check_start,
-                       simulate_paths, summarize_paths)
+from .simulate import InvalidStart, PolicyOutOfRange, SimConfig, simulate_paths, summarize_paths
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -240,9 +242,11 @@ def _csv_rows(columns, buf: bytearray) -> bytearray:
 def write_csv(path, header, columns) -> None:
     """One header row plus data rows, LF endings, 17 significant digits.
 
-    columns is one table of equal-length columns (arrays or sequences),
-    written row by row; columns that differ in length raise ValueError, and
-    a table of zero rows (or no columns) gives the header alone. Each
+    columns is one table of equal-length 1-D columns (arrays or sequences),
+    one per header name, written row by row; a column count other than the
+    header's, a column of another shape or columns that differ in length
+    raise ValueError before the file is opened. A table of zero rows (or no
+    columns) gives the header alone. Each
     column's dtype picks its format: "%d" for integers and bools (1/0),
     "%.17g" for floats, str() otherwise (text must hold no NUL character).
     The rows are formatted _CSV_BLOCK at a time into one reused row buffer.
@@ -260,6 +264,10 @@ def write_csv(path, header, columns) -> None:
     take the fast path.
     """
     columns = [np.asarray(col) for col in columns]
+    if columns and len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if any(col.ndim != 1 for col in columns):
+        raise ValueError(f"columns must be 1-D, not of shapes {[col.shape for col in columns]}")
     rows = len(columns[0]) if columns else 0
     if any(len(col) != rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
@@ -279,26 +287,21 @@ class VoiTable:
     voi: np.ndarray
 
 
-def _check_x_grid(params: ModelParams, x_grid: np.ndarray, grid: Grid) -> None:
-    """Raise ValueError unless x_grid is non-empty and inside both solvers'
-    domains: [0, min(first-best boundary, grid.x_max)]."""
-    hi = min(continuation_boundary(params), grid.x_max)
-    if x_grid.size == 0:
-        raise ValueError("x_grid is empty")
-    if np.any(x_grid < 0.0) or np.any(x_grid > hi):
-        raise ValueError(f"x_grid must lie within [0, {hi:.6g}]")
-
-
 def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
     """Full-information value minus second-best value on x_grid.
 
     The second-best value is linearly interpolated from the supplied
     solution on its own grid; the full-information value is solved point by
-    point. x_grid must stay inside both solvers' domains.
+    point. x_grid must be non-empty and inside both solvers' domains,
+    [0, min(continuation_boundary, grid.x_max)], or ValueError is raised.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     grid = solution.grid
-    _check_x_grid(params, x_grid, grid)
+    hi = min(continuation_boundary(params), grid.x_max)
+    if x_grid.size == 0:
+        raise ValueError("x_grid is empty")
+    if np.any(x_grid < 0.0) or np.any(x_grid > hi):
+        raise ValueError(f"x_grid must lie within [0, {hi:.6g}]")
     v_fb = np.array([principal_value_fb(params, float(x)).value for x in x_grid])
     v_sb = np.interp(x_grid, grid.x, solution.w)
     return VoiTable(x=x_grid, v_fb=v_fb, v_sb=v_sb, voi=v_fb - v_sb)
@@ -312,17 +315,24 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
 
     Returns (solved, failures): solved is a list of (sigma, solution) in
     input order, failures a list of (sigma, message). A failed sigma does
-    not abort the sweep.
+    not abort the sweep: a NonMonotoneScheme, which howard_solve_many raises
+    for its whole batch, sends each sigma to a batch of its own, so only the
+    sigmas that raise it fail and the others keep their bitwise solutions.
     """
     sigmas = [float(sg) for sg in sigmas]
     if not sigmas:
         raise ValueError("sigma_sweep needs at least one sigma")
+
+    def solve(batch):
+        try:
+            return hjbvi.howard_solve_many(params, batch, grid, tol=tol, max_iter=max_iter)
+        except ValueError as exc:  # a max_iter below 1 fails every sigma
+            return [exc] * len(batch)
+        except NonMonotoneScheme as exc:
+            return [exc] if len(batch) == 1 else [res for sg in batch for res in solve([sg])]
+
     valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
-    try:
-        results = dict(zip(valid, hjbvi.howard_solve_many(params, valid, grid, tol=tol,
-                                                          max_iter=max_iter)))
-    except ValueError as exc:  # a max_iter below 1 fails every sigma
-        results = dict.fromkeys(valid, exc)
+    results = dict(zip(valid, solve(valid)))
     solved, failures = [], []
     for sg in sigmas:
         res = results.get(sg, ValueError("sigma must be > 0"))
@@ -395,13 +405,12 @@ def _simulate(cfg: RunConfig, outdir, solved):
     return ["paths.csv"], diag
 
 
-def _voi_x(cfg: RunConfig):
-    return np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n)
-
-
 def _voi(cfg: RunConfig, outdir, solved):
     sol = solved[cfg.params.sigma]
-    table = value_of_information(cfg.params, _voi_x(cfg), sol)
+    try:
+        table = value_of_information(cfg.params, np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n), sol)
+    except ValueError as exc:  # the config keeps voi.x_max <= grid.x_max, not the boundary
+        raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),
               (table.x, table.v_fb, table.v_sb, table.voi))
@@ -499,8 +508,10 @@ def cli_dispatch(argv) -> int:
     stages = _SUBCOMMANDS[sub]
     sigmas = [sg for _, _, need in stages for sg in need(cfg)]
     files, diag, timings = [], {}, {}
+    staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".contract-solve-", dir=out_dir)
         solved = {}
         if sigmas:
             t0 = time.perf_counter()
@@ -511,19 +522,11 @@ def cli_dispatch(argv) -> int:
             timings["solve_seconds"] = time.perf_counter() - t0
         own = solved.get(cfg.params.sigma)
         if isinstance(own, str) and any(need is _own_sigma for _, _, need in stages):
-            print(f"solver failure: {own}", file=sys.stderr)  # before any file is written
+            print(f"solver failure: {own}", file=sys.stderr)
             return 2
-        if _VOI in stages:  # a bad voi.x_max writes no file
-            try:
-                _check_x_grid(cfg.params, _voi_x(cfg), own.grid)
-            except ValueError as exc:
-                # config keeps voi.x_max <= grid.x_max; the first-best boundary needs a solve
-                raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
-        if _SIM in stages:
-            check_start(own, cfg.sim_x0)  # a bad sim.x0 writes no file
         for key, stage, _ in stages:
             t0 = time.perf_counter()
-            stage_files, stage_diag = stage(cfg, out_dir, solved)
+            stage_files, stage_diag = stage(cfg, staging, solved)
             timings[f"{key}_seconds"] = time.perf_counter() - t0
             files += stage_files
             diag.update(stage_diag)
@@ -535,10 +538,12 @@ def cli_dispatch(argv) -> int:
             "diagnostics": diag,
             "timings": {**timings, "total_seconds": time.perf_counter() - t_start},
         }
-        with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
+        with open(os.path.join(staging, "manifest.json"), "w", encoding="utf-8",
                   newline="") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for name in files + ["manifest.json"]:  # the manifest last: it marks a whole run
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -551,6 +556,9 @@ def cli_dispatch(argv) -> int:
     except (NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     _print_out("".join(os.path.join(out_dir, name) + "\n" for name in manifest["files"]))
     return 0
 

@@ -272,7 +272,8 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     accumulated; agent adds the agent's, and record adds the step records:
     pid, j, x, dw in step order, written into four column buffers that
     double when full and are trimmed to size at the end. The per-path
-    arrays hold path first at index 0.
+    arrays hold path first at index 0. An effort from effort_map that is
+    negative or not finite raises ValueError.
     """
     stop = cfg.n_paths if stop is None else stop
     lookup = _Lookup(solution)
@@ -334,6 +335,10 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
             a_applied, phi_applied, h_applied = a, phi_a, h_a
         else:
             a_applied = np.asarray(effort_map(j), dtype=float)
+            if not (a_applied.min() >= 0.0 and a_applied.max() < np.inf):  # NaN fails too
+                bad = a_applied[~((a_applied >= 0.0) & (a_applied < np.inf))]
+                raise ValueError(f"effort map gave a = {float(bad.flat[0])}: "
+                                 f"efforts must be finite and >= 0")
             phi_applied, h_applied = params.phi(a_applied), params.h(a_applied)
             j_new += params.cost_impact_ratio(a) * (phi_applied - phi_a) * dt
         j_new += params.exposure(a) * dw
@@ -605,10 +610,12 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
                     cfg: SimConfig, deviations) -> IncentiveReport:
     """Monte Carlo test that no tested effort deviation beats the contract.
 
-    Each deviation is a map x -> a >= 0 applied to the book-kept state. All
-    arms share the per-path noise streams, so the baseline-minus-deviation
-    margin is a paired estimate with its own (much smaller) standard error.
-    A deviation is flagged when its margin falls below -2 margin_se.
+    Each deviation is a map x -> a >= 0 applied to the book-kept state; an
+    effort it gives that is negative or not finite raises ValueError, from a
+    forked shard as from this process. All arms share the per-path noise
+    streams, so the baseline-minus-deviation margin is a paired estimate
+    with its own (much smaller) standard error. A deviation is flagged when
+    its margin falls below -2 margin_se.
     """
     base = _agent_objectives(params, solution, x0, cfg, None)
     rows = []

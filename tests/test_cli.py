@@ -21,7 +21,7 @@ from contract_solve import (
     sigma_sweep,
     value_of_information,
 )
-from contract_solve import SimConfig, hjbvi, report_cli
+from contract_solve import PolicyOutOfRange, SimConfig, first_best, hjbvi, report_cli
 from contract_solve.config import parse_lines, parse_overrides
 
 from .helpers import percent_write_csv, split_bundles
@@ -142,6 +142,21 @@ class TestSigmaSweep:
         assert solved == []
         assert "NoConvergence" in failures[0][1]
 
+    @pytest.mark.parametrize("bad", [1e300, np.inf])
+    def test_a_non_monotone_sigma_fails_alone(self, params, bad):
+        # howard_solve_many raises NonMonotoneScheme for its whole batch
+        g = Grid.make(x_max=1.0, n=201)
+        with pytest.raises(NonMonotoneScheme):
+            hjbvi.howard_solve_many(params, [1.85, bad], g)
+        solved, failures = sigma_sweep(params, [1.85, bad, 1.7], grid=g)
+        assert failures == [(bad, "NonMonotoneScheme: non-finite or non-positive diagonal")]
+        alone = dict(sigma_sweep(params, [1.85, 1.7], grid=g)[0])
+        assert [sg for sg, _ in solved] == [1.85, 1.7]
+        for sg, sol in solved:
+            for name in ("w", "r_star", "a_star", "stop"):
+                assert np.array_equal(getattr(sol, name), getattr(alone[sg], name)), name
+            assert (sol.b_hat, sol.iterations) == (alone[sg].b_hat, alone[sg].iterations)
+
     def test_empty_list_rejected(self, params, grid):
         with pytest.raises(ValueError):
             sigma_sweep(params, [], grid=grid)
@@ -232,6 +247,19 @@ class TestDispatch:
             "1.5: NoConvergence: no convergence after 57 iterations (residual 1.171e+10)",
             "1.85: NoConvergence: no convergence after 57 iterations (residual 7.032e-02)"]
 
+    def test_a_non_monotone_sweep_sigma_is_a_failure_entry(self, tmp_path):
+        alone = tmp_path / "alone"
+        assert cli_dispatch(["sweep", "--out", str(alone), *FAST,
+                             "--set", "sweep.sigmas=1.85"]) == 0
+        for sub in ("sweep", "report"):
+            out = tmp_path / sub
+            assert cli_dispatch([sub, "--out", str(out), *FAST,
+                                 "--set", "sweep.sigmas=1.85,1e300"]) == 0
+            diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+            assert diag["sweep_failures"] == [
+                "1e+300: NonMonotoneScheme: non-finite or non-positive diagonal"]
+            assert (out / "sweep.csv").read_bytes() == (alone / "sweep.csv").read_bytes()
+
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
         code = cli_dispatch(["simulate", "--out", str(tmp_path), *FAST,
                              "--set", "sim.x0=0.8"])
@@ -240,8 +268,8 @@ class TestDispatch:
 
     def test_simulate_start_on_stopped_node(self, tmp_path, capsys):
         # inside (0, b_hat = 0.4655) but within dx/2 of it: the path would
-        # stop at once, which is a bad sim.x0, not a solver failure; it is
-        # rejected right after the solve, before any stage writes
+        # stop at once, which is a bad sim.x0, not a solver failure; the
+        # failed run publishes none of the files its stages wrote
         for sub in ("simulate", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), "--set", "sim.n_paths=30",
@@ -258,7 +286,7 @@ class TestDispatch:
         assert code == 1
         assert "error: voi.x_max" in capsys.readouterr().err
         # inside a wide grid but past the first-best boundary (about 4.55):
-        # caught right after the batch solve, so no stage writes a file
+        # the voi stage fails, and the run publishes no file
         for sub in ("voi", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), *FAST, "--set", "grid.x_max=5",
@@ -276,6 +304,66 @@ class TestDispatch:
             assert code == 1
             assert "sweep.sigmas" in capsys.readouterr().err
             assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("failing", range(5))
+    def test_a_failed_stage_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, failing):
+        # the stage at index failing writes its files, then raises: earlier
+        # stages have written theirs too, yet out keeps exactly its old bytes
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "paths.csv").write_bytes(b"path_id\nold\n")
+        (out / "notes.txt").write_bytes(b"kept\n")
+
+        def contents():  # a left-over staging directory shows as None
+            return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+        before = contents()
+        stages = report_cli._SUBCOMMANDS["report"]
+        key, stage, need = stages[failing]
+        written = []
+
+        def fail(exc):
+            def failing_stage(cfg, outdir, solved):
+                written.extend(stage(cfg, outdir, solved)[0])
+                raise exc
+            return stages[:failing] + ((key, failing_stage, need),) + stages[failing + 1:]
+
+        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report",
+                            fail(PolicyOutOfRange("injected failure")))
+        assert cli_dispatch(["report", "--out", str(out), *FAST]) == 2
+        assert capsys.readouterr().err == "solver failure: PolicyOutOfRange: injected failure\n"
+        assert written and contents() == before
+        # an exception no exit code covers propagates, and still leaves nothing
+        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report", fail(KeyError("unexpected")))
+        with pytest.raises(KeyError):
+            cli_dispatch(["report", "--out", str(out), *FAST])
+        assert contents() == before
+        # a run that succeeds replaces paths.csv and leaves only what it lists
+        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report", stages)
+        (out / "notes.txt").unlink()
+        assert cli_dispatch(["report", "--out", str(out), *FAST]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == manifest["files"]
+        assert (out / "paths.csv").read_bytes() != before["paths.csv"]
+
+    def test_voi_finds_the_first_best_boundary_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        boundary = report_cli.continuation_boundary
+
+        def counted(params):
+            calls.append(params.sigma)
+            return boundary(params)
+
+        monkeypatch.setattr(report_cli, "continuation_boundary", counted)
+        monkeypatch.setattr(first_best, "continuation_boundary", counted)
+        assert cli_dispatch(["voi", "--out", str(tmp_path / "ok"), *FAST]) == 0
+        assert calls == [1.85]
+        calls.clear()
+        assert cli_dispatch(["voi", "--out", str(tmp_path / "bad"), *FAST,
+                             "--set", "grid.x_max=5", "--set", "voi.x_max=4.9"]) == 1
+        assert "x_grid must lie within" in capsys.readouterr().err
+        assert calls == [1.85]
+        assert "check_start" not in vars(report_cli)
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sw"

@@ -127,3 +127,18 @@ def test_no_blocks_writes_the_header_only(tmp_path):
 def test_ragged_block_names_the_lengths(tmp_path):
     with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
         write_csv(tmp_path / "bad.csv", ("a", "b"), ([1, 2, 3], [1.0, 2.0]))
+
+
+def test_header_and_column_counts_must_agree(tmp_path):
+    for header in (("a", "b", "c"), ("a",)):
+        with pytest.raises(ValueError, match=f"{len(header)} header names for 2 columns"):
+            write_csv(tmp_path / "bad.csv", header, ([0, 1], [0.5, 1.5]))
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_columns_must_be_one_dimensional(tmp_path):
+    with pytest.raises(ValueError, match=r"1-D, not of shapes \[\(2,\), \(2, 2\)\]"):
+        write_csv(tmp_path / "bad.csv", ("a", "b"), ([0, 1], np.ones((2, 2))))
+    with pytest.raises(ValueError, match="1-D"):
+        write_csv(tmp_path / "bad.csv", ("a",), (np.float64(1.0),))
+    assert not (tmp_path / "bad.csv").exists()

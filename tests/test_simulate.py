@@ -584,6 +584,25 @@ class TestIncentives:
         for dev in report.deviations:
             assert dev.margin >= -2.0 * dev.margin_se
 
+    @pytest.mark.parametrize("where", ["parent", "child"])
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, math.inf])
+    def test_a_bad_deviation_effort_raises(self, params, sb, monkeypatch, where, bad):
+        # 2,048 paths over 2 CPUs: the second shard runs in a forked child,
+        # which must send the same error back
+        _set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def deviation(x):
+            a = np.interp(x, sb.grid.x, sb.a_star)
+            in_child = os.getpid() != parent
+            return np.where(x > 0.05, bad, a) if in_child == (where == "child") else a
+
+        with pytest.raises(ValueError) as info:
+            incentive_check(params, sb, 0.1, SimConfig(n_paths=2048, seed=5), [deviation])
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"effort map gave a = {bad}: efforts must be finite and >= 0"
+        _assert_no_child_left()
+
 
 class TestReconstruction:
     def test_noise_recovery_is_roundoff(self, params, sb, bundles):
