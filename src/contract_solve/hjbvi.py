@@ -23,23 +23,26 @@ free boundary, a concave value hump, and x_max-robust output, so its
 coefficient is used throughout: in the effort maximizer's first-order
 condition, in the assembled rows, and in its a = 0 comparison.
 
-Discretization is the standard monotone scheme: central second differences
-for the diffusion, first differences upwinded on the drift sign. Each
+Discretization is central: second and first differences both centred at
+the node, so a continuation row reads
+
+    delta w_i - D (w_{i+1} - 2 w_i + w_{i-1})/dx^2 - b (w_{i+1} - w_{i-1})/(2 dx) = phi(a) - r
+
+with D = 1/2 exposure(a)^2 and drift b = lam x - U(r) + h(a). The
+off-diagonals -D/dx^2 +- b/(2 dx) are non-positive, which makes the scheme
+monotone, exactly when the cell Peclet number |b| dx/(2 D) is at most 1; a
+continuation row that breaks this raises NonMonotoneScheme (Wang & Forsyth
+2008, maximal use of central differencing for HJB equations). Each
 policy-iteration round evaluates the current policy exactly (one
 tridiagonal solve, with stopped nodes replaced by identity rows) and then
-improves it by one vectorized maximization over all candidate slopes, node
-by node. The rent maximizer is closed form, r* = (U')^{-1}(-1/w') when
-w' < 0; the effort maximizer has no closed form and is the root of its
-first-order condition, found by safeguarded Newton steps (see _best_effort).
-
-The drift sign depends on the policy and the policy on the slope, whose
-upwind side depends on the drift sign. The improvement step therefore tries
-both one-sided slopes, keeps each only when the induced drift is consistent
-with that side, and always keeps the r = 0 candidate (whose drift
-lam x + h(a) >= 0 makes the forward side self-consistent) plus the
-incumbent policy. Stopping beats continuing at a node when psi_i - w_i
-exceeds the continuation row's defect H_i - delta w_i, the usual
-policy-iteration treatment of the obstacle.
+improves it node by node. A row's discrete Hamiltonian is the continuous
+one at the central slope and second difference, so one maximization per
+node gives its exact maximizer, a function of w alone. The rent maximizer
+is closed form, r* = (U')^{-1}(-1/w') when w' < 0; the effort maximizer has
+no closed form and is the root of its first-order condition, found by
+safeguarded Newton steps (see _best_effort). Stopping beats continuing at a
+node when psi_i - w_i exceeds the continuation row's defect H_i - delta w_i,
+the usual policy-iteration treatment of the obstacle.
 
 Convergence behaviour worth knowing about: the contact set can only recede
 one node per sweep. Releasing a stopped node is triggered by the kink its
@@ -50,7 +53,9 @@ and the converged boundary. To keep iteration counts small on fine grids,
 howard_solve solves a cascade of coarsened versions of the same problem
 and warm-starts each level from the previous one; only the coarsest level
 starts from the all-continue policy (r, a) = (0, 0). The reported iteration
-count is the total number of sweeps across all levels.
+count is the total number of sweeps across all levels. The improvement step
+reads nothing but w, so the level sizes change the sweep count, not the
+fixed point the finest level converges to.
 
 The tridiagonal solves use elimination without pivoting: every assembled
 row is diagonally dominant by exactly delta, and identity rows pass through
@@ -64,18 +69,6 @@ problem. Every step works node by node, so each problem's sweeps are
 bitwise those of its solve alone; what the batch saves is numpy's per-call
 overhead, which dominates a sweep on the coarse cold-start level.
 howard_solve is the batch of one.
-
-The answer depends on its route, not only on the scheme. The converged
-policy is a fixed point of the improvement step, and that fixed point is
-not unique to round-off: with _COARSE_LIMIT = 101 instead of 401 the
-default solve (2001 nodes) converges in 46 sweeps instead of 61 to another
-fixed point, with the same stop set, b_hat = 0.4655 and a residual of
-2.27e-10 (3.29e-10 at 401), but with a* differing by up to 0.202 at
-x = 0.2275 (2.3616 against 2.1594) and w lower at every continuation node,
-by up to 5.25e-7. residual_check cannot tell the two apart. So the cascade
-sizes, the warm starts and the Newton path are part of the published
-numbers: they are kept as they are, and a change to any of them is a change
-of the outputs, to be made on purpose and stated with its effect.
 """
 
 from __future__ import annotations
@@ -169,11 +162,6 @@ def _rent_candidate(params: ModelParams, dw):
     return np.where(neg, np.minimum(params.du_inv(y), _R_CAP), 0.0)
 
 
-def _effort_objective(params: ModelParams, a, h_a, dw, d2w):
-    """D(a) w'' + h(a) w' + phi(a), given h_a = h(a)."""
-    return _diffusion(params, a) * d2w + h_a * dw + params.phi(a)
-
-
 def _best_effort(params: ModelParams, dw, d2w):
     """argmax over a in [0, _A_HI] of the a-part of the Hamiltonian, per node.
 
@@ -248,7 +236,7 @@ def _best_effort(params: ModelParams, dw, d2w):
             idx, lo, hi, Ai, Bi, t = idx[keep], lo[keep], hi[keep], Ai[keep], Bi[keep], t[keep]
     np.put(a, idx, t)
 
-    g = _effort_objective(params, a, params.h(a), dw, d2w)
+    g = _diffusion(params, a) * d2w + params.h(a) * dw + params.phi(a)
     ratio_cap = params.cost_impact_ratio(_A_HI)
     d_cap = _per_problem(params.sigma, lambda s: 0.5 * (s * ratio_cap) ** 2)  # D(_A_HI)
     g_cap = d_cap * d2w + params.h(_A_HI) * dw + params.phi(_A_HI)
@@ -263,101 +251,45 @@ def _best_effort(params: ModelParams, dw, d2w):
 def _best_response(params: ModelParams, x, dw, d2w):
     """Joint maximizer over (r, a) at the slope and curvature of each entry.
 
-    Returns H, r, a, U(r), the drift b and the number of entries per row that
-    took the convex branch of the effort maximizer.
+    Returns H, r, a and the number of entries per row that took the convex
+    branch of the effort maximizer.
     """
     r = _rent_candidate(params, dw)
     a, g_a, n_convex = _best_effort(params, dw, d2w)
-    u_r = params.u(r)
-    h_val = g_a + (params.lam * x - u_r) * dw - r
-    b = params.lam * x - u_r + params.h(a)
-    return h_val, r, a, u_r, b, n_convex
+    h_val = g_a + (params.lam * x - params.u(r)) * dw - r
+    return h_val, r, a, n_convex
 
 
-def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray,
-             r_cur: np.ndarray, a_cur: np.ndarray):
+def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray):
     """One policy-improvement sweep: per-node best action against w.
 
-    Candidates per node: the closed-form rent and Newton effort maximizers
-    (see _best_effort) at each one-sided slope (kept only when the drift it
-    induces points to that side), the r = 0 fallback (drift
-    lam x + h(a) >= 0 makes the forward side always consistent), and the
-    incumbent policy. Keeping the incumbent bounds how much a sweep can
-    lower the discrete Hamiltonian at any node (by the tie margin below, a
-    few ulps), which is what keeps the iteration monotone in practice: the
-    one-sided maximizers can both land on the wrong drift sign near a drift
-    sign change, and without the incumbent the sweep would replace a good
-    policy with a much worse one there and the iteration can cycle.
+    An interior row's discrete Hamiltonian is the continuous one at the
+    central slope (w_{i+1} - w_{i-1})/(2 dx) and the second difference, so
+    the rent and effort maximizers there (see _best_effort) maximize it
+    exactly. The two ends take their one-sided slope and their neighbour's
+    second difference, for reporting only. One vectorized _best_response
+    call serves every node of every problem.
 
-    One vectorized _best_response call maximizes over every candidate slope
-    (both sides at each interior node, the one-sided slopes at the ends) of
-    every problem; it works node by node, so stacking the slopes changes no
-    bit of the result.
-
-    w, r_cur and a_cur hold one row per problem (1-D for a scalar sigma).
-    Returns (r, a, stop, n_convex) over the whole grid, n_convex counting
-    per row the effort maximizations that took the w'' >= 0 branch. Boundary
-    nodes get one-sided policies for reporting; stop[0] is pinned False (the
-    state is absorbed at 0 with zero settlement) and stop[n-1] True
-    (truncation convention).
+    w holds one row per problem (1-D for a scalar sigma). Returns (r, a,
+    stop, n_convex) over the whole grid, n_convex counting per row the
+    effort maximizations that took the w'' >= 0 branch. stop[0] is pinned
+    False (the state is absorbed at 0 with zero settlement) and stop[n-1]
+    True (truncation convention).
     """
     dx = grid.dx
-    xi = grid.x[1:-1]
     wi = w[..., 1:-1]
-    dw_f = (w[..., 2:] - wi) / dx
-    dw_b = (wi - w[..., :-2]) / dx
+    dw = (w[..., 2:] - w[..., :-2]) / (2.0 * dx)
     d2w = (w[..., 2:] - 2.0 * wi + w[..., :-2]) / dx**2
-
-    m = xi.size
-    h_all, r_all, a_all, u_all, b_all, n_convex = _best_response(
+    h_val, r, a, n_convex = _best_response(
         params,
-        np.concatenate((xi, xi, grid.x[[0, -1]])),
-        np.concatenate((dw_f, dw_b, dw_b[..., :1], dw_f[..., -1:]), axis=-1),
-        np.concatenate((d2w, d2w, d2w[..., :1], d2w[..., -1:]), axis=-1),
+        grid.x,
+        np.concatenate(((w[..., 1:2] - w[..., :1]) / dx, dw,
+                        (w[..., -1:] - w[..., -2:-1]) / dx), axis=-1),
+        np.concatenate((d2w[..., :1], d2w, d2w[..., -1:]), axis=-1),
     )
-    fwd, bwd = slice(0, m), slice(m, 2 * m)
-    h_f, r_f, a_f, b_f = h_all[..., fwd], r_all[..., fwd], a_all[..., fwd], b_all[..., fwd]
-    h_b, r_b, a_b, b_b = h_all[..., bwd], r_all[..., bwd], a_all[..., bwd], b_all[..., bwd]
-    h_0 = h_f + u_all[..., fwd] * dw_f + r_f
-
-    ri, ai = r_cur[..., 1:-1], a_cur[..., 1:-1]
-    drift_r, h_ai = params.lam * xi - params.u(ri), params.h(ai)  # drift = drift_r + h(a)
-    dw_inc = np.where(drift_r + h_ai >= 0.0, dw_f, dw_b)
-    h_inc = _effort_objective(params, ai, h_ai, dw_inc, d2w) + drift_r * dw_inc - ri
-
-    neg_inf = -np.inf
-    stack_h = np.stack([
-        np.where(b_f >= 0.0, h_f, neg_inf),
-        np.where(b_b < 0.0, h_b, neg_inf),
-        h_0,
-    ])
-    choice = np.argmax(stack_h, axis=0)  # first max wins: deterministic ties
-    h_fresh = np.take_along_axis(stack_h, choice[None], axis=0)[0]
-    r_int = np.choose(choice, [r_f, r_b, np.zeros_like(r_f)])
-    a_int = np.choose(choice, [a_f, a_b, a_f])
-
-    # The incumbent must clear a few-ulp margin to displace a fresh
-    # candidate. Near convergence the one-sweep-stale incumbent trails the
-    # fresh maximizer by less than one ulp of H (the gap is quadratic in the
-    # policy lag), so a bare argmax lets rounding keep the stale rent and the
-    # stored policy drifts off the closed form at ~1e-9. Where the incumbent
-    # genuinely carries the node (both one-sided maximizers drift-
-    # inconsistent, optimum pinched at the drift sign change) its edge is
-    # orders of magnitude above the margin and it still wins.
-    margin = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(h_fresh))
-    take_inc = h_inc > h_fresh + margin
-    h_best = np.where(take_inc, h_inc, h_fresh)
-    r_int = np.where(take_inc, ri, r_int)
-    a_int = np.where(take_inc, ai, a_int)
-
-    stop_int = (psi[1:-1] - wi) > (h_best - params.delta * wi)
-
-    # boundary nodes take their one-sided policies, for reporting only
-    r = np.concatenate((r_all[..., -2:-1], r_int, r_all[..., -1:]), axis=-1)
-    a = np.concatenate((a_all[..., -2:-1], a_int, a_all[..., -1:]), axis=-1)
     stop = np.ones(w.shape, dtype=bool)
     stop[..., 0] = False
-    stop[..., 1:-1] = stop_int
+    stop[..., 1:-1] = (psi[1:-1] - wi) > (h_val[..., 1:-1] - params.delta * wi)
     return r, a, stop, n_convex
 
 
@@ -388,6 +320,23 @@ def _eliminate(lo, di, up, rh, left, right):
     return sol
 
 
+def _stencil(params: ModelParams, grid: Grid, r, a):
+    """Coefficients of every interior row at the policy (r, a), per row.
+
+    Returns (d, c, f): the diffusion weight D(a)/dx^2, the drift weight
+    b/(2 dx) and the running payoff phi(a) - r, so that a continuation row
+    reads delta w_i - d (w_{i+1} - 2 w_i + w_{i-1}) - c (w_{i+1} - w_{i-1}) = f
+    and its cell Peclet number is |c|/d.
+    """
+    ri, ai = r[..., 1:-1], a[..., 1:-1]
+    # an overflowing sigma makes d infinite: _evaluate's non-finite-diagonal
+    # check rejects that row, so the overflow itself is not worth a warning
+    with np.errstate(over="ignore"):
+        d = _diffusion(params, ai) / grid.dx**2
+    c = (params.lam * grid.x[1:-1] - params.u(ri) + params.h(ai)) / (2.0 * grid.dx)
+    return d, c, params.phi(ai) - ri
+
+
 def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     """Solve the linear system for a fixed policy, one system per row.
 
@@ -400,33 +349,30 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     nodes: an identity row comes through elimination as psi and restarts it.
     No pivoting: rows are diagonally dominant by exactly delta.
     """
-    dx = grid.dx
-    xi = grid.x[1:-1]
-    ri, ai, stop_i = r[..., 1:-1], a[..., 1:-1], stop[..., 1:-1]
-    dcoef = _diffusion(params, ai)
-    b = params.lam * xi - params.u(ri) + params.h(ai)
-    fwd = b >= 0.0
-    d_dx2 = dcoef / dx**2
-    b_dx = b / dx
-    lower = np.where(fwd, -d_dx2, -d_dx2 + b_dx)
-    diag = params.delta + 2.0 * d_dx2 + np.abs(b_dx)
-    upper = np.where(fwd, -(d_dx2 + b_dx), -d_dx2)
-    rhs = params.phi(ai) - ri
+    stop_i = stop[..., 1:-1]
+    d, c, rhs = _stencil(params, grid, r, a)
+    lower = c - d
+    diag = params.delta + 2.0 * d
+    upper = -(d + c)
 
-    # monotone scheme: non-positive off-diagonals, dominance margin delta
-    # (checked with relative slack: when 2 D/dx^2 is huge its ulp can absorb
-    # the delta term, which does not threaten the elimination)
-    if not (np.all(lower <= 0.0) and np.all(upper <= 0.0)):
-        raise NonMonotoneScheme("positive off-diagonal coefficient")
+    # monotone scheme: non-positive off-diagonals on continuation rows (the
+    # Peclet condition |c| <= d), dominance margin delta (checked with
+    # relative slack: when 2 D/dx^2 is huge its ulp can absorb the delta
+    # term, which does not threaten the elimination)
     if not (np.all(np.isfinite(diag)) and np.all(diag > 0.0)):
         raise NonMonotoneScheme("non-finite or non-positive diagonal")
+    steep = ~stop_i & ~(np.abs(c) <= d)
+    if steep.any():
+        at = np.unravel_index(np.argmax(steep), steep.shape)
+        raise NonMonotoneScheme(f"cell Peclet number {abs(c[at]) / d[at]:.3g} > 1 at node "
+                                f"{at[-1] + 1} (x = {grid.x[at[-1] + 1]:.6g})")
     if not np.all(diag + lower + upper >= -1e-9 * diag):
         raise NonMonotoneScheme("rows lost diagonal dominance")
 
     # fold the Dirichlet ends into the right-hand side (w_0 = 0 adds nothing)
     rhs[..., -1] -= upper[..., -1] * psi[-1]
 
-    m = xi.size
+    m = grid.n - 2
     w = np.empty(stop.shape)
     w[..., 0] = 0.0
     w[..., 1:-1] = psi[1:-1]
@@ -445,22 +391,13 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     return w
 
 
-def _max_defect(params: ModelParams, grid: Grid, w, r, a, stop, psi):
-    """max over interior nodes of |min(delta w - H, w + U^{-1}(x))|, per row.
-
-    Monotone scheme at the stored policy: central second difference on the
-    diffusion, drift upwinded on its own sign (forward when b >= 0,
-    backward otherwise).
-    """
-    dx = grid.dx
-    xi = grid.x[1:-1]
+def _max_defect(params: ModelParams, grid: Grid, w, r, a, psi):
+    """max over interior nodes of |min(delta w - H, w + U^{-1}(x))|, per row,
+    with H from _evaluate's rows at the stored policy."""
     wi = w[..., 1:-1]
-    ri, ai = r[..., 1:-1], a[..., 1:-1]
-    dcoef = _diffusion(params, ai)
-    b = params.lam * xi - params.u(ri) + params.h(ai)
-    second = (w[..., 2:] - 2.0 * wi + w[..., :-2]) / dx**2
-    first = np.where(b >= 0.0, (w[..., 2:] - wi) / dx, (wi - w[..., :-2]) / dx)
-    lw = dcoef * second + b * first + params.phi(ai) - ri - params.delta * wi
+    d, c, f = _stencil(params, grid, r, a)
+    lw = (d * (w[..., 2:] - 2.0 * wi + w[..., :-2]) + c * (w[..., 2:] - w[..., :-2]) + f
+          - params.delta * wi)
     defect = np.minimum(-lw, wi - psi[1:-1])
     return np.max(np.abs(defect), axis=-1)
 
@@ -475,8 +412,7 @@ def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid
         raise ValueError(f"grid (x_max={grid.x_max:.6g}, n={grid.n}) is not the solution's "
                          f"(x_max={solution.grid.x_max:.6g}, n={solution.grid.n})")
     psi = -params.u_inv(grid.x)
-    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star,
-                             solution.stop, psi))
+    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star, psi))
 
 
 def _level_sizes(n: int) -> list[int]:
@@ -524,7 +460,7 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, b
     while live.size:
         sweep += 1
         w = _evaluate(batch, grid, r, a, stop, psi)
-        r_new, a_new, stop_new, n = _improve(batch, grid, w, psi, r, a)
+        r_new, a_new, stop_new, n = _improve(batch, grid, w, psi)
         n_convex[live] += n
         same_stop = (stop_new == stop).all(axis=-1)
         done = same_stop & (r_new == r).all(axis=-1) & (a_new == a).all(axis=-1)
@@ -532,7 +468,7 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, b
             near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
             if near.any():
                 done[near] = _max_defect(_rows(batch, near), grid, w[near], r_new[near],
-                                         a_new[near], stop_new[near], psi) <= 10.0 * tol
+                                         a_new[near], psi) <= 10.0 * tol
         leave = done | (sweep == budgets[live])
         if leave.any():
             out = live[leave]
@@ -591,7 +527,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = 1e-9
             batch, level, psi, r, a, stop, tol, max_iter - used[live])
         used[live] += sweeps
         n_convex[live] += n
-        residual = _max_defect(batch, level, w, r, a, stop, psi)
+        residual = _max_defect(batch, level, w, r, a, psi)
         for i in np.flatnonzero(~converged):
             # the budget ran out, perhaps exactly at the end of a level
             out[live[i]] = NoConvergence(iterations=max_iter, residual=float(residual[i]))

@@ -23,6 +23,7 @@ stdout does not change them: the list of files written is dropped.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import shutil
@@ -542,7 +543,12 @@ def cli_dispatch(argv) -> int:
                   newline="") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for name in files + ["manifest.json"]:  # the manifest last: it marks a whole run
+        names = files + ["manifest.json"]  # the manifest last: it marks a whole run
+        for name in names:  # a directory in a file's place fails the run before any move
+            target = os.path.join(out_dir, name)
+            if os.path.isdir(target) and not os.path.islink(target):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for name in names:
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,10 @@ discretize (the variational-inequality defect,
 one node at a time), hamiltonian_max (the best response at one point),
 unbatched_improve (the Howard improvement sweep), whole_system_evaluate (the
 policy evaluation of one problem in one elimination) and percent_write_csv
-(the CSV writer). feynman_kac is a second linear solver for the policy
-evaluation, and agent_value applies it to the agent's side of the contract.
+(the CSV writer); the Howard oracles assemble the central-difference rows of
+hjbvi. feynman_kac is a second linear solver for the policy evaluation, on
+the same central rows, and agent_value applies it to the agent's side of the
+contract.
 """
 
 import math
@@ -262,102 +264,68 @@ def hamiltonian_max(params, x, dw, d2w):
 
 
 def discretize(params, grid, w, i, r, a):
-    """Monotone-scheme value of L^{a,r} w(x_i) + phi(a) - r - delta w_i at one
+    """Central-scheme value of L^{a,r} w(x_i) + phi(a) - r - delta w_i at one
     node, as a bitwise oracle for hjbvi._max_defect (same arithmetic, same
     operation order).
 
-    Central second difference on the diffusion, drift upwinded on its own
-    sign: forward when b >= 0, backward otherwise.
+    Second and first differences both centred at the node:
+    D/dx^2 (w_{i+1} - 2 w_i + w_{i-1}) + b/(2 dx) (w_{i+1} - w_{i-1}).
     """
     from contract_solve.hjbvi import _diffusion
 
     if not (1 <= i <= grid.n - 2):
         raise ValueError("i must be an interior node")
     dx = grid.dx
-    dcoef = float(_diffusion(params, a))
-    b = params.lam * grid.x[i] - float(params.u(r)) + float(params.h(a))
-    second = (w[i + 1] - 2.0 * w[i] + w[i - 1]) / dx**2
-    if b >= 0.0:
-        first = (w[i + 1] - w[i]) / dx
-    else:
-        first = (w[i] - w[i - 1]) / dx
-    return dcoef * second + b * first + float(params.phi(a)) - float(r) - params.delta * w[i]
+    d = float(_diffusion(params, a)) / dx**2
+    c = (params.lam * grid.x[i] - float(params.u(r)) + float(params.h(a))) / (2.0 * dx)
+    payoff = float(params.phi(a)) - float(r)
+    return (d * (w[i + 1] - 2.0 * w[i] + w[i - 1]) + c * (w[i + 1] - w[i - 1]) + payoff
+            - params.delta * w[i])
 
 
-def unbatched_improve(params, grid, w, psi, r_cur, a_cur):
-    """hjbvi._improve with one _best_response call per slope, as an oracle.
+def unbatched_improve(params, grid, w, psi):
+    """hjbvi._improve for one problem with one _best_response call for the
+    interior nodes and another for the two ends, as an oracle: the single
+    stacked call of hjbvi._improve must give the same bits.
 
-    Maximizes at the forward slopes, the backward slopes and the two
-    one-sided boundary slopes in three separate calls and recomputes U(r)
-    for the r = 0 candidate; otherwise the same arithmetic as hjbvi._improve,
-    whose single stacked call must give the same bits.
+    Interior nodes are maximized at the central slope and the second
+    difference, the ends at their one-sided slope and their neighbour's
+    second difference; a node stops when psi - w exceeds H - delta w.
     """
-    from contract_solve.hjbvi import _best_response, _effort_objective
+    from contract_solve.hjbvi import _best_response
 
     dx = grid.dx
-    xi = grid.x[1:-1]
     wi = w[1:-1]
-    dw_f = (w[2:] - wi) / dx
-    dw_b = (wi - w[:-2]) / dx
+    dw = (w[2:] - w[:-2]) / (2.0 * dx)
     d2w = (w[2:] - 2.0 * wi + w[:-2]) / dx**2
-
-    h_f, r_f, a_f, _, b_f, n_f = _best_response(params, xi, dw_f, d2w)
-    h_b, r_b, a_b, _, b_b, n_b = _best_response(params, xi, dw_b, d2w)
-    h_0 = h_f + params.u(r_f) * dw_f + r_f
-
-    ri, ai = r_cur[1:-1], a_cur[1:-1]
-    b_inc = params.lam * xi - params.u(ri) + params.h(ai)
-    dw_inc = np.where(b_inc >= 0.0, dw_f, dw_b)
-    h_inc = (_effort_objective(params, ai, params.h(ai), dw_inc, d2w)
-             + (params.lam * xi - params.u(ri)) * dw_inc - ri)
-
-    stack_h = np.stack([np.where(b_f >= 0.0, h_f, -np.inf),
-                        np.where(b_b < 0.0, h_b, -np.inf), h_0])
-    choice = np.argmax(stack_h, axis=0)
-    h_fresh = np.take_along_axis(stack_h, choice[None, :], axis=0)[0]
-    r_int = np.choose(choice, [r_f, r_b, np.zeros_like(r_f)])
-    a_int = np.choose(choice, [a_f, a_b, a_f])
-    margin = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(h_fresh))
-    take_inc = h_inc > h_fresh + margin
-    h_best = np.where(take_inc, h_inc, h_fresh)
-    r_int = np.where(take_inc, ri, r_int)
-    a_int = np.where(take_inc, ai, a_int)
-    stop_int = (psi[1:-1] - wi) > (h_best - params.delta * wi)
-
-    r = np.empty(grid.n)
-    a = np.empty(grid.n)
-    stop = np.empty(grid.n, dtype=bool)
-    r[1:-1], a[1:-1], stop[1:-1] = r_int, a_int, stop_int
-    edge = _best_response(
+    h_val, r_int, a_int, n_int = _best_response(params, grid.x[1:-1], dw, d2w)
+    _, r_end, a_end, n_end = _best_response(
         params,
         grid.x[[0, -1]],
         np.array([(w[1] - w[0]) / dx, (w[-1] - w[-2]) / dx]),
         np.array([(w[2] - 2 * w[1] + w[0]) / dx**2, (w[-1] - 2 * w[-2] + w[-3]) / dx**2]),
     )
-    r[0], r[-1] = edge[1]
-    a[0], a[-1] = edge[2]
-    stop[0] = False
-    stop[-1] = True
-    return r, a, stop, n_f + n_b + edge[5]
+    r = np.concatenate((r_end[:1], r_int, r_end[1:]))
+    a = np.concatenate((a_end[:1], a_int, a_end[1:]))
+    stop = np.concatenate(([False], (psi[1:-1] - wi) > (h_val - params.delta * wi), [True]))
+    return r, a, stop, n_int + n_end
 
 
 def whole_system_evaluate(params, grid, r, a, stop, psi):
     """hjbvi._evaluate for one problem as one elimination over every interior
     row, stopped rows as identity rows, as an oracle: hjbvi._evaluate
-    eliminates each run of continuation rows on its own and must give the
-    same bits."""
+    eliminates each run of central-scheme continuation rows on its own and
+    must give the same bits."""
     from contract_solve.hjbvi import _diffusion
 
     dx = grid.dx
     xi = grid.x[1:-1]
     ri, ai, stop_i = r[1:-1], a[1:-1], stop[1:-1]
-    b = params.lam * xi - params.u(ri) + params.h(ai)
-    fwd = b >= 0.0
-    d_dx2 = _diffusion(params, ai) / dx**2
-    b_dx = b / dx
-    lower = np.where(stop_i, 0.0, np.where(fwd, -d_dx2, -d_dx2 + b_dx))
-    diag = np.where(stop_i, 1.0, params.delta + 2.0 * d_dx2 + np.abs(b_dx))
-    upper = np.where(stop_i, 0.0, np.where(fwd, -(d_dx2 + b_dx), -d_dx2))
+    d = _diffusion(params, ai) / dx**2
+    c = (params.lam * xi - params.u(ri) + params.h(ai)) / (2.0 * dx)
+    lower = np.where(stop_i, 0.0, c - d)
+    diag = np.where(stop_i, 1.0, params.delta + 2.0 * d)
+    upper = np.where(stop_i, 0.0, -(d + c))
     rhs = np.where(stop_i, psi[1:-1], params.phi(ai) - ri)
     rhs[-1] -= upper[-1] * psi[-1]
 
@@ -408,12 +376,14 @@ def feynman_kac(grid, discount, diffusion, drift, payoff, stop, stopped):
 
         discount v_i - diffusion_i v''_i - drift_i v'_i = payoff_i
 
-    with a central second difference and the first difference upwinded on
-    the drift's sign (forward when drift_i >= 0). v_0 = 0, and v_i =
-    stopped_i at stopped nodes and at x_max. diffusion, drift, payoff, stop
-    and stopped are arrays over the whole grid; their end entries other than
-    stopped[-1] are not read. Every row of the full n x n system, identity
-    rows included, is eliminated top to bottom without pivoting.
+    with central second and first differences, the scheme of hjbvi's
+    policy evaluation. v_0 = 0, and v_i = stopped_i at stopped nodes and at
+    x_max. diffusion, drift, payoff, stop and stopped are arrays over the
+    whole grid; their end entries other than stopped[-1] are not read. A row
+    whose cell Peclet number |drift| dx/(2 diffusion) exceeds 1 would have a
+    positive off-diagonal and raises ValueError. Every row of the full
+    n x n system, identity rows included, is eliminated top to bottom
+    without pivoting.
 
     Round-off: the rows are diagonally dominant, so no elimination step
     grows the values it carries; each of the n rows adds a few ulps of
@@ -428,10 +398,12 @@ def feynman_kac(grid, discount, diffusion, drift, payoff, stop, stopped):
             rhs[i] = float(stopped[i])
             continue
         d = float(diffusion[i]) / dx**2
-        b = float(drift[i]) / dx
-        lower[i] = -d - max(-b, 0.0)
-        upper[i] = -d - max(b, 0.0)
-        diag[i] = discount + 2.0 * d + abs(b)
+        c = float(drift[i]) / (2.0 * dx)
+        if not abs(c) <= d:
+            raise ValueError(f"cell Peclet number above 1 at node {i}")
+        lower[i] = c - d
+        upper[i] = -(d + c)
+        diag[i] = discount + 2.0 * d
         rhs[i] = float(payoff[i])
     for i in range(1, n):  # forward elimination: row i loses its lower entry
         f = lower[i] / diag[i - 1]

@@ -223,12 +223,12 @@ class TestDispatch:
         assert code == 2
         assert "NonMonotoneScheme" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", [43, 52, 57])
+    @pytest.mark.parametrize("budget", [43, 51, 56])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
                                                                   budget):
-        # the default cascade levels take 43/9/5/4 sweeps; the configured
+        # the default cascade levels take 43/8/5/4 sweeps; the configured
         # sigma's failure is known after the batch, so report writes nothing
-        residual = {43: "5.152e-01", 52: "2.798e-07", 57: "7.032e-02"}[budget]
+        residual = {43: "5.366e-01", 51: "2.303e-07", 56: "8.991e-02"}[budget]
         for sub in ("second-best", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), "--set", f"howard.max_iter={budget}"])
@@ -239,13 +239,14 @@ class TestDispatch:
             assert not out.exists() or not os.listdir(out)
 
     def test_sweep_lists_its_failures_and_exits_0(self, tmp_path):
-        # sigma = 1.85 is a sweep sigma here, not one a stage needs as its own
+        # sigma = 1.85 is a sweep sigma here, not one a stage needs as its own;
+        # 1.5 is one sweep short of the end of its 57-sweep cold-start level
         out = tmp_path / "sw"
-        assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=57"]) == 0
+        assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=56"]) == 0
         failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
         assert failures == [
-            "1.5: NoConvergence: no convergence after 57 iterations (residual 1.171e+10)",
-            "1.85: NoConvergence: no convergence after 57 iterations (residual 7.032e-02)"]
+            "1.5: NoConvergence: no convergence after 56 iterations (residual 4.618e-10)",
+            "1.85: NoConvergence: no convergence after 56 iterations (residual 8.991e-02)"]
 
     def test_a_non_monotone_sweep_sigma_is_a_failure_entry(self, tmp_path):
         alone = tmp_path / "alone"
@@ -380,6 +381,24 @@ class TestDispatch:
         assert (out / "sweep.csv").read_bytes() == b"sigma,x,w\n"
         failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
         assert len(failures) == 2 and all("NoConvergence" in f for f in failures)
+
+    def test_a_directory_in_a_files_place_leaves_out_as_it_was(self, tmp_path, capsys):
+        # os.replace cannot put paths.csv over a directory; the run finds that
+        # before it moves the first file, so out keeps its listing and bytes
+        out = tmp_path / "out"
+        (out / "paths.csv").mkdir(parents=True)
+        (out / "paths.csv" / "inner.txt").write_bytes(b"inner\n")
+        (out / "voi.csv").write_bytes(b"x\nold\n")
+
+        def contents():
+            return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+                    for p in sorted(out.rglob("*"))}
+
+        before = contents()
+        assert cli_dispatch(["report", "--out", str(out), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}:") and "Is a directory" in err
+        assert contents() == before
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
