@@ -27,12 +27,6 @@ from .hjbvi import (
     howard_solve_many,
     residual_check,
 )
-from .incentive import (
-    effort_from_z,
-    exposure_threshold,
-    hamiltonian_psi,
-    z_from_effort,
-)
 from .model import (
     DEFAULTS,
     MODEL_KEYS,
@@ -40,7 +34,6 @@ from .model import (
     InvalidParams,
     ModelParams,
     default_params,
-    ratio_inverse,
     validate,
 )
 from .report_cli import cli_dispatch, sigma_sweep, value_of_information, write_csv

@@ -10,7 +10,7 @@ default would be worse than an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .model import DEFAULTS, ModelParams, validate
 
@@ -41,50 +41,38 @@ def _parse_floats(key, text):
     return tuple(_parse_float(key, p) for p in parts)
 
 
-# key -> (parser, default). Model keys are handled separately through
-# model.validate so that their constraints are reported together.
-_REGISTRY = {
-    "grid.x_max": (_parse_float, 1.0),
-    "grid.n": (_parse_int, 2001),
-    "howard.tol": (_parse_float, 1e-9),
-    "howard.max_iter": (_parse_int, 200),
-    "sim.dt": (_parse_float, 1e-3),
-    "sim.horizon": (_parse_float, 200.0),
-    "sim.n_paths": (_parse_int, 10_000),
-    "sim.seed": (_parse_int, 42),
-    "sim.x0": (_parse_float, 0.1),
-    "sweep.sigmas": (_parse_floats, (1.5, 1.85, 2.2)),
-    "fb.x_min": (_parse_float, 0.0),
-    "fb.x_max": (_parse_float, 5.5),
-    "fb.x_n": (_parse_int, 111),
-    "fb.t_max": (_parse_float, 25.0),
-    "fb.t_n": (_parse_int, 251),
-    "voi.x_max": (_parse_float, 0.95),
-    "voi.x_n": (_parse_int, 96),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run configuration. Every dotted key is the field of the same
+    name with its first '.' spelled '_' (grid.x_max is grid_x_max); the
+    field's default is the key's default, and its type (int, float or tuple
+    of floats) picks the key's parser. Model keys go through model.validate
+    instead, so that their constraints are reported together."""
+
     params: ModelParams
-    grid_x_max: float
-    grid_n: int
-    howard_tol: float
-    howard_max_iter: int
-    sim_dt: float
-    sim_horizon: float
-    sim_n_paths: int
-    sim_seed: int
-    sim_x0: float
-    sweep_sigmas: tuple
-    fb_x_min: float
-    fb_x_max: float
-    fb_x_n: int
-    fb_t_max: float
-    fb_t_n: int
-    voi_x_max: float
-    voi_x_n: int
     snapshot: dict = field(compare=False)
+    grid_x_max: float = 1.0
+    grid_n: int = 2001
+    howard_tol: float = 1e-9
+    howard_max_iter: int = 200
+    sim_dt: float = 1e-3
+    sim_horizon: float = 200.0
+    sim_n_paths: int = 10_000
+    sim_seed: int = 42
+    sim_x0: float = 0.1
+    sweep_sigmas: tuple = (1.5, 1.85, 2.2)
+    fb_x_min: float = 0.0
+    fb_x_max: float = 5.5
+    fb_x_n: int = 111
+    fb_t_max: float = 25.0
+    fb_t_n: int = 251
+    voi_x_max: float = 0.95
+    voi_x_n: int = 96
+
+
+_PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats}
+_KEYS = {f.name.replace("_", ".", 1): f.default for f in fields(RunConfig)
+         if f.name not in ("params", "snapshot")}
 
 
 def parse_lines(lines, source="<config>"):
@@ -129,13 +117,12 @@ def parse_overrides(pairs):
 def build(raw) -> RunConfig:
     """Typed, validated configuration from a raw string mapping."""
     model_raw = dict(DEFAULTS)
-    values = {key: default for key, (_, default) in _REGISTRY.items()}
+    values = dict(_KEYS)
     for key, text in raw.items():
         if key in DEFAULTS:
             model_raw[key] = _parse_float(key, text)
-        elif key in _REGISTRY:
-            parser, _ = _REGISTRY[key]
-            values[key] = parser(key, text)
+        elif key in _KEYS:
+            values[key] = _PARSERS[type(_KEYS[key])](key, text)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
@@ -180,8 +167,7 @@ def build(raw) -> RunConfig:
         raise ConfigError("voi.x_max must lie in (0, grid.x_max]")
 
     snapshot = {key: f"{val:.17g}" for key, val in model_raw.items()}
-    for key in _REGISTRY:
-        val = values[key]
+    for key, val in values.items():
         if isinstance(val, tuple):
             snapshot[key] = ",".join(f"{s:.17g}" for s in val)
         elif isinstance(val, int):
@@ -189,9 +175,8 @@ def build(raw) -> RunConfig:
         else:
             snapshot[key] = f"{val:.17g}"
 
-    # RunConfig's fields are the registry keys with '.' spelled '_'
-    fields = {key.replace(".", "_"): val for key, val in values.items()}
-    return RunConfig(params=params, snapshot=snapshot, **fields)
+    return RunConfig(params=params, snapshot=snapshot,
+                     **{key.replace(".", "_"): val for key, val in values.items()})
 
 
 def load(path=None, overrides=()) -> RunConfig:

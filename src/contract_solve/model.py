@@ -13,6 +13,14 @@ for which every derivative and inverse used downstream is available in
 closed form. ModelParams is a flat record of the nine scalars (phi_max,
 alpha, beta, c, p, lam, delta, sigma, x_reserve) with these primitives as
 methods; the solvers' closed forms read its fields directly.
+
+The contract implements effort through the agent's best response. Loaded
+with z units of promised-value volatility per unit of output noise, the
+agent maximizes -h(a) + z phi(a)/sigma over a >= 0, whose first-order
+condition z = sigma h'(a)/phi'(a) is ModelParams.exposure. That ratio starts
+at exposure(0) > 0, so effort_response, the maximizer, inverts exposure
+above exposure(0) and is 0 at or below it; exposure(0) itself is the
+exposure the solver and the simulation use at zero effort.
 """
 
 from __future__ import annotations
@@ -110,6 +118,16 @@ class ModelParams:
         the simulation, and the PDE's diffusion is half its square."""
         return self.sigma * self.cost_impact_ratio(a)
 
+    def effort_response(self, z):
+        """The agent's best response to exposure z >= 0: the argmax over a >= 0
+        of -h(a) + z phi(a)/sigma, ln(phi_max alpha z/(sigma beta))/(alpha + beta)
+        above exposure(0) and 0 at or below it. z < 0 raises ValueError."""
+        z = np.asarray(z, dtype=float)
+        if np.any(z < 0.0):
+            raise ValueError("exposure must be >= 0")
+        y = self.phi_max * self.alpha * (z / self.sigma) / self.beta
+        return (1.0 / (self.alpha + self.beta)) * np.log(np.maximum(y, 1.0))
+
 
 def validate(raw) -> ModelParams:
     """Check a raw key->value mapping and build ModelParams.
@@ -161,18 +179,3 @@ def validate(raw) -> ModelParams:
 
 def default_params() -> ModelParams:
     return validate(DEFAULTS)
-
-
-def ratio_inverse(params: ModelParams, y):
-    """(h'/phi')^{-1}(y) = (1/(alpha+beta)) * ln(phi_max * alpha * y / beta) for y > 0.
-
-    The result may be negative; callers clamp at zero where effort must be
-    non-negative.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0):
-        raise ValueError("ratio_inverse requires y > 0")
-    out = (1.0 / (params.alpha + params.beta)) * np.log(
-        params.phi_max * params.alpha * y_arr / params.beta
-    )
-    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,8 @@ policy evaluation of one problem in one elimination) and percent_write_csv
 (the CSV writer); the Howard oracles assemble the central-difference rows of
 hjbvi. feynman_kac is a second linear solver for the policy evaluation, on
 the same central rows, and agent_value applies it to the agent's side of the
-contract.
+contract. agent_payoff is the agent's objective, the one that
+ModelParams.effort_response maximizes.
 """
 
 import math
@@ -92,6 +93,11 @@ def newton_invert(f, df, y, x0, tol=1e-14, max_iter=100):
         if abs(step) <= tol * max(1.0, abs(x)):
             return x
     return x
+
+
+def agent_payoff(params, a, z):
+    """The agent's flow payoff -h(a) + z phi(a) / sigma under exposure z."""
+    return -params.h(a) + np.asarray(z, dtype=float) * params.phi(a) / params.sigma
 
 
 def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=512):

@@ -18,7 +18,6 @@ from contract_solve import (
     cli_dispatch,
     closed_form_G,
     continuation_boundary,
-    effort_from_z,
     howard_solve,
     incentive_check,
     mc_principal_value,
@@ -28,7 +27,6 @@ from contract_solve import (
     simulate_paths,
     solve_lagrange,
     value_of_information,
-    z_from_effort,
 )
 from contract_solve.first_best import reservation_integral
 
@@ -141,7 +139,7 @@ def test_07_monotonicity_suites(params):
 def test_08_bijection_round_trips(params):
     rng = np.random.default_rng(2024)
     a = 10.0 ** rng.uniform(-3.0, 1.6, size=10_000)
-    worst_a = float(np.max(np.abs(effort_from_z(params, z_from_effort(params, a)) - a)
+    worst_a = float(np.max(np.abs(params.effort_response(params.exposure(a)) - a)
                            / np.maximum(1.0, a)))
     x = 10.0 ** rng.uniform(-6.0, 3.0, size=10_000)
     worst_u = float(np.max(np.abs(params.u_inv(params.u(x)) - x) / x))

@@ -228,14 +228,16 @@ class TestDispatch:
                                                                   budget):
         # the default cascade levels take 43/8/5/4 sweeps; the configured
         # sigma's failure is known after the batch, so report writes nothing
-        residual = {43: "5.366e-01", 51: "2.303e-07", 56: "8.991e-02"}[budget]
+        # and the defect is that of the next level's starting policy
+        nodes, residual = {43: (501, "5.366e-01"), 51: (1001, "2.303e-07"),
+                           56: (2001, "8.991e-02")}[budget]
         for sub in ("second-best", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), "--set", f"howard.max_iter={budget}"])
             assert code == 2
             assert capsys.readouterr().err == (
                 f"solver failure: NoConvergence: no convergence after {budget} iterations "
-                f"(residual {residual})\n")
+                f"(residual {residual} on the {nodes}-node level)\n")
             assert not out.exists() or not os.listdir(out)
 
     def test_sweep_lists_its_failures_and_exits_0(self, tmp_path):
@@ -245,8 +247,10 @@ class TestDispatch:
         assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=56"]) == 0
         failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
         assert failures == [
-            "1.5: NoConvergence: no convergence after 56 iterations (residual 4.618e-10)",
-            "1.85: NoConvergence: no convergence after 56 iterations (residual 8.991e-02)"]
+            "1.5: NoConvergence: no convergence after 56 iterations "
+            "(residual 4.618e-10 on the 251-node level)",
+            "1.85: NoConvergence: no convergence after 56 iterations "
+            "(residual 8.991e-02 on the 2001-node level)"]
 
     def test_a_non_monotone_sweep_sigma_is_a_failure_entry(self, tmp_path):
         alone = tmp_path / "alone"

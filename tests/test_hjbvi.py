@@ -289,15 +289,21 @@ class TestHowardSolve:
             howard_solve(params, g, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
+        assert exc.value.nodes == 201  # a grid this small is its own cold-start level
 
     @pytest.mark.parametrize("budget", [43, 51, 56])
     def test_budget_spent_at_a_level_boundary(self, params, grid, budget):
         # the default levels take 43/8/5/4 sweeps: each budget is used up
-        # exactly when a level ends, and the next level starts with none
+        # exactly when a level ends, and the next level starts with none, so
+        # the reported defect is that of the next level's starting policy
+        nodes, residual = {43: (501, "5.366e-01"), 51: (1001, "2.303e-07"),
+                           56: (2001, "8.991e-02")}[budget]
         with pytest.raises(NoConvergence) as exc:
             howard_solve(params, grid, max_iter=budget)
         assert exc.value.iterations == budget
-        assert exc.value.residual > 0.0
+        assert exc.value.nodes == nodes
+        assert str(exc.value) == (f"no convergence after {budget} iterations "
+                                  f"(residual {residual} on the {nodes}-node level)")
 
     def test_budget_below_one_rejected(self, params, grid):
         for budget in (0, -1):
@@ -455,6 +461,7 @@ class TestHowardSolveMany:
         assert isinstance(failed, NoConvergence)
         assert failed.iterations == 56
         assert failed.residual == alone.value.residual
+        assert failed.nodes == alone.value.nodes == 2001
         assert solved.iterations == 53
         _assert_same_solution(solved, sb_for_sigma(2.2))
 
@@ -464,6 +471,7 @@ class TestHowardSolveMany:
         calls, real = _recording(monkeypatch, "_improve")
         failed, solved = howard_solve_many(params, [1.5, 2.2], grid, max_iter=66)
         assert isinstance(failed, NoConvergence) and failed.iterations == 66
+        assert failed.nodes == 1001
         assert solved.iterations == 53
         with_15 = [args for args in calls if 1.5 in args[0].sigma]
         assert len(with_15) == 66 and with_15[-1][1].n == 1001

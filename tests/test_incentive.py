@@ -5,100 +5,96 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contract_solve import (
-    default_params,
-    effort_from_z,
-    exposure_threshold,
-    hamiltonian_psi,
-    z_from_effort,
-)
+from contract_solve import default_params
 
-from .helpers import agent_value, feynman_kac, fk_roundoff, grid_argmax
+from .helpers import agent_payoff, agent_value, feynman_kac, fk_roundoff, grid_argmax
 
 
 def test_psi_zero_effort(params):
-    assert hamiltonian_psi(params, 0.0, 0.7) == 0.0
-    assert hamiltonian_psi(params, 0.0, 0.0) == 0.0
+    assert agent_payoff(params, 0.0, 0.7) == 0.0
+    assert agent_payoff(params, 0.0, 0.0) == 0.0
 
 
 def test_psi_spot_value(params):
     # -h(1) + 1.85 * phi(1) / 1.85, written out with independent arithmetic
     expected = -(math.exp(0.1) - 1.0) + 3.0 * (1.0 - math.exp(-0.1))
-    assert hamiltonian_psi(params, 1.0, 1.85) == pytest.approx(expected, rel=1e-12)
-
-
-def test_psi_rejects_negative_effort(params):
-    with pytest.raises(ValueError):
-        hamiltonian_psi(params, -0.1, 1.0)
+    assert agent_payoff(params, 1.0, 1.85) == pytest.approx(expected, rel=1e-12)
 
 
 def test_threshold_value(params):
-    # sigma h'(0)/phi'(0) = 1.85 * 0.1 / 0.3
-    assert exposure_threshold(params) == pytest.approx(1.85 / 3.0, rel=1e-12)
+    # the smallest exposure that induces effort: sigma h'(0)/phi'(0) = 1.85 * 0.1 / 0.3
+    assert params.exposure(0.0) == pytest.approx(1.85 / 3.0, rel=1e-12)
 
 
 def test_effort_from_z_examples(params):
-    assert effort_from_z(params, 0.0) == 0.0
-    assert effort_from_z(params, 0.5) == 0.0  # below the threshold
-    assert effort_from_z(params, exposure_threshold(params)) == 0.0
-    assert effort_from_z(params, 1.85) == pytest.approx(5.0 * math.log(3.0), rel=1e-12)
+    assert params.effort_response(0.0) == 0.0
+    assert params.effort_response(0.5) == 0.0  # below the threshold
+    assert params.effort_response(params.exposure(0.0)) == 0.0
+    assert params.effort_response(1.85) == pytest.approx(5.0 * math.log(3.0), rel=1e-12)
 
 
 def test_z_from_effort_examples(params):
-    assert z_from_effort(params, 0.0) == 0.0
     a = 5.0 * math.log(3.0)
-    assert z_from_effort(params, a) == pytest.approx(1.85, rel=1e-12)
+    assert params.exposure(a) == pytest.approx(1.85, rel=1e-12)
 
 
 def test_negative_arguments_rejected(params):
-    with pytest.raises(ValueError):
-        effort_from_z(params, -0.01)
-    with pytest.raises(ValueError):
-        z_from_effort(params, -0.01)
+    with pytest.raises(ValueError, match="exposure must be >= 0"):
+        params.effort_response(-0.01)
+    with pytest.raises(ValueError, match="exposure must be >= 0"):
+        params.effort_response(np.array([1.0, -0.01]))
 
 
 def test_round_trip_spot(params):
     for a in (0.1, 1.0, 5.0, 20.0):
-        back = effort_from_z(params, z_from_effort(params, a))
+        back = params.effort_response(params.exposure(a))
         assert back == pytest.approx(a, rel=1e-10)
 
 
 def test_round_trip_bulk(params):
     rng = np.random.default_rng(17)
     a = 10.0 ** rng.uniform(-3.0, 1.6, size=10_000)
-    back = effort_from_z(params, z_from_effort(params, a))
+    back = params.effort_response(params.exposure(a))
     assert np.max(np.abs(back - a) / np.maximum(1.0, a)) <= 1e-10
     # and in the other direction, on the part of the z axis that maps to a > 0
-    z = exposure_threshold(params) + 10.0 ** rng.uniform(-6.0, 1.5, size=10_000)
-    z_back = z_from_effort(params, effort_from_z(params, z))
+    z = params.exposure(0.0) + 10.0 ** rng.uniform(-6.0, 1.5, size=10_000)
+    z_back = params.exposure(params.effort_response(z))
     assert np.max(np.abs(z_back - z) / z) <= 1e-10
+
+
+def test_round_trip_on_the_default_solve(params, sb):
+    # the solver's efforts, zero effort included, are the agent's best
+    # responses to the exposures the contract loads at them
+    back = params.effort_response(params.exposure(sb.a_star))
+    assert np.count_nonzero(sb.a_star == 0.0) > 0
+    assert np.max(np.abs(back - sb.a_star)) <= 1e-12
 
 
 @given(z=st.floats(min_value=0.0, max_value=40.0))
 @settings(max_examples=300, deadline=None)
 def test_best_response_never_beaten_property(z):
     p = default_params()
-    a_star = effort_from_z(p, z)
-    best = hamiltonian_psi(p, a_star, z)
+    a_star = p.effort_response(z)
+    best = agent_payoff(p, a_star, z)
     rng = np.random.default_rng(int(z * 1e6) % (2**32))
     a = rng.uniform(0.0, 50.0, size=32)
-    assert np.all(best >= hamiltonian_psi(p, a, z) - 1e-12)
+    assert np.all(best >= agent_payoff(p, a, z) - 1e-12)
 
 
 def test_best_response_randomized(params):
     rng = np.random.default_rng(23)
     z = rng.uniform(0.0, 10.0, size=1000)
     a = rng.uniform(0.0, 50.0, size=1000)
-    best = hamiltonian_psi(params, effort_from_z(params, z), z)
-    assert np.all(best >= hamiltonian_psi(params, a, z) - 1e-12)
+    best = agent_payoff(params, params.effort_response(z), z)
+    assert np.all(best >= agent_payoff(params, a, z) - 1e-12)
 
 
 def test_best_response_against_grid_search(params):
     # brute force over a in [0, 50] at step 1e-3 must not beat the formula
     for z in (0.0, 0.3, 0.61, 0.63, 1.0, 1.85, 3.7, 9.0):
-        a_star = effort_from_z(params, z)
-        best = hamiltonian_psi(params, a_star, z)
-        _, grid_best = grid_argmax(lambda a: hamiltonian_psi(params, a, z),
+        a_star = params.effort_response(z)
+        best = agent_payoff(params, a_star, z)
+        _, grid_best = grid_argmax(lambda a: agent_payoff(params, a, z),
                                    0.0, 50.0, 50_001)
         assert grid_best <= best + 1e-8, (z, grid_best, best)
 

@@ -10,7 +10,6 @@ from contract_solve import (
     InvalidParams,
     ModelParams,
     default_params,
-    ratio_inverse,
     validate,
 )
 
@@ -81,15 +80,16 @@ def test_phi_bounded_and_monotone(params):
     assert np.all(np.diff(params.du(x)) < 0.0)  # concave utility
 
 
+# effort_response inverts the increasing ratio h'/phi' scaled by sigma:
+# effort_response(sigma y) = (h'/phi')^{-1}(y) for y above h'(0)/phi'(0)
 def test_ratio_inverse_zero_anchor(params):
     # h'/phi' at a = 0 equals beta/(phi_max*alpha) = 1/3, so the inverse is 0
-    assert ratio_inverse(params, 1.0 / 3.0) == pytest.approx(0.0, abs=1e-14)
+    assert params.effort_response(1.85 / 3.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ratio_inverse_examples(params):
-    assert ratio_inverse(params, 1.0) == pytest.approx(5.0 * math.log(3.0), rel=1e-12)
-    assert ratio_inverse(params, 3.0 / 1.85) == pytest.approx(
-        5.0 * math.log(9.0 / 1.85), rel=1e-12)
+    assert params.effort_response(1.85) == pytest.approx(5.0 * math.log(3.0), rel=1e-12)
+    assert params.effort_response(3.0) == pytest.approx(5.0 * math.log(9.0 / 1.85), rel=1e-12)
 
 
 def test_ratio_inverse_against_bisection(params):
@@ -99,21 +99,13 @@ def test_ratio_inverse_against_bisection(params):
 
     for y in (0.5, 1.0, 3.0 / 1.85, 7.0, 40.0):
         a_oracle = invert_increasing(ratio, y, lo=0.0, hi=1.0)
-        assert ratio_inverse(params, y) == pytest.approx(a_oracle, rel=1e-9)
-
-
-def test_ratio_inverse_rejects_nonpositive(params):
-    with pytest.raises(ValueError):
-        ratio_inverse(params, 0.0)
-    with pytest.raises(ValueError):
-        ratio_inverse(params, -1.0)
+        assert params.effort_response(params.sigma * y) == pytest.approx(a_oracle, rel=1e-9)
 
 
 def test_ratio_round_trip_bulk(params):
     rng = np.random.default_rng(91)
     a = 10.0 ** rng.uniform(-3.0, 1.7, size=10_000)
-    back = np.array([ratio_inverse(params, params.dh(ai) / params.dphi(ai))
-                     for ai in a])
+    back = params.effort_response(params.sigma * (params.dh(a) / params.dphi(a)))
     assert np.max(np.abs(back - a) / np.maximum(1.0, np.abs(a))) <= 1e-10
 
 
@@ -129,7 +121,7 @@ def test_utility_inverse_round_trip_bulk(params):
 def test_ratio_round_trip_property(a):
     p = default_params()
     y = p.dh(a) / p.dphi(a)
-    assert ratio_inverse(p, y) == pytest.approx(a, rel=1e-10, abs=1e-10)
+    assert p.effort_response(p.sigma * y) == pytest.approx(a, rel=1e-10, abs=1e-10)
 
 
 @given(x=st.floats(min_value=1e-6, max_value=1e3))
