@@ -10,9 +10,12 @@ default would be worse than an error.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
+from .hjbvi import Grid
 from .model import DEFAULTS, ModelParams, validate
+from .simulate import SimConfig
 
 
 class ConfigError(ValueError):
@@ -43,22 +46,22 @@ def _parse_floats(key, text):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration. Every dotted key is the field of the same
-    name with its first '.' spelled '_' (grid.x_max is grid_x_max); the
-    field's default is the key's default, and its type (int, float or tuple
-    of floats) picks the key's parser. Model keys go through model.validate
-    instead, so that their constraints are reported together."""
+    """A validated run configuration. sim holds the sim.* keys but sim.x0, as
+    a SimConfig with its defaults and rules. Every other dotted key is the
+    field of its name with the first '.' spelled '_' (grid.x_max is
+    grid_x_max), whose default and type (int, float or tuple of floats) give
+    the key's default and parser. grid is Grid.make(grid.x_max, grid.n), which
+    checks those keys. Model keys go through model.validate, so that their
+    constraints are reported together."""
 
     params: ModelParams
     snapshot: dict = field(compare=False)
+    grid: Grid = field(compare=False)
     grid_x_max: float = 1.0
     grid_n: int = 2001
     howard_tol: float = 1e-9
     howard_max_iter: int = 200
-    sim_dt: float = 1e-3
-    sim_horizon: float = 200.0
-    sim_n_paths: int = 10_000
-    sim_seed: int = 42
+    sim: SimConfig = SimConfig()
     sim_x0: float = 0.1
     sweep_sigmas: tuple = (1.5, 1.85, 2.2)
     fb_x_min: float = 0.0
@@ -72,7 +75,16 @@ class RunConfig:
 
 _PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats}
 _KEYS = {f.name.replace("_", ".", 1): f.default for f in fields(RunConfig)
-         if f.name not in ("params", "snapshot")}
+         if f.name not in ("params", "snapshot", "grid", "sim")}
+_KEYS.update((f"sim.{g.name}", g.default) for g in fields(SimConfig))
+
+
+def _checked(prefix, make, **kwargs):
+    """make(**kwargs), its ValueError re-raised as a ConfigError naming prefix + keyword."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(re.sub(rf"\b({'|'.join(kwargs)})\b", rf"{prefix}\1", str(exc))) from None
 
 
 def parse_lines(lines, source="<config>"):
@@ -131,25 +143,14 @@ def build(raw) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    if not values["grid.x_max"] > 0.0:
-        raise ConfigError("grid.x_max must be > 0")
-    if values["grid.n"] < 3:
-        raise ConfigError("grid.n must be >= 3")
+    grid = _checked("grid.", Grid.make, x_max=values["grid.x_max"], n=values["grid.n"])
     if not values["howard.tol"] > 0.0:
         raise ConfigError("howard.tol must be > 0")
     if values["howard.max_iter"] < 1:
         raise ConfigError("howard.max_iter must be >= 1")
-    if not values["sim.dt"] > 0.0:
-        raise ConfigError("sim.dt must be > 0")
-    if not values["sim.horizon"] > 0.0:
-        raise ConfigError("sim.horizon must be > 0")
-    # SimConfig.n_steps = round(horizon / dt), and round(0.5) is 0
-    if not 0.5 < values["sim.horizon"] / values["sim.dt"] < math.inf:
-        raise ConfigError("sim.horizon / sim.dt must round to a finite number of Euler steps >= 1")
-    if values["sim.n_paths"] < 1:
-        raise ConfigError("sim.n_paths must be >= 1")
-    if not 0 <= values["sim.seed"] < 2**64:
-        raise ConfigError("sim.seed must fit in 64 bits")
+    flat = {key.replace(".", "_"): val for key, val in values.items()}
+    sim = _checked("sim.", SimConfig, **{g.name: flat.pop(f"sim_{g.name}")
+                                         for g in fields(SimConfig)})
     if not values["sweep.sigmas"]:
         raise ConfigError("sweep.sigmas must list at least one sigma")
     if any(s <= 0.0 for s in values["sweep.sigmas"]):
@@ -175,8 +176,7 @@ def build(raw) -> RunConfig:
         else:
             snapshot[key] = f"{val:.17g}"
 
-    return RunConfig(params=params, snapshot=snapshot,
-                     **{key.replace(".", "_"): val for key, val in values.items()})
+    return RunConfig(params=params, snapshot=snapshot, grid=grid, sim=sim, **flat)
 
 
 def load(path=None, overrides=()) -> RunConfig:

@@ -115,10 +115,10 @@ class Grid:
 
     @staticmethod
     def make(x_max: float = 1.0, n: int = 2001) -> "Grid":
-        if n < 3:
-            raise ValueError("grid needs at least 3 nodes")
         if not 0.0 < x_max < math.inf:
-            raise ValueError("x_max must be finite and positive")
+            raise ValueError("x_max must be finite" if x_max > 0.0 else "x_max must be > 0")
+        if n < 3:
+            raise ValueError("n must be >= 3")
         return Grid(x_max=float(x_max), n=int(n), dx=float(x_max) / (n - 1),
                     x=np.linspace(0.0, float(x_max), int(n)))
 

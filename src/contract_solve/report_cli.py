@@ -39,7 +39,7 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid, NonMonotoneScheme
 from .model import ModelParams
-from .simulate import InvalidStart, PolicyOutOfRange, SimConfig, simulate_paths, summarize_paths
+from .simulate import InvalidStart, PolicyOutOfRange, simulate_paths, summarize_paths
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -319,6 +319,7 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     not abort the sweep: a NonMonotoneScheme, which howard_solve_many raises
     for its whole batch, sends each sigma to a batch of its own, so only the
     sigmas that raise it fail and the others keep their bitwise solutions.
+    A max_iter below 1 raises howard_solve_many's ValueError.
     """
     sigmas = [float(sg) for sg in sigmas]
     if not sigmas:
@@ -327,8 +328,6 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     def solve(batch):
         try:
             return hjbvi.howard_solve_many(params, batch, grid, tol=tol, max_iter=max_iter)
-        except ValueError as exc:  # a max_iter below 1 fails every sigma
-            return [exc] * len(batch)
         except NonMonotoneScheme as exc:
             return [exc] if len(batch) == 1 else [res for sg in batch for res in solve([sg])]
 
@@ -386,12 +385,10 @@ def _second_best(cfg: RunConfig, outdir, solved):
 
 def _simulate(cfg: RunConfig, outdir, solved):
     sol = solved[cfg.params.sigma]
-    sim_cfg = SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
-                        n_paths=cfg.sim_n_paths, seed=cfg.sim_seed)
-    table = simulate_paths(cfg.params, sol, cfg.sim_x0, sim_cfg)
+    table = simulate_paths(cfg.params, sol, cfg.sim_x0, cfg.sim)
     names = ("path_id", "t", "j", "x", "dw", "stopped")
     write_csv(os.path.join(outdir, "paths.csv"), names, [getattr(table, k) for k in names])
-    mc = summarize_paths(cfg.params, sol, sim_cfg, table)
+    mc = summarize_paths(cfg.params, sol, cfg.sim, table)
     diag = {
         "x0": cfg.sim_x0,
         "n_paths": mc.n_paths,
@@ -518,8 +515,8 @@ def cli_dispatch(argv) -> int:
             t0 = time.perf_counter()
             # no other reference to a solution outlives solved, so the sweep stage frees its own
             solved = {sg: res for part in sigma_sweep(
-                cfg.params, sigmas, grid=Grid.make(cfg.grid_x_max, cfg.grid_n),
-                tol=cfg.howard_tol, max_iter=cfg.howard_max_iter) for sg, res in part}
+                cfg.params, sigmas, grid=cfg.grid, tol=cfg.howard_tol,
+                max_iter=cfg.howard_max_iter) for sg, res in part}
             timings["solve_seconds"] = time.perf_counter() - t0
         own = solved.get(cfg.params.sigma)
         if isinstance(own, str) and any(need is _own_sigma for _, _, need in stages):

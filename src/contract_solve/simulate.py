@@ -76,6 +76,8 @@ class InvalidStart(PolicyOutOfRange):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Euler step, horizon, paths and seed; the CLI's sim.* keys take its defaults and rules."""
+
     dt: float = 1e-3
     horizon: float = 200.0
     n_paths: int = 10_000
@@ -88,7 +90,7 @@ class SimConfig:
             raise ValueError("horizon must be > 0")
         # n_steps = round(horizon / dt), and round(0.5) is 0
         if not 0.5 < self.horizon / self.dt < math.inf:
-            raise ValueError("horizon / dt must round to a finite number of steps >= 1")
+            raise ValueError("horizon / dt must round to a finite number of Euler steps >= 1")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= int(self.seed) < 2**64:

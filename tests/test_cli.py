@@ -58,7 +58,8 @@ class TestConfigParsing:
     def test_defaults(self):
         cfg = load()
         assert cfg.grid_n == 2001 and cfg.grid_x_max == 1.0
-        assert cfg.sim_n_paths == 10_000 and cfg.sim_seed == 42
+        assert cfg.sim == SimConfig()  # the sim.* keys take SimConfig's defaults
+        assert cfg.sim.n_paths == 10_000 and cfg.sim.seed == 42
         assert cfg.sweep_sigmas == (1.5, 1.85, 2.2)
         assert cfg.params.sigma == 1.85
 
@@ -78,10 +79,14 @@ class TestConfigParsing:
                            ("grid.n=abc", "grid.n"), ("bogus=1", "bogus"),
                            ("lambda=0.05", "lambda"), ("sim.seed=-3", "sim.seed"),
                            ("fb.x_min=-1", "fb.x_min"), ("fb.t_max=-1", "fb.t_max"),
-                           ("sim.horizon=1e-4", "sim.horizon"), ("sim.dt=1e9", "sim.dt"),
+                           ("sim.n_paths=0", "sim.n_paths"), ("sim.horizon=-1", "sim.horizon"),
+                           # the step rule names both keys, whichever one was set
+                           ("sim.horizon=1e-4", "sim.horizon / sim.dt"),
+                           ("sim.dt=1e9", "sim.horizon / sim.dt"),
                            ("sim.horizon=inf", "sim.horizon"),
                            ("fb.x_max=inf", "fb.x_max"), ("fb.t_max=inf", "fb.t_max"),
-                           ("grid.x_max=inf", "grid.x_max"),
+                           ("grid.x_max=inf", "grid.x_max"), ("grid.x_max=0", "grid.x_max"),
+                           ("grid.x_max=-1", "grid.x_max"),
                            ("sweep.sigmas=inf", "sweep.sigmas"), ("sim.x0=nan", "sim.x0"),
                            ("voi.x_max=1.5", "voi.x_max"), ("voi.x_max=0", "voi.x_max")):
             with pytest.raises(ConfigError, match=frag.replace(".", r"\.")):
@@ -91,7 +96,7 @@ class TestConfigParsing:
         path = tmp_path / "run.conf"
         path.write_text("sigma = 2.2\nsim.seed = 7\n")
         cfg = load(str(path))
-        assert cfg.params.sigma == 2.2 and cfg.sim_seed == 7
+        assert cfg.params.sigma == 2.2 and cfg.sim.seed == 7
         with pytest.raises(ConfigError, match="cannot read"):
             load(str(tmp_path / "missing.conf"))
 
@@ -160,6 +165,11 @@ class TestSigmaSweep:
     def test_empty_list_rejected(self, params, grid):
         with pytest.raises(ValueError):
             sigma_sweep(params, [], grid=grid)
+
+    def test_a_budget_below_one_raises(self, params, grid):
+        # the config rejects howard.max_iter < 1, so only library callers get here
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            sigma_sweep(params, [1.85, 2.2], grid=grid, max_iter=0)
 
 
 class TestDispatch:
@@ -421,6 +431,20 @@ class TestDispatch:
         assert len(in_readme) == 6
         assert in_readme == in_usage == list(report_cli._SUBCOMMANDS)
 
+    def test_readme_config_table_gives_the_defaults(self):
+        readme = README.read_text(encoding="utf-8")
+        section = readme[readme.index("### Configuration keys"):readme.index("### Path file")]
+        documented = {}
+        for keys, defaults in re.findall(r"^\| `([^`]+)` *\| `([^`]+)` *\|", section, flags=re.M):
+            group, names = keys.split(".", 1)  # a row like fb.x_min/x_max/x_n
+            for name, default in zip(names.split("/"), defaults.split("/"), strict=True):
+                documented[f"{group}.{name}"] = default
+        snapshot = load().snapshot
+        assert set(documented) == {key for key in snapshot if "." in key}
+        for key, default in documented.items():
+            assert ([float(v) for v in default.split(",")]
+                    == [float(v) for v in snapshot[key].split(",")]), key
+
     def test_readme_library_imports_are_exported(self):
         readme = README.read_text(encoding="utf-8")
         block = re.search(r"^from contract_solve import \((.*?)^\)", readme, flags=re.M | re.S)
@@ -511,11 +535,8 @@ class TestPathsCsv:
         out = tmp_path / "sim"
         assert cli_dispatch(["simulate", "--out", str(out), *FAST]) == 0
         cfg = load(None, FAST[1::2])
-        sol = howard_solve(cfg.params, Grid.make(cfg.grid_x_max, cfg.grid_n),
-                           tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
-        bundles = split_bundles(cfg.params, sol, cfg.sim_x0,
-                                SimConfig(dt=cfg.sim_dt, horizon=cfg.sim_horizon,
-                                          n_paths=cfg.sim_n_paths, seed=cfg.sim_seed))
+        sol = howard_solve(cfg.params, cfg.grid, tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+        bundles = split_bundles(cfg.params, sol, cfg.sim_x0, cfg.sim)
         assert len({b.times.size for b in bundles}) > 1
 
         def block(b):
@@ -593,8 +614,7 @@ class TestReportComposition:
         # the run's solved dict through the simulate stage: only the
         # configured sigma stays
         cfg = load(None, [*FAST[1::2], "sweep.sigmas=1.7,2.0"])
-        solved = dict(sigma_sweep(cfg.params, [1.85, 1.7, 2.0],
-                                  grid=Grid.make(cfg.grid_x_max, cfg.grid_n))[0])
+        solved = dict(sigma_sweep(cfg.params, [1.85, 1.7, 2.0], grid=cfg.grid)[0])
         assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
         assert list(solved) == [1.85] and solved[1.85].grid.n == 201
 
