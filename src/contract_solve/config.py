@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
+from . import hjbvi
 from .hjbvi import Grid
 from .model import DEFAULTS, ModelParams, validate
 from .simulate import SimConfig
@@ -57,10 +58,10 @@ class RunConfig:
     params: ModelParams
     snapshot: dict = field(compare=False)
     grid: Grid = field(compare=False)
-    grid_x_max: float = 1.0
-    grid_n: int = 2001
-    howard_tol: float = 1e-9
-    howard_max_iter: int = 200
+    grid_x_max: float = hjbvi.DEFAULT_X_MAX
+    grid_n: int = hjbvi.DEFAULT_N
+    howard_tol: float = hjbvi.DEFAULT_TOL
+    howard_max_iter: int = hjbvi.DEFAULT_MAX_ITER
     sim: SimConfig = SimConfig()
     sim_x0: float = 0.1
     sweep_sigmas: tuple = (1.5, 1.85, 2.2)

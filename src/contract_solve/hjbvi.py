@@ -50,12 +50,21 @@ neighbour's excess value creates in the second difference, so each sweep
 frees exactly the junction node and exposes the next one. A cold start
 therefore pays one sweep for every node between the first contact guess
 and the converged boundary. To keep iteration counts small on fine grids,
-howard_solve solves a cascade of coarsened versions of the same problem
-and warm-starts each level from the previous one; only the coarsest level
-starts from the all-continue policy (r, a) = (0, 0). The reported iteration
-count is the total number of sweeps across all levels. The improvement step
-reads nothing but w, so the level sizes change the sweep count, not the
-fixed point the finest level converges to.
+howard_solve solves a cascade of coarsened versions of the same problem,
+each level with a quarter of the next one's intervals, down to at most
+101 nodes (32/126/501/2001 at the defaults), and warm-starts each level
+from the previous one; only the coarsest level starts from the
+all-continue policy (r, a) = (0, 0). The reported iteration count is the
+total number of sweeps across all levels, level_sweeps its split. The
+improvement step reads nothing but w, so the level sizes change the sweep
+count, not the fixed point the finest level converges to.
+
+A coarse level can break the Peclet condition that the finest one meets,
+since the cell Peclet number grows with dx (with x_max = 2 or 5 some
+levels of 32 to 126 nodes do). Such a level is only a warm start, so it
+is given up: its problem starts again from the cold start on the next
+finer level, with its sweep count and budget reset, and level_sweeps
+begins there. Only a NonMonotoneScheme on the finest level fails a solve.
 
 The tridiagonal solves use elimination without pivoting: every assembled
 row is diagonally dominant by exactly delta, and identity rows pass through
@@ -67,8 +76,11 @@ only parameter that differs between them, so the batch's params.sigma is
 the (P, 1) column of the sigmas and the iteration's arrays carry one row per
 problem. Every step works node by node, so each problem's sweeps are
 bitwise those of its solve alone; what the batch saves is numpy's per-call
-overhead, which dominates a sweep on the coarse cold-start level.
-howard_solve is the batch of one.
+overhead, which dominates a sweep on the coarse levels. A NonMonotoneScheme
+does not say which problem raised it, so on one the batch is solved again
+problem by problem, each with its own fallback, and a problem whose finest
+level fails gets its NonMonotoneScheme in its place. howard_solve is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -85,7 +97,13 @@ _R_CAP = 1e12  # transient guard: keeps U(r) finite while iterates are wild
 _A_HI = 50.0  # effort domain is [0, _A_HI]
 _NEWTON_STEPS = 100  # safeguarded Newton: bisection alone needs ~60 steps
 _EPS = np.finfo(float).eps
-_COARSE_LIMIT = 401  # grids at most this size are solved from a cold start
+_COARSE_LIMIT = 101  # grids at most this size are solved from a cold start
+
+# the solver's defaults, and so those of the howard.* and grid.* config keys
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_ITER = 200
+DEFAULT_X_MAX = 1.0
+DEFAULT_N = 2001
 
 
 class NoConvergence(RuntimeError):
@@ -114,7 +132,7 @@ class Grid:
     x: np.ndarray = field(repr=False)
 
     @staticmethod
-    def make(x_max: float = 1.0, n: int = 2001) -> "Grid":
+    def make(x_max: float = DEFAULT_X_MAX, n: int = DEFAULT_N) -> "Grid":
         if not 0.0 < x_max < math.inf:
             raise ValueError("x_max must be finite" if x_max > 0.0 else "x_max must be > 0")
         if n < 3:
@@ -135,6 +153,7 @@ class SecondBestSolution:
     iterations: int
     residual: float
     effort_convex_nodes: int  # effort maximizations on the w'' >= 0 branch, all sweeps
+    level_sweeps: tuple  # (nodes, sweeps) of each cascade level from the cold start on
 
 
 def _diffusion(params: ModelParams, a):
@@ -416,10 +435,12 @@ def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid
 
 
 def _level_sizes(n: int) -> list[int]:
-    """Coarse-to-fine node counts ending at n, halving down to a cold-start size."""
+    """Coarse-to-fine node counts ending at n: each level has a quarter of
+    the intervals of the next, (n - 1) // 4 + 1 nodes, down to a cold-start
+    level of at most _COARSE_LIMIT nodes."""
     sizes = [n]
     while sizes[-1] > _COARSE_LIMIT:
-        sizes.append((sizes[-1] - 1) // 2 + 1)
+        sizes.append((sizes[-1] - 1) // 4 + 1)
     return sizes[::-1]
 
 
@@ -484,19 +505,20 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, b
     return w_out, r_out, a_out, stop_out, sweeps, n_convex, converged
 
 
-def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = 1e-9,
-                      max_iter: int = 200) -> list:
+def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFAULT_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER) -> list:
     """howard_solve for every sigma of sigmas, as one batch.
 
     Returns, per sigma in order, the SecondBestSolution that howard_solve
-    returns for it, bitwise, or the NoConvergence it raises. sigma is the
-    only parameter that differs across the batch, so params.sigma becomes
-    the (P, 1) column of the sigmas and every array of the iteration gains a
-    leading problem axis; every step works node by node. The problems share
-    the cascade levels and advance level by level together, each with its
-    own budget of max_iter sweeps, and a problem leaves the batch when it
-    converges or spends its budget. A NonMonotoneScheme in any problem
-    raises for the batch; max_iter < 1 raises ValueError.
+    returns for it, bitwise, or the NoConvergence or NonMonotoneScheme it
+    raises. sigma is the only parameter that differs across the batch, so
+    params.sigma becomes the (P, 1) column of the sigmas and every array of
+    the iteration gains a leading problem axis; every step works node by
+    node. The problems share the cascade levels and advance level by level
+    together, each with its own budget of max_iter sweeps, and a problem
+    leaves the batch when it converges or spends its budget. A
+    NonMonotoneScheme sends every sigma to a batch of its own (see module
+    docstring). max_iter < 1 raises ValueError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -505,6 +527,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = 1e-9
     live = np.arange(len(sigma))  # the problems still being solved, in order
     used = np.zeros(len(sigma), dtype=int)
     n_convex = np.zeros(len(sigma), dtype=int)
+    trace = [[] for _ in out]  # (nodes, sweeps) of each level, per problem
     level = None
     for size in _level_sizes(grid.n):
         if not live.size:
@@ -523,10 +546,22 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = 1e-9
             stop[:, 0] = False
         stop[:, -1] = True
         batch = dataclasses.replace(params, sigma=sigma[live])
-        w, r, a, stop, sweeps, n, converged = _solve_level(
-            batch, level, psi, r, a, stop, tol, max_iter - used[live])
+        try:
+            w, r, a, stop, sweeps, n, converged = _solve_level(
+                batch, level, psi, r, a, stop, tol, max_iter - used[live])
+        except NonMonotoneScheme as exc:
+            if len(sigma) > 1:  # which problem raised it is unknown: each on its own
+                return [howard_solve_many(params, s, grid, tol, max_iter)[0] for s in sigma]
+            if level is grid:
+                return [exc]
+            # a level too coarse for the Peclet condition: cold start on the next one
+            level = None
+            used[:], n_convex[:], trace = 0, 0, [[]]
+            continue
         used[live] += sweeps
         n_convex[live] += n
+        for p, k in zip(live.tolist(), sweeps.tolist()):
+            trace[p].append((level.n, k))
         residual = _max_defect(batch, level, w, r, a, psi)
         for i in np.flatnonzero(~converged):
             # the budget ran out, perhaps exactly at the end of a level
@@ -542,25 +577,29 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = 1e-9
             stop=stop[i].copy(), b_hat=float(grid.x[first_stop[i]]),
             k_growth=max(0.0, float(growth[i])), iterations=int(used[p]),
             residual=float(residual[i]), effort_convex_nodes=int(n_convex[p]),
+            level_sweeps=tuple(trace[p]),
         )
     return out
 
 
-def howard_solve(params: ModelParams, grid: Grid, tol: float = 1e-9,
-                 max_iter: int = 200) -> SecondBestSolution:
+def howard_solve(params: ModelParams, grid: Grid, tol: float = DEFAULT_TOL,
+                 max_iter: int = DEFAULT_MAX_ITER) -> SecondBestSolution:
     """Policy iteration on the discretized variational inequality.
 
-    Fine grids are warm-started from a cascade of coarsened solves of the
-    same problem (see module docstring); the coarsest level starts from
-    continue-everywhere with (r, a) = (0, 0). max_iter bounds the total
-    sweep count across all levels, and the reported iteration count is
-    that total. The reported policy is the final improvement against the
-    converged value, so r_star and a_star are the feedback maximizers of
-    the discrete Hamiltonian. A budget that runs out, even exactly at a
-    level boundary, raises NoConvergence; max_iter < 1 raises ValueError.
-    This is howard_solve_many's batch of one.
+    Fine grids are warm-started from a cascade of solves of the same problem
+    on coarser grids (see module docstring); the coarsest level starts from
+    continue-everywhere with (r, a) = (0, 0), and a coarse level that breaks
+    the Peclet condition hands over to a cold start on the next finer one.
+    max_iter bounds the total sweep count across the levels from the cold
+    start on, and the reported iteration count is that total, level_sweeps
+    its split by level. The reported policy is the final improvement
+    against the converged value, so r_star and a_star are the feedback
+    maximizers of the discrete Hamiltonian. A budget that runs out, even
+    exactly at a level boundary, raises NoConvergence, and a finest level
+    that breaks the Peclet condition NonMonotoneScheme; max_iter < 1 raises
+    ValueError. This is howard_solve_many's batch of one.
     """
     solution, = howard_solve_many(params, [params.sigma], grid, tol=tol, max_iter=max_iter)
-    if isinstance(solution, NoConvergence):
+    if isinstance(solution, (NoConvergence, NonMonotoneScheme)):
         raise solution
     return solution

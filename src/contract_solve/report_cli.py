@@ -37,7 +37,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, load
 from .first_best import BracketFailure, continuation_boundary, principal_value_fb, schedules
 from . import hjbvi
-from .hjbvi import Grid, NonMonotoneScheme
+from .hjbvi import Grid
 from .model import ModelParams
 from .simulate import InvalidStart, PolicyOutOfRange, simulate_paths, summarize_paths
 
@@ -309,30 +309,25 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 
 
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
-                tol: float = 1e-9, max_iter: int = 200):
+                tol: float = hjbvi.DEFAULT_TOL, max_iter: int = hjbvi.DEFAULT_MAX_ITER):
     """Second-best solves of every sigma on a shared grid, in one
     howard_solve_many batch; a repeated sigma is solved once. This is the
     CLI's batch: each run solves the sigmas its stages need with one call.
 
     Returns (solved, failures): solved is a list of (sigma, solution) in
     input order, failures a list of (sigma, message). A failed sigma does
-    not abort the sweep: a NonMonotoneScheme, which howard_solve_many raises
-    for its whole batch, sends each sigma to a batch of its own, so only the
-    sigmas that raise it fail and the others keep their bitwise solutions.
-    A max_iter below 1 raises howard_solve_many's ValueError.
+    not abort the sweep: howard_solve_many returns each sigma's
+    NoConvergence or NonMonotoneScheme in its place, and the other sigmas
+    keep their bitwise solutions. A max_iter below 1 raises
+    howard_solve_many's ValueError.
     """
     sigmas = [float(sg) for sg in sigmas]
     if not sigmas:
         raise ValueError("sigma_sweep needs at least one sigma")
 
-    def solve(batch):
-        try:
-            return hjbvi.howard_solve_many(params, batch, grid, tol=tol, max_iter=max_iter)
-        except NonMonotoneScheme as exc:
-            return [exc] if len(batch) == 1 else [res for sg in batch for res in solve([sg])]
-
     valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
-    results = dict(zip(valid, solve(valid)))
+    results = dict(zip(valid, hjbvi.howard_solve_many(params, valid, grid, tol=tol,
+                                                      max_iter=max_iter)))
     solved, failures = [], []
     for sg in sigmas:
         res = results.get(sg, ValueError("sigma must be > 0"))
@@ -379,6 +374,7 @@ def _second_best(cfg: RunConfig, outdir, solved):
         "residual": sol.residual,
         "k_growth": sol.k_growth,
         "effort_convex_nodes": sol.effort_convex_nodes,
+        "level_sweeps": [list(level) for level in sol.level_sweeps],
     }
     return ["sb_solution.csv"], diag
 
@@ -556,7 +552,7 @@ def cli_dispatch(argv) -> int:
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return 1
-    except (NonMonotoneScheme, BracketFailure, PolicyOutOfRange) as exc:
+    except (BracketFailure, PolicyOutOfRange) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import re
@@ -62,6 +63,19 @@ class TestConfigParsing:
         assert cfg.sim.n_paths == 10_000 and cfg.sim.seed == 42
         assert cfg.sweep_sigmas == (1.5, 1.85, 2.2)
         assert cfg.params.sigma == 1.85
+
+    def test_solver_defaults_are_the_configs(self):
+        # hjbvi declares the howard.* and grid.* defaults once: every
+        # signature that takes one has the config's value, of its type
+        cfg = load()
+        want = {"tol": cfg.howard_tol, "max_iter": cfg.howard_max_iter,
+                "x_max": cfg.grid_x_max, "n": cfg.grid_n}
+        assert want == {"tol": 1e-9, "max_iter": 200, "x_max": 1.0, "n": 2001}
+        for fn in (hjbvi.howard_solve, hjbvi.howard_solve_many, sigma_sweep, Grid.make):
+            sig = inspect.signature(fn).parameters
+            got = {k: sig[k].default for k in want if k in sig}
+            assert got and got == {k: want[k] for k in got}, fn.__name__
+            assert all(type(v) is type(want[k]) for k, v in got.items()), fn.__name__
 
     def test_model_keys_merge_over_defaults(self):
         cfg = load(None, ["sigma=2.0", "grid.n=401"])
@@ -149,10 +163,11 @@ class TestSigmaSweep:
 
     @pytest.mark.parametrize("bad", [1e300, np.inf])
     def test_a_non_monotone_sigma_fails_alone(self, params, bad):
-        # howard_solve_many raises NonMonotoneScheme for its whole batch
+        # howard_solve_many returns the NonMonotoneScheme in its sigma's place
         g = Grid.make(x_max=1.0, n=201)
-        with pytest.raises(NonMonotoneScheme):
-            hjbvi.howard_solve_many(params, [1.85, bad], g)
+        good, failed = hjbvi.howard_solve_many(params, [1.85, bad], g)
+        assert isinstance(failed, NonMonotoneScheme)
+        assert good.level_sweeps == hjbvi.howard_solve(params, g).level_sweeps
         solved, failures = sigma_sweep(params, [1.85, bad, 1.7], grid=g)
         assert failures == [(bad, "NonMonotoneScheme: non-finite or non-positive diagonal")]
         alone = dict(sigma_sweep(params, [1.85, 1.7], grid=g)[0])
@@ -160,7 +175,8 @@ class TestSigmaSweep:
         for sg, sol in solved:
             for name in ("w", "r_star", "a_star", "stop"):
                 assert np.array_equal(getattr(sol, name), getattr(alone[sg], name)), name
-            assert (sol.b_hat, sol.iterations) == (alone[sg].b_hat, alone[sg].iterations)
+            assert (sol.b_hat, sol.iterations, sol.level_sweeps) == (
+                alone[sg].b_hat, alone[sg].iterations, alone[sg].level_sweeps)
 
     def test_empty_list_rejected(self, params, grid):
         with pytest.raises(ValueError):
@@ -233,14 +249,14 @@ class TestDispatch:
         assert code == 2
         assert "NonMonotoneScheme" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", [43, 51, 56])
+    @pytest.mark.parametrize("budget", [15, 24, 32])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
                                                                   budget):
-        # the default cascade levels take 43/8/5/4 sweeps; the configured
+        # the default cascade levels take 15/9/8/4 sweeps; the configured
         # sigma's failure is known after the batch, so report writes nothing
         # and the defect is that of the next level's starting policy
-        nodes, residual = {43: (501, "5.366e-01"), 51: (1001, "2.303e-07"),
-                           56: (2001, "8.991e-02")}[budget]
+        nodes, residual = {15: (126, "1.192e+00"), 24: (501, "9.370e-01"),
+                           32: (2001, "2.279e-11")}[budget]
         for sub in ("second-best", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), "--set", f"howard.max_iter={budget}"])
@@ -252,15 +268,19 @@ class TestDispatch:
 
     def test_sweep_lists_its_failures_and_exits_0(self, tmp_path):
         # sigma = 1.85 is a sweep sigma here, not one a stage needs as its own;
-        # 1.5 is one sweep short of the end of its 57-sweep cold-start level
+        # 1.5 is one sweep short of the end of its 16-sweep cold-start level,
+        # and 1.85 and 2.2 spend the budget exactly on their 15-sweep ones
         out = tmp_path / "sw"
-        assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=56"]) == 0
+        assert cli_dispatch(["sweep", "--out", str(out), "--set", "howard.max_iter=15"]) == 0
         failures = json.loads((out / "manifest.json").read_text())["diagnostics"]["sweep_failures"]
         assert failures == [
-            "1.5: NoConvergence: no convergence after 56 iterations "
-            "(residual 4.618e-10 on the 251-node level)",
-            "1.85: NoConvergence: no convergence after 56 iterations "
-            "(residual 8.991e-02 on the 2001-node level)"]
+            "1.5: NoConvergence: no convergence after 15 iterations "
+            "(residual 1.805e-13 on the 32-node level)",
+            "1.85: NoConvergence: no convergence after 15 iterations "
+            "(residual 1.192e+00 on the 126-node level)",
+            "2.2: NoConvergence: no convergence after 15 iterations "
+            "(residual 4.620e-01 on the 126-node level)"]
+        assert (out / "sweep.csv").read_bytes() == b"sigma,x,w\n"
 
     def test_a_non_monotone_sweep_sigma_is_a_failure_entry(self, tmp_path):
         alone = tmp_path / "alone"
@@ -480,6 +500,9 @@ class TestDispatch:
         assert manifest["config"]["grid.n"] == "201"
         assert "diagnostics" in manifest and "timings" in manifest
         assert manifest["diagnostics"]["effort_convex_nodes"] > 0
+        levels = manifest["diagnostics"]["level_sweeps"]  # [nodes, sweeps] per level
+        assert [n for n, _ in levels] == [51, 201]
+        assert sum(k for _, k in levels) == manifest["diagnostics"]["iterations"]
 
     def test_csv_number_format_round_trips(self, tmp_path):
         out = tmp_path / "sb"

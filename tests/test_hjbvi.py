@@ -20,6 +20,8 @@ from contract_solve.hjbvi import _best_effort, _evaluate
 from .helpers import (discretize, golden_max, grid_argmax, hamiltonian_max, unbatched_improve,
                       whole_system_evaluate)
 
+_LEVEL_BOUNDARIES = [15, 24, 32]  # running sums of the default solve's level sweeps
+
 
 def _effort_value(params, a, dw, d2w):
     """f(a) = D(a) w'' + h(a) w' + phi(a), D(a) = 1/2 (sigma h'(a)/phi'(a))^2."""
@@ -289,15 +291,23 @@ class TestHowardSolve:
             howard_solve(params, g, max_iter=3)
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
-        assert exc.value.nodes == 201  # a grid this small is its own cold-start level
+        assert exc.value.nodes == 51  # the cold-start level of the 51/201-node cascade
 
-    @pytest.mark.parametrize("budget", [43, 51, 56])
+    def test_level_sweeps_split_the_iterations(self, sb):
+        # the default levels 32/126/501/2001 take 15/9/8/4 sweeps: the budgets
+        # of test_budget_spent_at_a_level_boundary are their running sums
+        assert sb.level_sweeps == ((32, 15), (126, 9), (501, 8), (2001, 4))
+        assert [n for n, _ in sb.level_sweeps] == hjbvi._level_sizes(sb.grid.n)
+        assert sum(k for _, k in sb.level_sweeps) == sb.iterations == 36
+        assert list(np.cumsum([k for _, k in sb.level_sweeps[:-1]])) == _LEVEL_BOUNDARIES
+
+    @pytest.mark.parametrize("budget", _LEVEL_BOUNDARIES)
     def test_budget_spent_at_a_level_boundary(self, params, grid, budget):
-        # the default levels take 43/8/5/4 sweeps: each budget is used up
-        # exactly when a level ends, and the next level starts with none, so
-        # the reported defect is that of the next level's starting policy
-        nodes, residual = {43: (501, "5.366e-01"), 51: (1001, "2.303e-07"),
-                           56: (2001, "8.991e-02")}[budget]
+        # each budget is used up exactly when a level of the default solve
+        # ends, and the next level starts with none, so the reported defect
+        # is that of the next level's starting policy
+        nodes, residual = {15: (126, "1.192e+00"), 24: (501, "9.370e-01"),
+                           32: (2001, "2.279e-11")}[budget]
         with pytest.raises(NoConvergence) as exc:
             howard_solve(params, grid, max_iter=budget)
         assert exc.value.iterations == budget
@@ -320,8 +330,18 @@ class TestHowardSolve:
             _evaluate(params, g, r, a, stop, -g.x**4)
 
 
+def _halving(limit):
+    """A level schedule that halves the intervals down to at most limit nodes."""
+    def sizes(n):
+        out = [n]
+        while out[-1] > limit:
+            out.append((out[-1] - 1) // 2 + 1)
+        return out[::-1]
+    return sizes
+
+
 _FIELDS = ("w", "r_star", "a_star", "stop", "b_hat", "k_growth", "iterations", "residual",
-           "effort_convex_nodes")
+           "effort_convex_nodes", "level_sweeps")
 
 
 def _assert_same_solution(got, want):
@@ -370,7 +390,7 @@ class TestBatchedImprove:
         assert len(calls) == sol.iterations == sb.iterations
         sols = howard_solve_many(params, [1.5, 1.85, 2.2], grid)
         assert len(calls) - sol.iterations < sum(s.iterations for s in sols)
-        assert sorted({args[1].n for args in calls}) == [251, 501, 1001, 2001]
+        assert sorted({args[1].n for args in calls}) == [32, 126, 501, 2001]
         for args in calls:
             batch, grid_, w, psi = args
             got = real(*args)
@@ -400,9 +420,9 @@ class TestBatchedImprove:
         assert len(efforts) == len(sweeps) == sol.iterations
         del efforts[:], sweeps[:]
         # one batched sweep per sweep of the slowest problem of each level:
-        # 57 + 8 + 9 + 6 for sigma 1.5, 1.85 and 2.2
+        # 16 + 9 + 8 + 10 for sigma 1.5, 1.85 and 2.2
         howard_solve_many(params, [1.5, 1.85, 2.2], grid)
-        assert len(efforts) == len(sweeps) == 80
+        assert len(efforts) == len(sweeps) == 43
 
 
 class TestRunEvaluate:
@@ -412,7 +432,7 @@ class TestRunEvaluate:
     def test_every_sweep_of_a_batch(self, params, grid, monkeypatch):
         calls, real = _recording(monkeypatch, "_evaluate")
         howard_solve_many(params, [1.5, 1.85, 2.2], grid)
-        assert len(calls) == 80
+        assert len(calls) == 43
         for batch, grid_, r, a, stop, psi in calls:
             got = real(batch, grid_, r, a, stop, psi)
             for p in range(r.shape[0]):
@@ -453,32 +473,32 @@ class TestHowardSolveMany:
             _assert_same_solution(got, want)
 
     def test_budget_is_per_problem(self, params, grid, sb_for_sigma):
-        # 1.85 takes 43/8/5/4 sweeps, so a budget of 56 runs out exactly
-        # when its 1001-node level ends; 2.2 converges in 53 sweeps
-        failed, solved = howard_solve_many(params, [1.85, 2.2], grid, max_iter=56)
+        # 1.85 takes 15/9/8/4 sweeps, so a budget of 32 runs out exactly
+        # when its 501-node level ends; 3.0 converges in 12/4/4/6
+        failed, solved = howard_solve_many(params, [1.85, 3.0], grid, max_iter=32)
         with pytest.raises(NoConvergence) as alone:
-            howard_solve(params, grid, max_iter=56)
+            howard_solve(params, grid, max_iter=32)
         assert isinstance(failed, NoConvergence)
-        assert failed.iterations == 56
+        assert failed.iterations == 32
         assert failed.residual == alone.value.residual
         assert failed.nodes == alone.value.nodes == 2001
-        assert solved.iterations == 53
-        _assert_same_solution(solved, sb_for_sigma(2.2))
+        assert solved.level_sweeps == ((32, 12), (126, 4), (501, 4), (2001, 6))
+        _assert_same_solution(solved, sb_for_sigma(3.0))
 
     def test_budget_spent_inside_a_level(self, params, grid, monkeypatch):
-        # 1.5 takes 57/5/5/6 sweeps, so 66 run out on the 4th sweep of its
-        # 1001-node level; 2.2 takes 37/3/9/4 and sweeps on without it
+        # 1.5 takes 16/5/5/9 sweeps, so 24 run out on the 3rd sweep of its
+        # 501-node level; 1.2 takes 9/5/5/4 and sweeps on without it
         calls, real = _recording(monkeypatch, "_improve")
-        failed, solved = howard_solve_many(params, [1.5, 2.2], grid, max_iter=66)
-        assert isinstance(failed, NoConvergence) and failed.iterations == 66
-        assert failed.nodes == 1001
-        assert solved.iterations == 53
+        failed, solved = howard_solve_many(params, [1.5, 1.2], grid, max_iter=24)
+        assert isinstance(failed, NoConvergence) and failed.iterations == 24
+        assert failed.nodes == 501
+        assert solved.level_sweeps == ((32, 9), (126, 5), (501, 5), (2001, 4))
         with_15 = [args for args in calls if 1.5 in args[0].sigma]
-        assert len(with_15) == 66 and with_15[-1][1].n == 1001
+        assert len(with_15) == 24 and with_15[-1][1].n == 501
         assert calls[-1][1].n == 2001
         # the reported defect is that of the last value and the policy improved from it
         batch, grid_, w, psi = with_15[-1]
-        assert batch.sigma.ravel().tolist() == [1.5, 2.2]
+        assert batch.sigma.ravel().tolist() == [1.5, 1.2]
         r, a, _, _ = real(*with_15[-1])
         assert failed.residual == hjbvi._max_defect(batch, grid_, w, r, a, psi)[0]
 
@@ -497,10 +517,12 @@ class TestRobustness:
 
     def test_fixed_point_independent_of_the_cascade_route(self, params, grid, sb, monkeypatch):
         # the level sizes change the sweep count only: the improvement step
-        # reads nothing but w, so every route converges to one fixed point
-        for limit in (51, 101):
-            monkeypatch.setattr(hjbvi, "_COARSE_LIMIT", limit)
+        # reads nothing but w, so every route converges to one fixed point;
+        # halving down to 251 or to 63 nodes gives two other routes
+        for sizes in (_halving(401), _halving(101)):
+            monkeypatch.setattr(hjbvi, "_level_sizes", sizes)
             other = howard_solve(params, grid)
+            assert [n for n, _ in other.level_sweeps] == sizes(grid.n)
             assert other.iterations != sb.iterations
             assert np.array_equal(other.stop, sb.stop)
             assert np.max(np.abs(other.w - sb.w)) <= 1e-12
@@ -514,3 +536,45 @@ class TestRobustness:
         # same spacing, smaller domain; the free boundary must not move
         clipped = howard_solve(params, Grid.make(x_max=0.8, n=1601))
         assert abs(clipped.b_hat - sb.b_hat) <= 2.0 * sb.grid.dx
+
+
+class TestPecletFallback:
+    """A coarse level that breaks the Peclet condition hands its problem over
+    to a cold start on the next finer level; only the finest level fails it."""
+
+    def test_a_coarse_level_too_coarse_for_the_scheme(self, params, monkeypatch):
+        # with x_max = 5, 51 nodes break the condition at sigma 1.85 and 2.2,
+        # so their 51/201-node cascade is the cold start on 201 nodes
+        g = Grid.make(5.0, 201)
+        solos = {}
+        for sigma in (1.85, 2.2):
+            p = dataclasses.replace(params, sigma=sigma)
+            with pytest.raises(NonMonotoneScheme, match="Peclet"):
+                howard_solve(p, Grid.make(5.0, 51))
+            solos[sigma] = howard_solve(p, g)
+            assert solos[sigma].level_sweeps[0][0] == 201
+        monkeypatch.setattr(hjbvi, "_level_sizes", lambda n: [n])
+        for sigma, got in solos.items():
+            _assert_same_solution(got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
+
+    def test_a_batch_gives_each_sigma_its_route(self, params):
+        # 3.0 solves from 51 nodes, 1.85 from 201, and 1.2 breaks the
+        # condition on 201 nodes too, which fails it alone
+        g = Grid.make(5.0, 201)
+        sols = howard_solve_many(params, [1.85, 3.0, 1.2], g)
+        for sigma, got in zip((1.85, 3.0), sols):
+            _assert_same_solution(got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
+        assert [s.level_sweeps[0][0] for s in sols[:2]] == [201, 51]
+        assert isinstance(sols[2], NonMonotoneScheme)
+        assert str(sols[2]) == "cell Peclet number 1.17 > 1 at node 198 (x = 4.95)"
+
+    @pytest.mark.parametrize("x_max, cold", [(2.0, 32), (5.0, 501)])
+    def test_wide_grids_keep_the_halving_routes_solution(self, params, monkeypatch, x_max, cold):
+        # with x_max = 5 the 32- and 126-node levels both break the condition
+        g = Grid.make(x_max, 2001)
+        got = howard_solve(params, g)
+        assert got.level_sweeps[0][0] == cold
+        monkeypatch.setattr(hjbvi, "_level_sizes", _halving(401))
+        want = howard_solve(params, g)
+        assert np.array_equal(got.stop, want.stop)
+        assert np.max(np.abs(got.w - want.w)) <= 1e-11
