@@ -19,9 +19,12 @@ continuation value so much that the obstacle never binds and the reported
 stopping region empties out (the contact boundary escapes to the truncation
 boundary and tracks it when x_max moves, the signature of a truncation
 artifact). The uniformly parabolic operator is the one with an interior
-free boundary, a concave value hump, and x_max-robust output, so its
-coefficient is used throughout: in the effort maximizer's first-order
-condition, in the assembled rows, and in its a = 0 comparison.
+free boundary and a concave value hump, so its coefficient is used
+throughout: in the effort maximizer's first-order condition, in the
+assembled rows, and in its a = 0 comparison. Its stop set still moves
+with x_max: on 2001 nodes, sigma 1.5, 1.85 and 2.2 stop on [0.6005, 0.716],
+[0.4655, 0.9995] and [0.389, 0.9995] with x_max = 1, on none, [0.465, 0.59]
+and [0.389, 0.82] with x_max = 2, and nowhere inside [0, 5) with x_max = 5.
 
 Discretization is central: second and first differences both centred at
 the node, so a continuation row reads
@@ -31,8 +34,8 @@ the node, so a continuation row reads
 with D = 1/2 exposure(a)^2 and drift b = lam x - U(r) + h(a). The
 off-diagonals -D/dx^2 +- b/(2 dx) are non-positive, which makes the scheme
 monotone, exactly when the cell Peclet number |b| dx/(2 D) is at most 1; a
-continuation row that breaks this raises NonMonotoneScheme (Wang & Forsyth
-2008, maximal use of central differencing for HJB equations). Each
+continuation row that breaks this fails its problem with NonMonotoneScheme
+(Wang & Forsyth 2008, maximal use of central differencing for HJB equations). Each
 policy-iteration round evaluates the current policy exactly (one
 tridiagonal solve, with stopped nodes replaced by identity rows) and then
 improves it node by node. A row's discrete Hamiltonian is the continuous
@@ -76,11 +79,11 @@ only parameter that differs between them, so the batch's params.sigma is
 the (P, 1) column of the sigmas and the iteration's arrays carry one row per
 problem. Every step works node by node, so each problem's sweeps are
 bitwise those of its solve alone; what the batch saves is numpy's per-call
-overhead, which dominates a sweep on the coarse levels. A NonMonotoneScheme
-does not say which problem raised it, so on one the batch is solved again
-problem by problem, each with its own fallback, and a problem whose finest
-level fails gets its NonMonotoneScheme in its place. howard_solve is the
-batch of one.
+overhead, which dominates a sweep on the coarse levels. The scheme is
+checked problem by problem too: a problem whose scheme fails leaves its
+level at that evaluation while the others go on, and takes the fallback
+above inside the batch; on the finest level its NonMonotoneScheme takes
+its place. howard_solve is the batch of one.
 """
 
 from __future__ import annotations
@@ -359,7 +362,7 @@ def _stencil(params: ModelParams, grid: Grid, r, a):
     return d, c, params.phi(ai) - ri
 
 
-def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
+def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
     """Solve the linear system for a fixed policy, one system per row.
 
     Continuation rows: delta w - L^{a,r} w = phi(a) - r. Stopped rows:
@@ -369,7 +372,9 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     stopped neighbours' psi moved to the right-hand side. That gives the bits
     of one elimination over the whole system with identity rows at stopped
     nodes: an identity row comes through elimination as psi and restarts it.
-    No pivoting: rows are diagonally dominant by exactly delta.
+    No pivoting: rows are diagonally dominant by exactly delta. Returns
+    (w, failures): per row, the NonMonotoneScheme of a policy that breaks
+    the monotone scheme, whose row of w is then left unsolved, or None.
     """
     stop_i = stop[..., 1:-1]
     d, c, rhs = _stencil(params, grid, r, a)
@@ -380,34 +385,38 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi) -> np.ndarray:
     # monotone scheme: non-positive off-diagonals on continuation rows (the
     # Peclet condition |c| <= d). Dominance needs no check: by construction
     # every row sums to diag + lower + upper = (delta + 2d) + (c - d) - (d + c) = delta
-    if not (np.all(np.isfinite(diag)) and np.all(diag > 0.0)):
-        raise NonMonotoneScheme("non-finite or non-positive diagonal")
+    m = grid.n - 2
+    d, c, stop_i, lower, diag, upper, rhs = (
+        v.reshape(-1, m) for v in (d, c, stop_i, lower, diag, upper, rhs))
+    bad_diag = ~(np.isfinite(diag) & (diag > 0.0)).all(axis=1)
     steep = ~stop_i & ~(np.abs(c) <= d)
-    if steep.any():
-        at = np.unravel_index(np.argmax(steep), steep.shape)
-        raise NonMonotoneScheme(f"cell Peclet number {abs(c[at]) / d[at]:.3g} > 1 at node "
-                                f"{at[-1] + 1} (x = {grid.x[at[-1] + 1]:.6g})")
+    failed = bad_diag | steep.any(axis=1)
+    failures = [None] * len(failed)
+    for p in np.flatnonzero(failed).tolist():
+        j = int(np.argmax(steep[p]))
+        failures[p] = NonMonotoneScheme(
+            "non-finite or non-positive diagonal" if bad_diag[p] else
+            f"cell Peclet number {abs(c[p, j]) / d[p, j]:.3g} > 1 at node {j + 1} "
+            f"(x = {grid.x[j + 1]:.6g})")
 
     # fold the Dirichlet ends into the right-hand side (w_0 = 0 adds nothing)
-    rhs[..., -1] -= upper[..., -1] * psi[-1]
+    rhs[:, -1] -= upper[:, -1] * psi[-1]
 
-    m = grid.n - 2
     w = np.empty(stop.shape)
     w[..., 0] = 0.0
     w[..., 1:-1] = psi[1:-1]
     w[..., -1] = psi[-1]
     interior = w.reshape(-1, grid.n)[:, 1:-1]
-    lower, diag, upper, rhs = (v.reshape(-1, m) for v in (lower, diag, upper, rhs))
     # each run of continuation rows [s, e): +1 where it starts, -1 past its end
     edge = np.zeros((interior.shape[0], 1), dtype=bool)
-    cont = np.concatenate((edge, ~stop_i.reshape(-1, m), edge), axis=1).view(np.int8)
+    cont = np.concatenate((edge, ~stop_i & ~failed[:, None], edge), axis=1).view(np.int8)
     p_at, at = np.nonzero(np.diff(cont, axis=1))
     for p, s, e in zip(p_at[::2].tolist(), at[::2].tolist(), at[1::2].tolist()):
         interior[p, s:e] = _eliminate(lower[p, s:e].tolist(), diag[p, s:e].tolist(),
                                       upper[p, s:e].tolist(), rhs[p, s:e].tolist(),
                                       None if s == 0 else float(psi[s]),
                                       None if e == m else float(psi[e + 1]))
-    return w
+    return w, failures
 
 
 def _max_defect(params: ModelParams, grid: Grid, w, r, a, psi):
@@ -449,47 +458,49 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, b
 
     Row p of r, a and stop is problem p's starting policy, budgets[p] the
     sweeps it may spend here. Returns (w, r, a, stop, sweeps, n_convex,
-    converged), one row or entry per problem, n_convex summed over its
-    sweeps. A problem has converged when its policy reproduces itself
-    exactly, or when its value moved less than tol while its stop set stayed
-    fixed and its pointwise defect is within its reporting bound. A value
-    step below tol with the contact boundary still moving is not
-    convergence: near its fixed point the boundary recedes one node per
-    sweep with value steps of the same size as tol, and declaring
+    converged, failures), one row or entry per problem, n_convex summed over
+    its sweeps, failures as _evaluate's. A problem has converged when its
+    policy reproduces itself exactly, or when its value moved less than tol
+    while its stop set stayed fixed and its pointwise defect is within its
+    reporting bound. A value step below tol with the contact boundary still
+    moving is not convergence: near its fixed point the boundary recedes one
+    node per sweep with value steps of the same size as tol, and declaring
     convergence mid-recession leaves a junction defect orders of magnitude
     above the value step.
 
-    A problem leaves the batch when it converges or has spent its budget.
-    One that did not converge returns its last value and the policy improved
-    from it, the state whose defect NoConvergence reports; with a budget of
-    0 that is its starting policy and the value of it.
+    A problem leaves the batch when its scheme fails, it converges or it has
+    spent its budget. One that did not converge returns its last value and
+    the policy improved from it, the state whose defect NoConvergence
+    reports; with a budget of 0, its starting policy and the value of it.
     """
     w_out = np.empty(r.shape)
     r_out, a_out, stop_out = r.copy(), a.copy(), stop.copy()
     sweeps = np.zeros(len(budgets), dtype=int)
     n_convex = np.zeros(len(budgets), dtype=int)
     converged = np.zeros(len(budgets), dtype=bool)
-    idle = budgets == 0
-    if idle.any():
-        w_out[idle] = _evaluate(_rows(params, idle), grid, r[idle], a[idle], stop[idle], psi)
-
-    live = np.flatnonzero(~idle)
-    r, a, stop = r[live], a[live], stop[live]
-    batch = _rows(params, live)
-    w_prev = None
-    sweep = 0
+    failures = [None] * len(budgets)
+    live = np.arange(len(budgets))
+    batch, sweep, w_prev = params, 0, np.full(r.shape, np.nan)  # nan: no value step yet
     while live.size:
+        w, failed = _evaluate(batch, grid, r, a, stop, psi)
+        gone = (budgets[live] == sweep) | np.array([f is not None for f in failed])
+        if gone.any():
+            for i in np.flatnonzero(gone).tolist():
+                w_out[live[i]], failures[live[i]] = w[i], failed[i]
+            stay = ~gone
+            live, w, w_prev, r, a, stop = (v[stay] for v in (live, w, w_prev, r, a, stop))
+            batch = _rows(batch, stay)
+            if not live.size:
+                break
         sweep += 1
-        w = _evaluate(batch, grid, r, a, stop, psi)
         r_new, a_new, stop_new, n = _improve(batch, grid, w, psi)
         n_convex[live] += n
         same_stop = (stop_new == stop).all(axis=-1)
         done = same_stop & (r_new == r).all(axis=-1) & (a_new == a).all(axis=-1)
-        if w_prev is not None:
-            near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
-            if near.any():
-                done[near] = _max_defect(_rows(batch, near), grid, w[near], r_new[near],
-                                         a_new[near], psi) <= 10.0 * tol
+        near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
+        if near.any():
+            done[near] = _max_defect(_rows(batch, near), grid, w[near], r_new[near],
+                                     a_new[near], psi) <= 10.0 * tol
         leave = done | (sweep == budgets[live])
         if leave.any():
             out = live[leave]
@@ -502,7 +513,7 @@ def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, b
                                                stop_new[stay])
             batch = _rows(batch, stay)
         r, a, stop, w_prev = r_new, a_new, stop_new, w
-    return w_out, r_out, a_out, stop_out, sweeps, n_convex, converged
+    return w_out, r_out, a_out, stop_out, sweeps, n_convex, converged, failures
 
 
 def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFAULT_TOL,
@@ -516,9 +527,9 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     the iteration gains a leading problem axis; every step works node by
     node. The problems share the cascade levels and advance level by level
     together, each with its own budget of max_iter sweeps, and a problem
-    leaves the batch when it converges or spends its budget. A
-    NonMonotoneScheme sends every sigma to a batch of its own (see module
-    docstring). max_iter < 1 raises ValueError.
+    leaves its level when it converges, spends its budget or breaks the
+    Peclet condition (a cold start on the next level, or on the finest its
+    NonMonotoneScheme in its place). max_iter < 1 raises ValueError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -544,31 +555,28 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
             nearest = np.clip(np.rint(level.x / prev.dx).astype(int), 0, prev.n - 1)
             stop = stop[:, nearest]
             stop[:, 0] = False
+            r[cold], a[cold], stop[cold] = 0.0, 0.0, False
         stop[:, -1] = True
         batch = dataclasses.replace(params, sigma=sigma[live])
-        try:
-            w, r, a, stop, sweeps, n, converged = _solve_level(
-                batch, level, psi, r, a, stop, tol, max_iter - used[live])
-        except NonMonotoneScheme as exc:
-            if len(sigma) > 1:  # which problem raised it is unknown: each on its own
-                return [howard_solve_many(params, s, grid, tol, max_iter)[0] for s in sigma]
-            if level is grid:
-                return [exc]
-            # a level too coarse for the Peclet condition: cold start on the next one
-            level = None
-            used[:], n_convex[:], trace = 0, 0, [[]]
-            continue
+        w, r, a, stop, sweeps, n, converged, failures = _solve_level(
+            batch, level, psi, r, a, stop, tol, max_iter - used[live])
         used[live] += sweeps
         n_convex[live] += n
         for p, k in zip(live.tolist(), sweeps.tolist()):
             trace[p].append((level.n, k))
-        residual = _max_defect(batch, level, w, r, a, psi)
-        for i in np.flatnonzero(~converged):
-            # the budget ran out, perhaps exactly at the end of a level
-            out[live[i]] = NoConvergence(iterations=max_iter, residual=float(residual[i]),
-                                         nodes=level.n)
-        live, w, r, a, stop, residual = (v[converged] for v in (live, w, r, a, stop, residual))
+        # a level too coarse for the Peclet condition: cold start on the next one
+        cold = np.array([f is not None for f in failures]) & (level is not grid)
+        for i, p in enumerate(live.tolist()):
+            if cold[i]:
+                used[p], n_convex[p], trace[p] = 0, 0, []
+            elif not converged[i]:  # a finest-level failure, or a budget spent
+                out[p] = failures[i] or NoConvergence(
+                    iterations=max_iter, nodes=level.n, residual=float(_max_defect(
+                        _rows(batch, [i]), level, w[[i]], r[[i]], a[[i]], psi)[0]))
+        keep = converged | cold
+        live, w, r, a, stop, cold = (v[keep] for v in (live, w, r, a, stop, cold))
 
+    residual = _max_defect(_rows(batch, keep), grid, w, r, a, psi)
     growth = np.max(np.abs(w) - params.u_inv(grid.x), axis=-1)
     first_stop = np.argmax(stop, axis=-1)
     for i, p in enumerate(live.tolist()):

@@ -311,15 +311,15 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = hjbvi.DEFAULT_TOL, max_iter: int = hjbvi.DEFAULT_MAX_ITER):
     """Second-best solves of every sigma on a shared grid, in one
-    howard_solve_many batch; a repeated sigma is solved once. This is the
-    CLI's batch: each run solves the sigmas its stages need with one call.
+    howard_solve_many batch. This is the CLI's batch: each run solves the
+    sigmas its stages need with one call.
 
-    Returns (solved, failures): solved is a list of (sigma, solution) in
-    input order, failures a list of (sigma, message). A failed sigma does
-    not abort the sweep: howard_solve_many returns each sigma's
-    NoConvergence or NonMonotoneScheme in its place, and the other sigmas
-    keep their bitwise solutions. A max_iter below 1 raises
-    howard_solve_many's ValueError.
+    Returns a dict from each distinct sigma, in input order, to its
+    solution or to the exception that failed it: ValueError for a sigma
+    <= 0, else howard_solve_many's NoConvergence or NonMonotoneScheme. A
+    failed sigma does not abort the sweep, and the other sigmas keep their
+    bitwise solutions. A max_iter below 1 raises howard_solve_many's
+    ValueError.
     """
     sigmas = [float(sg) for sg in sigmas]
     if not sigmas:
@@ -328,19 +328,12 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
     results = dict(zip(valid, hjbvi.howard_solve_many(params, valid, grid, tol=tol,
                                                       max_iter=max_iter)))
-    solved, failures = [], []
-    for sg in sigmas:
-        res = results.get(sg, ValueError("sigma must be > 0"))
-        if isinstance(res, Exception):
-            failures.append((sg, f"{type(res).__name__}: {res}"))
-        else:
-            solved.append((sg, res))
-    return solved, failures
+    return {sg: results.get(sg, ValueError("sigma must be > 0")) for sg in sigmas}
 
 
-# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps each
-# sigma the run needs to its solution or to sigma_sweep's failure message;
-# cfg's own sigma is a solution whenever a stage reads it.
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved is
+# sigma_sweep's dict for the sigmas the run needs; cfg's own sigma is a
+# solution whenever a stage reads it.
 
 
 def _first_best(cfg: RunConfig, outdir, solved):
@@ -413,14 +406,14 @@ def _voi(cfg: RunConfig, outdir, solved):
 
 
 def _sweep(cfg: RunConfig, outdir, solved):
-    failed = [sg for sg in cfg.sweep_sigmas if isinstance(solved[sg], str)]
+    failed = [sg for sg in cfg.sweep_sigmas if isinstance(solved[sg], Exception)]
     per_sigma = [(np.full(solved[sg].grid.n, sg), solved[sg].grid.x, solved[sg].w)
                  for sg in cfg.sweep_sigmas if sg not in failed]
     write_csv(os.path.join(outdir, "sweep.csv"), ("sigma", "x", "w"),
               [np.concatenate(col) for col in zip(*per_sigma)])
     diag = {
         "sweep_sigmas": list(cfg.sweep_sigmas),
-        "sweep_failures": [f"{sg}: {solved[sg]}" for sg in failed],
+        "sweep_failures": [f"{sg}: {type(solved[sg]).__name__}: {solved[sg]}" for sg in failed],
     }
     # the sweep's own solutions are freed with this stage
     for sg in cfg.sweep_sigmas:
@@ -510,13 +503,12 @@ def cli_dispatch(argv) -> int:
         if sigmas:
             t0 = time.perf_counter()
             # no other reference to a solution outlives solved, so the sweep stage frees its own
-            solved = {sg: res for part in sigma_sweep(
-                cfg.params, sigmas, grid=cfg.grid, tol=cfg.howard_tol,
-                max_iter=cfg.howard_max_iter) for sg, res in part}
+            solved = sigma_sweep(cfg.params, sigmas, grid=cfg.grid, tol=cfg.howard_tol,
+                                 max_iter=cfg.howard_max_iter)
             timings["solve_seconds"] = time.perf_counter() - t0
         own = solved.get(cfg.params.sigma)
-        if isinstance(own, str) and any(need is _own_sigma for _, _, need in stages):
-            print(f"solver failure: {own}", file=sys.stderr)
+        if isinstance(own, Exception) and any(need is _own_sigma for _, _, need in stages):
+            print(f"solver failure: {type(own).__name__}: {own}", file=sys.stderr)
             return 2
         for key, stage, _ in stages:
             t0 = time.perf_counter()

@@ -164,11 +164,14 @@ def interpolate_policy(solution: SecondBestSolution, x):
 
 
 def in_stop_region(solution: SecondBestSolution, x):
-    """Stop-region membership by the nearest grid node's flag."""
+    """Stop-region membership by the nearest grid node's flag: a state
+    below 0 takes node 0's, one above x_max (inf too) the end node's, and a
+    NaN state raises PolicyOutOfRange."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise PolicyOutOfRange("state is NaN")
     g = solution.grid
-    idx = np.clip(np.rint(x / g.dx).astype(np.int64), 0, g.n - 1)
-    return solution.stop[idx]
+    return solution.stop[np.rint(np.clip(x / g.dx, 0, g.n - 1)).astype(np.int64)]
 
 
 def check_start(solution: SecondBestSolution, x0: float) -> None:

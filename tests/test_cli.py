@@ -145,21 +145,19 @@ class TestValueOfInformation:
 
 class TestSigmaSweep:
     def test_single_sigma_matches_direct_solve(self, params, grid, sb):
-        solved, failures = sigma_sweep(params, [1.85], grid=grid)
-        assert failures == []
-        [(sg, sol)] = solved
+        [(sg, sol)] = sigma_sweep(params, [1.85], grid=grid).items()
         assert sg == 1.85
         assert np.array_equal(sol.w, sb.w)
         assert np.array_equal(sol.stop, sb.stop)
 
     def test_failures_reported_and_sweep_continues(self, params):
         g = Grid.make(x_max=1.0, n=201)
-        solved, failures = sigma_sweep(params, [-2.0, 1.85], grid=g)
-        assert [sg for sg, _ in solved] == [1.85]
-        assert failures[0][0] == -2.0 and "sigma" in failures[0][1]
-        solved, failures = sigma_sweep(params, [1.85], grid=g, max_iter=3)
-        assert solved == []
-        assert "NoConvergence" in failures[0][1]
+        solved = sigma_sweep(params, [-2.0, 1.85], grid=g)
+        assert list(solved) == [-2.0, 1.85]
+        assert isinstance(solved[-2.0], ValueError) and str(solved[-2.0]) == "sigma must be > 0"
+        assert isinstance(solved[1.85], hjbvi.SecondBestSolution)
+        [failed] = sigma_sweep(params, [1.85], grid=g, max_iter=3).values()
+        assert isinstance(failed, hjbvi.NoConvergence)
 
     @pytest.mark.parametrize("bad", [1e300, np.inf])
     def test_a_non_monotone_sigma_fails_alone(self, params, bad):
@@ -168,11 +166,13 @@ class TestSigmaSweep:
         good, failed = hjbvi.howard_solve_many(params, [1.85, bad], g)
         assert isinstance(failed, NonMonotoneScheme)
         assert good.level_sweeps == hjbvi.howard_solve(params, g).level_sweeps
-        solved, failures = sigma_sweep(params, [1.85, bad, 1.7], grid=g)
-        assert failures == [(bad, "NonMonotoneScheme: non-finite or non-positive diagonal")]
-        alone = dict(sigma_sweep(params, [1.85, 1.7], grid=g)[0])
-        assert [sg for sg, _ in solved] == [1.85, 1.7]
-        for sg, sol in solved:
+        solved = sigma_sweep(params, [1.85, bad, 1.7], grid=g)
+        assert list(solved) == [1.85, bad, 1.7]
+        failed = solved.pop(bad)
+        assert isinstance(failed, NonMonotoneScheme)
+        assert str(failed) == "non-finite or non-positive diagonal"
+        alone = sigma_sweep(params, [1.85, 1.7], grid=g)
+        for sg, sol in solved.items():
             for name in ("w", "r_star", "a_star", "stop"):
                 assert np.array_equal(getattr(sol, name), getattr(alone[sg], name)), name
             assert (sol.b_hat, sol.iterations, sol.level_sweeps) == (
@@ -241,13 +241,16 @@ class TestDispatch:
         assert code == 2
         assert "NoConvergence" in capsys.readouterr().err
 
-        def broken(*args):
-            raise NonMonotoneScheme("non-finite or non-positive diagonal")
+        def broken(params, grid, r, a, stop, psi):
+            # every problem's scheme fails, on every level
+            return np.zeros(stop.shape), [NonMonotoneScheme("non-finite or non-positive "
+                                                            "diagonal")] * len(stop)
 
         monkeypatch.setattr(hjbvi, "_evaluate", broken)
         code = cli_dispatch(["second-best", "--out", str(tmp_path), "--set", "grid.n=201"])
         assert code == 2
-        assert "NonMonotoneScheme" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "solver failure: NonMonotoneScheme: non-finite or non-positive diagonal\n")
 
     @pytest.mark.parametrize("budget", [15, 24, 32])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
@@ -637,7 +640,7 @@ class TestReportComposition:
         # the run's solved dict through the simulate stage: only the
         # configured sigma stays
         cfg = load(None, [*FAST[1::2], "sweep.sigmas=1.7,2.0"])
-        solved = dict(sigma_sweep(cfg.params, [1.85, 1.7, 2.0], grid=cfg.grid)[0])
+        solved = sigma_sweep(cfg.params, [1.85, 1.7, 2.0], grid=cfg.grid)
         assert report_cli._sweep(cfg, str(tmp_path), solved)[0] == ["sweep.csv"]
         assert list(solved) == [1.85] and solved[1.85].grid.n == 201
 
@@ -682,7 +685,6 @@ class TestReportComposition:
         one, two = ((out / "sweep.csv").read_bytes().splitlines() for out in (once, twice))
         rows_17 = [row for row in one[1:] if row.startswith(b"1.7,")]
         assert two == one[:1] + rows_17 + one[1:]
-        solved, failures = sigma_sweep(load(None, FAST[1::2]).params, [1.7, 1.7],
-                                       grid=Grid.make(1.0, 201))
+        solved = sigma_sweep(load(None, FAST[1::2]).params, [1.7, 1.7], grid=Grid.make(1.0, 201))
         assert batches[1:] == [[1.7]]
-        assert failures == [] and solved[0][1] is solved[1][1]
+        assert list(solved) == [1.7] and isinstance(solved[1.7], hjbvi.SecondBestSolution)

@@ -326,8 +326,11 @@ class TestHowardSolve:
         r[5] = np.inf  # U(r) = inf makes that row's drift, so its Peclet number, infinite
         a = np.full(g.n, 1.0)
         stop = np.zeros(g.n, dtype=bool)
-        with pytest.raises(NonMonotoneScheme, match=r"Peclet number inf > 1 at node 5 \(x = 0\.25\)"):
-            _evaluate(params, g, r, a, stop, -g.x**4)
+        # the failure is returned for its row, which is left unsolved
+        w, (failure,) = _evaluate(params, g, r, a, stop, -g.x**4)
+        assert isinstance(failure, NonMonotoneScheme)
+        assert str(failure) == "cell Peclet number inf > 1 at node 5 (x = 0.25)"
+        assert np.array_equal(w, -g.x**4)
 
 
 def _halving(limit):
@@ -434,7 +437,8 @@ class TestRunEvaluate:
         howard_solve_many(params, [1.5, 1.85, 2.2], grid)
         assert len(calls) == 43
         for batch, grid_, r, a, stop, psi in calls:
-            got = real(batch, grid_, r, a, stop, psi)
+            got, failures = real(batch, grid_, r, a, stop, psi)
+            assert failures == [None] * r.shape[0]
             for p in range(r.shape[0]):
                 want = whole_system_evaluate(_row_params(batch, p), grid_, r[p], a[p], stop[p], psi)
                 assert np.array_equal(got[p], want)
@@ -446,8 +450,9 @@ class TestRunEvaluate:
         stop = np.random.default_rng(5).random(grid.n) < 0.5
         stop[[0, 1, 2, 5, -2]] = [False, False, True, True, False]
         stop[-1] = True
-        got = _evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        got, failures = _evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
         want = whole_system_evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        assert failures == [None]
         assert np.array_equal(got, want)
         assert np.array_equal(got[stop], psi[stop])
 
@@ -557,16 +562,38 @@ class TestPecletFallback:
         for sigma, got in solos.items():
             _assert_same_solution(got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
 
-    def test_a_batch_gives_each_sigma_its_route(self, params):
-        # 3.0 solves from 51 nodes, 1.85 from 201, and 1.2 breaks the
-        # condition on 201 nodes too, which fails it alone
-        g = Grid.make(5.0, 201)
-        sols = howard_solve_many(params, [1.85, 3.0, 1.2], g)
-        for sigma, got in zip((1.85, 3.0), sols):
-            _assert_same_solution(got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
-        assert [s.level_sweeps[0][0] for s in sols[:2]] == [201, 51]
-        assert isinstance(sols[2], NonMonotoneScheme)
-        assert str(sols[2]) == "cell Peclet number 1.17 > 1 at node 198 (x = 4.95)"
+    def test_a_batch_gives_each_sigma_its_route(self, params, monkeypatch):
+        # on 201 nodes 3.0 solves from 51 nodes, 1.85 from 201, and 1.2
+        # breaks the condition on 201 nodes too, which fails it alone. On
+        # 2001 nodes 1.85 fails on the 3rd and 5th evaluations of its 32- and
+        # 126-node levels and solves from 501, 3.0 stalls, and 1.2 falls
+        # back three times and solves from a cold start on 2001 nodes
+        routes = {201: (201, 51, "NonMonotoneScheme: cell Peclet number 1.17 > 1 at node 198 "
+                                 "(x = 4.95)"),
+                  2001: (501, "NoConvergence: no convergence after 200 iterations "
+                              "(residual 1.595e-08 on the 2001-node level)", 2001)}
+        calls, solve_many = [], hjbvi.howard_solve_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_many(*args, **kwargs)
+
+        monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
+        for n, route in routes.items():
+            g = Grid.make(5.0, n)
+            del calls[:]
+            sols = hjbvi.howard_solve_many(params, [1.85, 3.0, 1.2], g)
+            assert len(calls) == 1  # no sigma is solved again on its own
+            for sigma, got, want in zip((1.85, 3.0, 1.2), sols, route):
+                if isinstance(want, str):
+                    assert f"{type(got).__name__}: {got}" == want
+                    with pytest.raises(type(got)) as alone:
+                        howard_solve(dataclasses.replace(params, sigma=sigma), g)
+                    assert str(alone.value) == str(got)
+                else:
+                    assert got.level_sweeps[0][0] == want
+                    _assert_same_solution(
+                        got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
 
     @pytest.mark.parametrize("x_max, cold", [(2.0, 32), (5.0, 501)])
     def test_wide_grids_keep_the_halving_routes_solution(self, params, monkeypatch, x_max, cold):

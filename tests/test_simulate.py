@@ -176,6 +176,12 @@ class TestPolicyLookup:
         assert not in_stop_region(sb, sb.b_hat - 0.6 * dx)
         assert not in_stop_region(sb, 0.0)
 
+    def test_stop_lookup_off_the_grid(self, sb):
+        # an infinite state is above x_max like 2.0, at the end node's stop
+        assert in_stop_region(sb, [np.inf, 2.0]).tolist() == [True, True]
+        with pytest.raises(PolicyOutOfRange, match="NaN"):
+            in_stop_region(sb, [0.1, np.nan])
+
 
 class TestPreconditions:
     def test_start_must_be_interior(self, params, sb):
