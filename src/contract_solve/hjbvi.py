@@ -79,17 +79,21 @@ only parameter that differs between them, so the batch's params.sigma is
 the (P, 1) column of the sigmas and the iteration's arrays carry one row per
 problem. Every step works node by node, so each problem's sweeps are
 bitwise those of its solve alone; what the batch saves is numpy's per-call
-overhead, which dominates a sweep on the coarse levels. The scheme is
-checked problem by problem too: a problem whose scheme fails leaves its
-level at that evaluation while the others go on, and takes the fallback
-above inside the batch; on the finest level its NonMonotoneScheme takes
-its place. howard_solve is the batch of one.
+overhead, which dominates a sweep on the coarse levels. Each problem's
+outcome is decided by itself, in the batch's one sweep loop, at the
+evaluation or improvement that settles it: a failed scheme (the fallback
+above, or on the finest level its NonMonotoneScheme in its place), a spent
+budget (NoConvergence in its place) or convergence (a warm start for the
+next level, or its solution). A sigma that is not > 0 has ValueError in its
+place and is never swept. howard_solve is the batch of one and raises
+whatever exception takes its sigma's place.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,10 +398,11 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
     failures = [None] * len(failed)
     for p in np.flatnonzero(failed).tolist():
         j = int(np.argmax(steep[p]))
-        failures[p] = NonMonotoneScheme(
-            "non-finite or non-positive diagonal" if bad_diag[p] else
-            f"cell Peclet number {abs(c[p, j]) / d[p, j]:.3g} > 1 at node {j + 1} "
-            f"(x = {grid.x[j + 1]:.6g})")
+        with np.errstate(divide="ignore"):  # D underflows to 0 for sigma below ~1e-160
+            failures[p] = NonMonotoneScheme(
+                "non-finite or non-positive diagonal" if bad_diag[p] else
+                f"cell Peclet number {abs(c[p, j]) / d[p, j]:.3g} > 1 at node {j + 1} "
+                f"(x = {grid.x[j + 1]:.6g})")
 
     # fold the Dirichlet ends into the right-hand side (w_0 = 0 adds nothing)
     rhs[:, -1] -= upper[:, -1] * psi[-1]
@@ -453,94 +458,49 @@ def _level_sizes(n: int) -> list[int]:
     return sizes[::-1]
 
 
-def _solve_level(params: ModelParams, grid: Grid, psi, r, a, stop, tol: float, budgets):
-    """Run policy iteration on one grid for a batch of problems.
-
-    Row p of r, a and stop is problem p's starting policy, budgets[p] the
-    sweeps it may spend here. Returns (w, r, a, stop, sweeps, n_convex,
-    converged, failures), one row or entry per problem, n_convex summed over
-    its sweeps, failures as _evaluate's. A problem has converged when its
-    policy reproduces itself exactly, or when its value moved less than tol
-    while its stop set stayed fixed and its pointwise defect is within its
-    reporting bound. A value step below tol with the contact boundary still
-    moving is not convergence: near its fixed point the boundary recedes one
-    node per sweep with value steps of the same size as tol, and declaring
-    convergence mid-recession leaves a junction defect orders of magnitude
-    above the value step.
-
-    A problem leaves the batch when its scheme fails, it converges or it has
-    spent its budget. One that did not converge returns its last value and
-    the policy improved from it, the state whose defect NoConvergence
-    reports; with a budget of 0, its starting policy and the value of it.
-    """
-    w_out = np.empty(r.shape)
-    r_out, a_out, stop_out = r.copy(), a.copy(), stop.copy()
-    sweeps = np.zeros(len(budgets), dtype=int)
-    n_convex = np.zeros(len(budgets), dtype=int)
-    converged = np.zeros(len(budgets), dtype=bool)
-    failures = [None] * len(budgets)
-    live = np.arange(len(budgets))
-    batch, sweep, w_prev = params, 0, np.full(r.shape, np.nan)  # nan: no value step yet
-    while live.size:
-        w, failed = _evaluate(batch, grid, r, a, stop, psi)
-        gone = (budgets[live] == sweep) | np.array([f is not None for f in failed])
-        if gone.any():
-            for i in np.flatnonzero(gone).tolist():
-                w_out[live[i]], failures[live[i]] = w[i], failed[i]
-            stay = ~gone
-            live, w, w_prev, r, a, stop = (v[stay] for v in (live, w, w_prev, r, a, stop))
-            batch = _rows(batch, stay)
-            if not live.size:
-                break
-        sweep += 1
-        r_new, a_new, stop_new, n = _improve(batch, grid, w, psi)
-        n_convex[live] += n
-        same_stop = (stop_new == stop).all(axis=-1)
-        done = same_stop & (r_new == r).all(axis=-1) & (a_new == a).all(axis=-1)
-        near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
-        if near.any():
-            done[near] = _max_defect(_rows(batch, near), grid, w[near], r_new[near],
-                                     a_new[near], psi) <= 10.0 * tol
-        leave = done | (sweep == budgets[live])
-        if leave.any():
-            out = live[leave]
-            w_out[out], r_out[out], a_out[out] = w[leave], r_new[leave], a_new[leave]
-            stop_out[out] = stop_new[leave]
-            sweeps[out] = sweep
-            converged[out] = done[leave]
-            stay = ~leave
-            live, w, r_new, a_new, stop_new = (live[stay], w[stay], r_new[stay], a_new[stay],
-                                               stop_new[stay])
-            batch = _rows(batch, stay)
-        r, a, stop, w_prev = r_new, a_new, stop_new, w
-    return w_out, r_out, a_out, stop_out, sweeps, n_convex, converged, failures
-
-
 def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> list:
     """howard_solve for every sigma of sigmas, as one batch.
 
     Returns, per sigma in order, the SecondBestSolution that howard_solve
-    returns for it, bitwise, or the NoConvergence or NonMonotoneScheme it
-    raises. sigma is the only parameter that differs across the batch, so
-    params.sigma becomes the (P, 1) column of the sigmas and every array of
-    the iteration gains a leading problem axis; every step works node by
-    node. The problems share the cascade levels and advance level by level
-    together, each with its own budget of max_iter sweeps, and a problem
-    leaves its level when it converges, spends its budget or breaks the
-    Peclet condition (a cold start on the next level, or on the finest its
-    NonMonotoneScheme in its place). max_iter < 1 raises ValueError.
+    returns for it, bitwise, or the exception it raises: ValueError for a
+    sigma that is not > 0 (NaN included), which is never swept, else
+    NoConvergence or NonMonotoneScheme. sigma is the only parameter that
+    differs across the batch, so params.sigma becomes the (P, 1) column of
+    the sigmas and every array of the iteration gains a leading problem
+    axis; every step works node by node. The problems share the cascade
+    levels and advance level by level together, each with its own budget of
+    max_iter sweeps. A max_iter that is not an integer, or is below 1,
+    raises ValueError.
+
+    A problem leaves its level at the sweep that decides its outcome there.
+    One whose policy fails the scheme takes a cold start on the next level
+    or, on the finest, has its NonMonotoneScheme put in its place. One that
+    spends its budget, also with a budget of 0 on arrival, has NoConvergence
+    put in its place, with the defect of its last value and the policy
+    improved from it (with a budget of 0, its starting policy). One that
+    converged warm-starts the next level, or on the finest becomes its
+    solution. A problem has converged when its policy reproduces itself
+    exactly, or when its value moved less than tol while its stop set stayed
+    fixed and its pointwise defect is within its reporting bound. A value
+    step below tol with the contact boundary still moving is not
+    convergence: near its fixed point the boundary recedes one node per
+    sweep with value steps of the same size as tol, and declaring
+    convergence mid-recession leaves a junction defect orders of magnitude
+    above the value step.
     """
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, not {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     sigma = np.array(sigmas, dtype=float).reshape(-1, 1)
-    out = [None] * len(sigma)
-    live = np.arange(len(sigma))  # the problems still being solved, in order
-    used = np.zeros(len(sigma), dtype=int)
-    n_convex = np.zeros(len(sigma), dtype=int)
+    out = [None if s > 0.0 else ValueError("sigma must be > 0") for s in sigma.ravel().tolist()]
+    used = np.zeros(len(out), dtype=int)  # sweeps from the cold start to this level
+    n_convex = np.zeros(len(out), dtype=int)
     trace = [[] for _ in out]  # (nodes, sweeps) of each level, per problem
     level = None
     for size in _level_sizes(grid.n):
+        live = np.flatnonzero([o is None for o in out])  # the problems still being solved
         if not live.size:
             return out
         prev, level = level, (grid if size == grid.n else Grid.make(grid.x_max, size))
@@ -549,40 +509,68 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
             r = np.zeros((live.size, level.n))
             a = np.zeros((live.size, level.n))
             stop = np.zeros((live.size, level.n), dtype=bool)
-        else:
-            r = np.array([np.interp(level.x, prev.x, row) for row in r])
-            a = np.array([np.interp(level.x, prev.x, row) for row in a])
+        else:  # a cold start's zero policy interpolates to itself
+            r = np.array([np.interp(level.x, prev.x, row) for row in end_r[live]])
+            a = np.array([np.interp(level.x, prev.x, row) for row in end_a[live]])
             nearest = np.clip(np.rint(level.x / prev.dx).astype(int), 0, prev.n - 1)
-            stop = stop[:, nearest]
+            stop = end_stop[live][:, nearest]
             stop[:, 0] = False
-            r[cold], a[cold], stop[cold] = 0.0, 0.0, False
         stop[:, -1] = True
+        # per problem, its converged state on this level, or the zero policy
+        # of a cold start on the next one
+        end_w, end_r, end_a = np.zeros((3, len(out), level.n))
+        end_stop = np.zeros((len(out), level.n), dtype=bool)
         batch = dataclasses.replace(params, sigma=sigma[live])
-        w, r, a, stop, sweeps, n, converged, failures = _solve_level(
-            batch, level, psi, r, a, stop, tol, max_iter - used[live])
-        used[live] += sweeps
-        n_convex[live] += n
-        for p, k in zip(live.tolist(), sweeps.tolist()):
-            trace[p].append((level.n, k))
-        # a level too coarse for the Peclet condition: cold start on the next one
-        cold = np.array([f is not None for f in failures]) & (level is not grid)
-        for i, p in enumerate(live.tolist()):
-            if cold[i]:
-                used[p], n_convex[p], trace[p] = 0, 0, []
-            elif not converged[i]:  # a finest-level failure, or a budget spent
-                out[p] = failures[i] or NoConvergence(
-                    iterations=max_iter, nodes=level.n, residual=float(_max_defect(
-                        _rows(batch, [i]), level, w[[i]], r[[i]], a[[i]], psi)[0]))
-        keep = converged | cold
-        live, w, r, a, stop, cold = (v[keep] for v in (live, w, r, a, stop, cold))
+        budget = max_iter - used[live]
+        sweep, w_prev = 0, np.full(r.shape, np.nan)  # nan: no value step yet
+        evaluated = False  # whether w is the value of the current policy
+        while live.size:  # each pass evaluates or improves, then the decided problems leave
+            if not evaluated:
+                w, failures = _evaluate(batch, level, r, a, stop, psi)
+                done = np.zeros(live.size, dtype=bool)
+                leave = (budget == sweep) | np.array([f is not None for f in failures])
+            else:
+                sweep += 1
+                r_new, a_new, stop_new, n = _improve(batch, level, w, psi)
+                n_convex[live] += n
+                same_stop = (stop_new == stop).all(axis=-1)
+                done = same_stop & (r_new == r).all(axis=-1) & (a_new == a).all(axis=-1)
+                near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
+                if near.any():
+                    done[near] = _max_defect(_rows(batch, near), level, w[near], r_new[near],
+                                             a_new[near], psi) <= 10.0 * tol
+                r, a, stop, w_prev = r_new, a_new, stop_new, w
+                failures, leave = [None] * live.size, done | (sweep == budget)
+            evaluated = not evaluated
+            for i in np.flatnonzero(leave).tolist():
+                p = live[i]
+                if done[i]:
+                    end_w[p], end_r[p], end_a[p], end_stop[p] = w[i], r[i], a[i], stop[i]
+                    used[p] += sweep
+                    trace[p].append((level.n, sweep))
+                elif failures[i] is None:
+                    out[p] = NoConvergence(iterations=max_iter, nodes=level.n, residual=float(
+                        _max_defect(_rows(batch, [i]), level, w[[i]], r[[i]], a[[i]], psi)[0]))
+                elif level is grid:
+                    out[p] = failures[i]
+                else:  # too coarse for the Peclet condition: its end state stays
+                    # the zero policy, a cold start on the next level
+                    used[p], n_convex[p], trace[p] = 0, 0, []
+            if leave.any():
+                stay = ~leave
+                live, budget, w, w_prev, r, a, stop = (
+                    v[stay] for v in (live, budget, w, w_prev, r, a, stop))
+                batch = _rows(batch, stay)
 
-    residual = _max_defect(_rows(batch, keep), grid, w, r, a, psi)
-    growth = np.max(np.abs(w) - params.u_inv(grid.x), axis=-1)
-    first_stop = np.argmax(stop, axis=-1)
+    live = np.flatnonzero([o is None for o in out])
+    residual = _max_defect(dataclasses.replace(params, sigma=sigma[live]), grid, end_w[live],
+                           end_r[live], end_a[live], psi)
+    growth = np.max(np.abs(end_w[live]) - params.u_inv(grid.x), axis=-1)
+    first_stop = np.argmax(end_stop[live], axis=-1)
     for i, p in enumerate(live.tolist()):
         out[p] = SecondBestSolution(
-            grid=grid, w=w[i].copy(), r_star=r[i].copy(), a_star=a[i].copy(),
-            stop=stop[i].copy(), b_hat=float(grid.x[first_stop[i]]),
+            grid=grid, w=end_w[p].copy(), r_star=end_r[p].copy(), a_star=end_a[p].copy(),
+            stop=end_stop[p].copy(), b_hat=float(grid.x[first_stop[i]]),
             k_growth=max(0.0, float(growth[i])), iterations=int(used[p]),
             residual=float(residual[i]), effort_convex_nodes=int(n_convex[p]),
             level_sweeps=tuple(trace[p]),
@@ -604,10 +592,12 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = DEFAULT_TOL,
     against the converged value, so r_star and a_star are the feedback
     maximizers of the discrete Hamiltonian. A budget that runs out, even
     exactly at a level boundary, raises NoConvergence, and a finest level
-    that breaks the Peclet condition NonMonotoneScheme; max_iter < 1 raises
-    ValueError. This is howard_solve_many's batch of one.
+    that breaks the Peclet condition NonMonotoneScheme; a sigma that is not
+    > 0, or a max_iter that is not an integer >= 1, raises ValueError. This
+    is howard_solve_many's batch of one, and it raises the exception that
+    the batch puts in its sigma's place.
     """
     solution, = howard_solve_many(params, [params.sigma], grid, tol=tol, max_iter=max_iter)
-    if isinstance(solution, (NoConvergence, NonMonotoneScheme)):
+    if isinstance(solution, Exception):
         raise solution
     return solution

@@ -315,20 +315,17 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     sigmas its stages need with one call.
 
     Returns a dict from each distinct sigma, in input order, to its
-    solution or to the exception that failed it: ValueError for a sigma
-    <= 0, else howard_solve_many's NoConvergence or NonMonotoneScheme. A
-    failed sigma does not abort the sweep, and the other sigmas keep their
-    bitwise solutions. A max_iter below 1 raises howard_solve_many's
-    ValueError.
+    solution or to the exception that failed it, as howard_solve_many
+    returns them: ValueError for a sigma <= 0, NoConvergence or
+    NonMonotoneScheme. A failed sigma does not abort the sweep, and the
+    other sigmas keep their bitwise solutions. A max_iter below 1 or not an
+    integer raises howard_solve_many's ValueError.
     """
-    sigmas = [float(sg) for sg in sigmas]
+    sigmas = list(dict.fromkeys(float(sg) for sg in sigmas))
     if not sigmas:
         raise ValueError("sigma_sweep needs at least one sigma")
-
-    valid = list(dict.fromkeys(sg for sg in sigmas if sg > 0.0))
-    results = dict(zip(valid, hjbvi.howard_solve_many(params, valid, grid, tol=tol,
-                                                      max_iter=max_iter)))
-    return {sg: results.get(sg, ValueError("sigma must be > 0")) for sg in sigmas}
+    return dict(zip(sigmas, hjbvi.howard_solve_many(params, sigmas, grid, tol=tol,
+                                                    max_iter=max_iter)))
 
 
 # A stage is (cfg, outdir, solved) -> (files, diagnostics). solved is

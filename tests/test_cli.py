@@ -298,6 +298,15 @@ class TestDispatch:
                 "1e+300: NonMonotoneScheme: non-finite or non-positive diagonal"]
             assert (out / "sweep.csv").read_bytes() == (alone / "sweep.csv").read_bytes()
 
+    def test_an_underflowing_sweep_sigma_fails_without_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        assert cli_dispatch(["sweep", "--out", str(out),
+                             "--set", "sweep.sigmas=1e-200,1.85"]) == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["sweep_failures"] == [
+            "1e-200: NonMonotoneScheme: cell Peclet number inf > 1 at node 1 (x = 0.0005)"]
+        assert capsys.readouterr().err == ""
+
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
         code = cli_dispatch(["simulate", "--out", str(tmp_path), *FAST,
                              "--set", "sim.x0=0.8"])

@@ -320,6 +320,28 @@ class TestHowardSolve:
             with pytest.raises(ValueError, match="max_iter"):
                 howard_solve(params, grid, max_iter=budget)
 
+    def test_a_fractional_budget_rejected(self, params, grid, sb):
+        # the budget is spent at the sweep that equals it, which a fraction
+        # never reaches: 2.5 would solve in 36 sweeps, 200.5 sweep on forever
+        # where 200 runs out (sigma 3.0 on [0, 5])
+        for budget in (2.5, 200.5):
+            with pytest.raises(ValueError, match="max_iter"):
+                howard_solve(params, grid, max_iter=budget)
+        _assert_same_solution(howard_solve(params, grid, max_iter=np.int64(200)), sb)
+
+    @pytest.mark.parametrize("sigma", [-1.85, 0.0, math.nan])
+    def test_a_sigma_not_above_zero_rejected(self, params, grid, sigma):
+        # -1.85 would square to 1.85's diffusion and give its solution
+        with pytest.raises(ValueError, match=r"^sigma must be > 0$"):
+            howard_solve(dataclasses.replace(params, sigma=sigma), grid)
+
+    def test_an_underflowing_diffusion_fails_without_a_warning(self, params, grid):
+        # D underflows to 0 at sigma 1e-200, so the Peclet number is inf; the
+        # repo's pytest filter would raise a divide warning from the text
+        with pytest.raises(NonMonotoneScheme) as exc:
+            howard_solve(dataclasses.replace(params, sigma=1e-200), grid)
+        assert str(exc.value) == "cell Peclet number inf > 1 at node 1 (x = 0.0005)"
+
     def test_non_monotone_scheme_raises(self, params):
         g = Grid.make(x_max=1.0, n=21)
         r = np.full(g.n, 0.1)
@@ -506,6 +528,17 @@ class TestHowardSolveMany:
         assert batch.sigma.ravel().tolist() == [1.5, 1.2]
         r, a, _, _ = real(*with_15[-1])
         assert failed.residual == hjbvi._max_defect(batch, grid_, w, r, a, psi)[0]
+
+    def test_a_sigma_not_above_zero_keeps_its_place_unswept(self, params, grid, sb_for_sigma,
+                                                          monkeypatch):
+        want = sb_for_sigma(1.85), sb_for_sigma(2.2)
+        calls, _ = _recording(monkeypatch, "_evaluate")
+        sols = howard_solve_many(params, [1.85, -1.85, 0.0, math.nan, 2.2], grid)
+        for bad in sols[1:4]:
+            assert type(bad) is ValueError and str(bad) == "sigma must be > 0"
+        _assert_same_solution(sols[0], want[0])
+        _assert_same_solution(sols[4], want[1])
+        assert {s for args in calls for s in args[0].sigma.ravel().tolist()} == {1.85, 2.2}
 
     def test_empty_batch_and_bad_budget(self, params, grid):
         assert howard_solve_many(params, [], grid) == []
