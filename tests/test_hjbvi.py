@@ -315,16 +315,11 @@ class TestHowardSolve:
         assert str(exc.value) == (f"no convergence after {budget} iterations "
                                   f"(residual {residual} on the {nodes}-node level)")
 
-    def test_budget_below_one_rejected(self, params, grid):
-        for budget in (0, -1):
-            with pytest.raises(ValueError, match="max_iter"):
-                howard_solve(params, grid, max_iter=budget)
-
-    def test_a_fractional_budget_rejected(self, params, grid, sb):
-        # the budget is spent at the sweep that equals it, which a fraction
-        # never reaches: 2.5 would solve in 36 sweeps, 200.5 sweep on forever
-        # where 200 runs out (sigma 3.0 on [0, 5])
-        for budget in (2.5, 200.5):
+    def test_budget_below_one_rejected(self, params, grid, sb):
+        # so is a fractional one: the budget is spent at the sweep that equals
+        # it, which 2.5 or 200.5 never reaches (200.5 would sweep on forever
+        # where 200 runs out, for sigma 3.0 on [0, 5]); a numpy integer passes
+        for budget in (0, -1, 2.5, 200.5):
             with pytest.raises(ValueError, match="max_iter"):
                 howard_solve(params, grid, max_iter=budget)
         _assert_same_solution(howard_solve(params, grid, max_iter=np.int64(200)), sb)
