@@ -145,10 +145,8 @@ def build(raw) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     grid = _checked("grid.", Grid.make, x_max=values["grid.x_max"], n=values["grid.n"])
-    if not values["howard.tol"] > 0.0:
-        raise ConfigError("howard.tol must be > 0")
-    if values["howard.max_iter"] < 1:
-        raise ConfigError("howard.max_iter must be >= 1")
+    _checked("howard.", hjbvi.check_limits, tol=values["howard.tol"],
+             max_iter=values["howard.max_iter"])
     flat = {key.replace(".", "_"): val for key, val in values.items()}
     sim = _checked("sim.", SimConfig, **{g.name: flat.pop(f"sim_{g.name}")
                                          for g in fields(SimConfig)})

@@ -55,9 +55,10 @@ therefore pays one sweep for every node between the first contact guess
 and the converged boundary. To keep iteration counts small on fine grids,
 howard_solve solves a cascade of coarsened versions of the same problem,
 each level with a quarter of the next one's intervals, down to at most
-101 nodes (32/126/501/2001 at the defaults), and warm-starts each level
-from the previous one; only the coarsest level starts from the
-all-continue policy (r, a) = (0, 0). The reported iteration count is the
+101 nodes (32/126/501/2001 at the defaults). Every level starts from the
+end state of the level before, interpolated to its nodes; before the
+first level that end state is the all-continue policy (r, a) = (0, 0),
+which interpolates to itself. The reported iteration count is the
 total number of sweeps across all levels, level_sweeps its split. The
 improvement step reads nothing but w, so the level sizes change the sweep
 count, not the fixed point the finest level converges to.
@@ -142,6 +143,8 @@ class Grid:
     def make(x_max: float = DEFAULT_X_MAX, n: int = DEFAULT_N) -> "Grid":
         if not 0.0 < x_max < math.inf:
             raise ValueError("x_max must be finite" if x_max > 0.0 else "x_max must be > 0")
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, not {n!r}")
         if n < 3:
             raise ValueError("n must be >= 3")
         return Grid(x_max=float(x_max), n=int(n), dx=float(x_max) / (n - 1),
@@ -458,6 +461,18 @@ def _level_sizes(n: int) -> list[int]:
     return sizes[::-1]
 
 
+def check_limits(tol: float, max_iter: int) -> None:
+    """The rules of howard_solve's tol and max_iter (and of the howard.*
+    config keys): ValueError unless tol is finite and > 0, which a
+    convergence needs, and max_iter an integer >= 1."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite" if tol > 0.0 else "tol must be > 0")
+    if not isinstance(max_iter, numbers.Integral):
+        raise ValueError(f"max_iter must be an integer, not {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+
 def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> list:
     """howard_solve for every sigma of sigmas, as one batch.
@@ -470,8 +485,8 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     the sigmas and every array of the iteration gains a leading problem
     axis; every step works node by node. The problems share the cascade
     levels and advance level by level together, each with its own budget of
-    max_iter sweeps. A max_iter that is not an integer, or is below 1,
-    raises ValueError.
+    max_iter sweeps. A tol or max_iter that check_limits rejects raises its
+    ValueError before any sweep.
 
     A problem leaves its level at the sweep that decides its outcome there.
     One whose policy fails the scheme takes a cold start on the next level
@@ -480,48 +495,44 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     put in its place, with the defect of its last value and the policy
     improved from it (with a budget of 0, its starting policy). One that
     converged warm-starts the next level, or on the finest becomes its
-    solution. A problem has converged when its policy reproduces itself
-    exactly, or when its value moved less than tol while its stop set stayed
-    fixed and its pointwise defect is within its reporting bound. A value
+    solution. A problem has converged when an improvement left its stop set
+    as it was, its value moved less than tol, and its pointwise defect at
+    the improved policy is at most 10 tol; that defect is the solution's
+    residual. A policy that repeats exactly needs no test of its own: the
+    next sweep evaluates it to the same value and passes this one. A value
     step below tol with the contact boundary still moving is not
     convergence: near its fixed point the boundary recedes one node per
     sweep with value steps of the same size as tol, and declaring
     convergence mid-recession leaves a junction defect orders of magnitude
     above the value step.
     """
-    if not isinstance(max_iter, numbers.Integral):
-        raise ValueError(f"max_iter must be an integer, not {max_iter!r}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_limits(tol, max_iter)
     sigma = np.array(sigmas, dtype=float).reshape(-1, 1)
     out = [None if s > 0.0 else ValueError("sigma must be > 0") for s in sigma.ravel().tolist()]
-    used = np.zeros(len(out), dtype=int)  # sweeps from the cold start to this level
     n_convex = np.zeros(len(out), dtype=int)
+    residual = np.zeros(len(out))  # the defect that certified each convergence
     trace = [[] for _ in out]  # (nodes, sweeps) of each level, per problem
-    level = None
+    # per problem, its converged state on the level before, or the zero
+    # policy of a cold start (before the first level, and after a Peclet failure)
+    level = grid
+    end_r, end_a = np.zeros((2, len(out), grid.n))
+    end_stop = np.zeros((len(out), grid.n), dtype=bool)
     for size in _level_sizes(grid.n):
         live = np.flatnonzero([o is None for o in out])  # the problems still being solved
         if not live.size:
             return out
         prev, level = level, (grid if size == grid.n else Grid.make(grid.x_max, size))
         psi = -params.u_inv(level.x)
-        if prev is None:
-            r = np.zeros((live.size, level.n))
-            a = np.zeros((live.size, level.n))
-            stop = np.zeros((live.size, level.n), dtype=bool)
-        else:  # a cold start's zero policy interpolates to itself
-            r = np.array([np.interp(level.x, prev.x, row) for row in end_r[live]])
-            a = np.array([np.interp(level.x, prev.x, row) for row in end_a[live]])
-            nearest = np.clip(np.rint(level.x / prev.dx).astype(int), 0, prev.n - 1)
-            stop = end_stop[live][:, nearest]
-            stop[:, 0] = False
+        # the zero policy interpolates to itself; stop[:, 0] is False already
+        r = np.array([np.interp(level.x, prev.x, row) for row in end_r[live]])
+        a = np.array([np.interp(level.x, prev.x, row) for row in end_a[live]])
+        nearest = np.clip(np.rint(level.x / prev.dx).astype(int), 0, prev.n - 1)
+        stop = end_stop[live][:, nearest]
         stop[:, -1] = True
-        # per problem, its converged state on this level, or the zero policy
-        # of a cold start on the next one
         end_w, end_r, end_a = np.zeros((3, len(out), level.n))
         end_stop = np.zeros((len(out), level.n), dtype=bool)
         batch = dataclasses.replace(params, sigma=sigma[live])
-        budget = max_iter - used[live]
+        budget = max_iter - np.array([sum(k for _, k in trace[p]) for p in live.tolist()])
         sweep, w_prev = 0, np.full(r.shape, np.nan)  # nan: no value step yet
         evaluated = False  # whether w is the value of the current policy
         while live.size:  # each pass evaluates or improves, then the decided problems leave
@@ -531,22 +542,22 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
                 leave = (budget == sweep) | np.array([f is not None for f in failures])
             else:
                 sweep += 1
-                r_new, a_new, stop_new, n = _improve(batch, level, w, psi)
+                r, a, stop_new, n = _improve(batch, level, w, psi)
                 n_convex[live] += n
-                same_stop = (stop_new == stop).all(axis=-1)
-                done = same_stop & (r_new == r).all(axis=-1) & (a_new == a).all(axis=-1)
-                near = ~done & same_stop & (np.abs(w - w_prev).max(axis=-1) < tol)
+                near = (stop_new == stop).all(axis=-1) & (np.abs(w - w_prev).max(axis=-1) < tol)
+                defect = np.full(live.size, np.inf)
                 if near.any():
-                    done[near] = _max_defect(_rows(batch, near), level, w[near], r_new[near],
-                                             a_new[near], psi) <= 10.0 * tol
-                r, a, stop, w_prev = r_new, a_new, stop_new, w
+                    defect[near] = _max_defect(_rows(batch, near), level, w[near], r[near],
+                                               a[near], psi)
+                done = defect <= 10.0 * tol
+                stop, w_prev = stop_new, w
                 failures, leave = [None] * live.size, done | (sweep == budget)
             evaluated = not evaluated
             for i in np.flatnonzero(leave).tolist():
                 p = live[i]
                 if done[i]:
                     end_w[p], end_r[p], end_a[p], end_stop[p] = w[i], r[i], a[i], stop[i]
-                    used[p] += sweep
+                    residual[p] = defect[i]
                     trace[p].append((level.n, sweep))
                 elif failures[i] is None:
                     out[p] = NoConvergence(iterations=max_iter, nodes=level.n, residual=float(
@@ -555,7 +566,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
                     out[p] = failures[i]
                 else:  # too coarse for the Peclet condition: its end state stays
                     # the zero policy, a cold start on the next level
-                    used[p], n_convex[p], trace[p] = 0, 0, []
+                    n_convex[p], trace[p] = 0, []
             if leave.any():
                 stay = ~leave
                 live, budget, w, w_prev, r, a, stop = (
@@ -563,16 +574,14 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
                 batch = _rows(batch, stay)
 
     live = np.flatnonzero([o is None for o in out])
-    residual = _max_defect(dataclasses.replace(params, sigma=sigma[live]), grid, end_w[live],
-                           end_r[live], end_a[live], psi)
     growth = np.max(np.abs(end_w[live]) - params.u_inv(grid.x), axis=-1)
     first_stop = np.argmax(end_stop[live], axis=-1)
     for i, p in enumerate(live.tolist()):
         out[p] = SecondBestSolution(
             grid=grid, w=end_w[p].copy(), r_star=end_r[p].copy(), a_star=end_a[p].copy(),
             stop=end_stop[p].copy(), b_hat=float(grid.x[first_stop[i]]),
-            k_growth=max(0.0, float(growth[i])), iterations=int(used[p]),
-            residual=float(residual[i]), effort_convex_nodes=int(n_convex[p]),
+            k_growth=max(0.0, float(growth[i])), iterations=sum(k for _, k in trace[p]),
+            residual=float(residual[p]), effort_convex_nodes=int(n_convex[p]),
             level_sweeps=tuple(trace[p]),
         )
     return out
@@ -583,16 +592,18 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = DEFAULT_TOL,
     """Policy iteration on the discretized variational inequality.
 
     Fine grids are warm-started from a cascade of solves of the same problem
-    on coarser grids (see module docstring); the coarsest level starts from
+    on coarser grids (see module docstring); the cold start is
     continue-everywhere with (r, a) = (0, 0), and a coarse level that breaks
     the Peclet condition hands over to a cold start on the next finer one.
-    max_iter bounds the total sweep count across the levels from the cold
-    start on, and the reported iteration count is that total, level_sweeps
-    its split by level. The reported policy is the final improvement
-    against the converged value, so r_star and a_star are the feedback
-    maximizers of the discrete Hamiltonian. A budget that runs out, even
-    exactly at a level boundary, raises NoConvergence, and a finest level
-    that breaks the Peclet condition NonMonotoneScheme; a sigma that is not
+    A level converges as howard_solve_many says, and residual is the defect
+    that certified the finest level. max_iter bounds the total sweep count
+    across the levels from the cold start on, and the reported iteration
+    count is that total, level_sweeps its split by level. The reported
+    policy is the final improvement against the converged value, so r_star
+    and a_star are the feedback maximizers of the discrete Hamiltonian. A
+    budget that runs out, even exactly at a level boundary, raises
+    NoConvergence, and a finest level that breaks the Peclet condition
+    NonMonotoneScheme; a sigma that is not > 0, a tol that is not finite and
     > 0, or a max_iter that is not an integer >= 1, raises ValueError. This
     is howard_solve_many's batch of one, and it raises the exception that
     the batch puts in its sigma's place.

@@ -319,7 +319,8 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
     returns them: ValueError for a sigma <= 0, NoConvergence or
     NonMonotoneScheme. A failed sigma does not abort the sweep, and the
     other sigmas keep their bitwise solutions. A max_iter below 1 or not an
-    integer raises howard_solve_many's ValueError.
+    integer, or a tol that is not finite and > 0, raises howard_solve_many's
+    ValueError.
     """
     sigmas = list(dict.fromkeys(float(sg) for sg in sigmas))
     if not sigmas:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import os
 import pickle
@@ -91,6 +92,9 @@ class SimConfig:
         # n_steps = round(horizon / dt), and round(0.5) is 0
         if not 0.5 < self.horizon / self.dt < math.inf:
             raise ValueError("horizon / dt must round to a finite number of Euler steps >= 1")
+        for name in ("n_paths", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= int(self.seed) < 2**64:

@@ -177,9 +177,11 @@ class TestDiscretize:
 
 class TestGrid:
     def test_rejects_bad_values(self):
-        for x_max, n in ((1.0, 2), (0.0, 11), (-1.0, 11), (math.nan, 11), (math.inf, 11)):
+        for x_max, n in ((1.0, 2), (0.0, 11), (-1.0, 11), (math.nan, 11), (math.inf, 11),
+                         (1.0, 100.5)):  # would space 100 nodes 1/99 apart with dx = 1/99.5
             with pytest.raises(ValueError):
                 Grid.make(x_max, n)
+        assert Grid.make(1.0, np.int64(11)).n == 11
 
 
 class TestHowardSolve:
@@ -323,6 +325,14 @@ class TestHowardSolve:
             with pytest.raises(ValueError, match="max_iter"):
                 howard_solve(params, grid, max_iter=budget)
         _assert_same_solution(howard_solve(params, grid, max_iter=np.int64(200)), sb)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_a_tol_that_cannot_be_met_rejected(self, params, grid, tol):
+        # convergence needs a value step below tol and a defect of at most
+        # 10 tol, which no tol at or below 0, or NaN, allows; inf accepts any
+        # defect (its solve returned a residual of 0.87)
+        with pytest.raises(ValueError, match=r"^tol must be (> 0|finite)$"):
+            howard_solve(params, grid, tol=tol)
 
     @pytest.mark.parametrize("sigma", [-1.85, 0.0, math.nan])
     def test_a_sigma_not_above_zero_rejected(self, params, grid, sigma):
@@ -534,6 +544,18 @@ class TestHowardSolveMany:
         _assert_same_solution(sols[0], want[0])
         _assert_same_solution(sols[4], want[1])
         assert {s for args in calls for s in args[0].sigma.ravel().tolist()} == {1.85, 2.2}
+
+    @pytest.mark.parametrize("x_max", [1.0, 2.0, 5.0])
+    def test_residual_is_the_certifying_defect(self, params, x_max):
+        # the reported residual is the defect that passed the finest level's
+        # convergence test; residual_check recomputes it bit for bit
+        g = Grid.make(x_max, 2001)
+        sigmas = [1.2, 1.5, 1.85, 2.2, 3.0]
+        solved = [(s, sol) for s, sol in zip(sigmas, howard_solve_many(params, sigmas, g))
+                  if not isinstance(sol, Exception)]
+        assert len(solved) >= 4
+        for sigma, sol in solved:
+            assert sol.residual == residual_check(sol, dataclasses.replace(params, sigma=sigma), g)
 
     def test_empty_batch_and_bad_budget(self, params, grid):
         assert howard_solve_many(params, [], grid) == []

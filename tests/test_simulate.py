@@ -120,7 +120,9 @@ class TestConfig:
                        dict(n_paths=0), dict(seed=2**64), dict(seed=-1),
                        dict(horizon=1e-4),  # rounds to zero steps
                        dict(horizon=math.inf), dict(dt=math.inf), dict(dt=math.nan),
-                       dict(dt=1e-320)):  # horizon / dt overflows
+                       dict(dt=1e-320),  # horizon / dt overflows
+                       # int() would take 3.7 as seed 3 and -0.5 as seed 0
+                       dict(seed=3.7), dict(seed=-0.5), dict(n_paths=100.5)):
             with pytest.raises(ValueError):
                 SimConfig(**kwargs)
 
