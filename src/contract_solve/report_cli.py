@@ -4,7 +4,10 @@ Each subcommand writes its tables plus a manifest.json into the output
 directory. CSVs are the figure-reproduction interface: comma separated,
 17 significant digits, LF line endings, one header row. Identical config
 and seed give byte-identical CSVs, so the files double as regression
-fixtures.
+fixtures. write_csv formats a table of at least two _CSV_BLOCK blocks of
+rows across the CPUs in the affinity mask, in forked children, with the
+bytes of the serial writer: in a report run that is paths.csv alone (the
+recording run behind it stays in one process, see simulate).
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
@@ -22,6 +25,7 @@ stdout does not change them: the list of files written is dropped.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import errno
 import json
@@ -39,7 +43,8 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid
 from .model import ModelParams
-from .simulate import InvalidStart, PolicyOutOfRange, simulate_paths, summarize_paths
+from .simulate import (InvalidStart, PolicyOutOfRange, _run_forked, _shard_count, simulate_paths,
+                       summarize_paths)
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -58,6 +63,7 @@ repeated; keys are the config-file keys.
 
 
 _CSV_BLOCK = 4096  # rows per chunk; bounds the text held in memory at once
+_UNQUOTABLE = frozenset("\0,\r\n")  # characters a CSV field would need quoted
 # Each field fills whole little-endian uint64 words of a chunk's row buffer;
 # its byte 0 takes the separator before it ("\n" starts a row) and unused
 # bytes stay NUL. A float field is 4 words: byte 1 the sign, 2-6 the "0.000"
@@ -240,17 +246,34 @@ def _csv_rows(columns, buf: bytearray) -> bytearray:
     return buf.translate(None, b"\0")
 
 
+def _unquotable(texts, what):
+    """Raise ValueError at the first of texts that holds NUL, ",", CR or LF:
+    the writer does not quote, so such a text would change the table."""
+    for text in texts:
+        if not _UNQUOTABLE.isdisjoint(text):
+            raise ValueError(f"{what} {text!r} holds NUL, ',', CR or LF, which CSV "
+                             f"needs quoted; write_csv does not quote")
+
+
 def write_csv(path, header, columns) -> None:
     """One header row plus data rows, LF endings, 17 significant digits.
 
     columns is one table of equal-length 1-D columns (arrays or sequences),
     one per header name, written row by row; a column count other than the
-    header's, a column of another shape or columns that differ in length
-    raise ValueError before the file is opened. A table of zero rows (or no
-    columns) gives the header alone. Each
-    column's dtype picks its format: "%d" for integers and bools (1/0),
-    "%.17g" for floats, str() otherwise (text must hold no NUL character).
-    The rows are formatted _CSV_BLOCK at a time into one reused row buffer.
+    header's, a column of another shape, columns that differ in length, or
+    a header name or text value holding NUL, ",", CR or LF raise ValueError
+    before the file is opened. A table of zero rows (or no columns) gives
+    the header alone. Each column's dtype picks its format: "%d" for
+    integers and bools (1/0), "%.17g" for floats, str() otherwise.
+
+    The rows are split into _shard_count(rows, _CSV_BLOCK) contiguous
+    ranges, run by simulate._run_forked: this process writes the header and
+    the first range into path, and a forked child each other range into an
+    unnamed temporary file in path's directory, which this process then
+    appends to path in the kernel (os.sendfile), reading none of its bytes.
+    Each range is formatted _CSV_BLOCK rows at a time into one reused row
+    buffer. A row's text does not depend on where blocks or ranges are cut,
+    so the bytes are the same for any range count.
 
     Floats get exactly the bytes of "%.17g" % x. With x = m * 2**e from
     frexp, the 17 digits N = round(x * 10**s) are m * 2**53 * 5**s shifted
@@ -272,12 +295,32 @@ def write_csv(path, header, columns) -> None:
     rows = len(columns[0]) if columns else 0
     if any(len(col) != rows for col in columns):
         raise ValueError(f"columns differ in length: {[len(col) for col in columns]}")
-    with open(path, "wb") as fh:
-        fh.write(",".join(header).encode())
-        buf = bytearray()
-        for start in range(0, rows, _CSV_BLOCK):
-            fh.write(_csv_rows([col[start:start + _CSV_BLOCK] for col in columns], buf))
-        fh.write(b"\n")
+    _unquotable(header, "header name")
+    for col in columns:
+        if col.dtype.kind not in "biuf":
+            _unquotable(map(str, col.tolist()), "text value")
+    k = _shard_count(rows, _CSV_BLOCK)
+    bounds = [rows * i // k for i in range(k + 1)]
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        parts = [fh] + [stack.enter_context(tempfile.TemporaryFile(
+            dir=os.path.dirname(os.path.abspath(path)))) for _ in range(1, k)]
+
+        def run(i):
+            out, buf = parts[i], bytearray()
+            if i == 0:
+                out.write(",".join(header).encode())
+            for start in range(bounds[i], bounds[i + 1], _CSV_BLOCK):
+                stop = min(start + _CSV_BLOCK, bounds[i + 1])
+                out.write(_csv_rows([col[start:stop] for col in columns], buf))
+            if i == k - 1:
+                out.write(b"\n")
+            out.flush()  # a child leaves by os._exit, which flushes nothing
+
+        _run_forked(run, k)
+        for part in parts[1:]:
+            size, done = os.fstat(part.fileno()).st_size, 0
+            while done < size:
+                done += os.sendfile(fh.fileno(), part.fileno(), done, size - done)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -39,6 +39,9 @@ flags. Since a path's stream is keyed by its id, the results are bitwise
 those of one process for any shard count. A recording run (simulate_paths)
 stays in one process: merging the children's step records here would hold
 them twice at once and raise the peak memory of the run behind paths.csv.
+It is paths.csv's formatting that is sharded, by row (report_cli.write_csv).
+_shard_count and _run_forked are the one shard-count rule and the one
+fork/join path of both.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -48,7 +51,6 @@ realized cost uses the deviated effort.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -421,64 +423,52 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return out
 
 
-def _fork_shard(run):
-    """Fork a child that pickles what run() returns or raises into a pipe
-    (nothing if that fails) and exits; returns (child pid, the read end).
+def _shard_count(n: int, unit: int) -> int:
+    """min(CPUs in the affinity mask, n // unit), at least 1: how many
+    contiguous ranges of at least unit items each a job of n items is split
+    into. 1 without os.fork or os.sched_getaffinity."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n // unit))
 
-    Fork, not spawn: a spawned worker would import numpy and receive the
-    solution first, which takes longer than a shard's run. A child inherits
+
+def _run_forked(run, k: int) -> list:
+    """[run(0), ..., run(k - 1)]: this process runs run(0) after forking one
+    child per other i, which pickles what run(i) returns or raises into a
+    pipe (nothing if that fails) and exits. The first exception in shard
+    order is raised here, and no child outlives the call: those not yet
+    reaped are killed and reaped.
+
+    Fork, not spawn: a spawned worker would import numpy and receive its
+    inputs first, which takes longer than a shard's work. A child inherits
     only the calling thread, so run() must need no lock another thread may
-    hold; the stepper's element-wise numpy code takes none."""
-    r, w = os.pipe()
-    try:
-        child = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if child == 0:
-        code = 1
-        try:
-            os.close(r)
-            try:
-                data = pickle.dumps(run(), protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:
-                data = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(w, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)  # no cleanup of the parent's state runs in the child
-    os.close(w)
-    return child, os.fdopen(r, "rb")
-
-
-def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
-                 cfg: SimConfig, effort_map=None, agent=False) -> _Paths:
-    """_run_paths' per-path results for all cfg.n_paths paths, from k =
-    min(CPUs in the affinity mask, n_paths // _CHUNK) contiguous id ranges,
-    so each fills at least one lane pool: this process runs the first, a
-    forked child each other one. Serial when k <= 1 or without os.fork or
-    os.sched_getaffinity. A child's exception is raised here, and no child
-    outlives the call: those not yet reaped are killed and reaped."""
-    check_start(solution, x0)
-    n, k = cfg.n_paths, 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        k = min(len(os.sched_getaffinity(0)), n // _CHUNK)
-    if k <= 1:
-        return _run_paths(params, solution, x0, cfg, effort_map, agent)
-    bounds = [n * i // k for i in range(k + 1)]
-
-    def run(i):
-        part = _run_paths(params, solution, x0, cfg, effort_map, agent,
-                          first=bounds[i], stop=bounds[i + 1])
-        return part.principal, part.agent, part.floor, part.censored
-
+    hold; element-wise numpy code and file writes take none."""
     children = []  # (pid, pipe) of each child not yet reaped, in shard order
     try:
         for i in range(1, k):
-            children.append(_fork_shard(functools.partial(run, i)))
-        parts = [run(0)]
+            r, w = os.pipe()
+            try:
+                child = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if child == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        data = pickle.dumps(run(i), protocol=pickle.HIGHEST_PROTOCOL)
+                    except Exception as exc:
+                        data = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)  # no cleanup of the parent's state runs in the child
+            os.close(w)
+            children.append((child, os.fdopen(r, "rb")))
+        results = [run(0)]
         while children:
             child, pipe = children[0]
             with pipe:
@@ -486,11 +476,11 @@ def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
             _, status = os.waitpid(child, 0)
             children.pop(0)
             # the bytes come from this process's own fork
-            part = pickle.loads(data) if data else RuntimeError(
-                f"shard {len(parts)} of {k} ended without a result (wait status {status})")
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
+            result = pickle.loads(data) if data else RuntimeError(
+                f"shard {len(results)} of {k} ended without a result (wait status {status})")
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
     finally:
         if children:  # this call is raising
             import signal  # only here: numpy does not load it, and it costs ~40 kB
@@ -499,9 +489,28 @@ def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
                 pipe.close()
                 os.kill(child, signal.SIGKILL)
                 os.waitpid(child, 0)
+    return results
+
+
+def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
+                 cfg: SimConfig, effort_map=None, agent=False) -> _Paths:
+    """_run_paths' per-path results for all cfg.n_paths paths, from
+    _shard_count(n_paths, _CHUNK) contiguous id ranges, so each fills at
+    least one lane pool, run by _run_forked: this process runs the first, a
+    forked child each other one."""
+    check_start(solution, x0)
+    n = cfg.n_paths
+    k = _shard_count(n, _CHUNK)
+    bounds = [n * i // k for i in range(k + 1)]
+
+    def run(i):
+        part = _run_paths(params, solution, x0, cfg, effort_map, agent,
+                          first=bounds[i], stop=bounds[i + 1])
+        return part.principal, part.agent, part.floor, part.censored
+
     out = _Paths(0, agent)
     out.principal, out.agent, out.floor, out.censored = (
-        None if cols[0] is None else np.concatenate(cols) for cols in zip(*parts))
+        None if cols[0] is None else np.concatenate(cols) for cols in zip(*_run_forked(run, k)))
     return out
 
 

@@ -15,12 +15,15 @@ policy evaluation of one problem in one elimination) and percent_write_csv
 hjbvi. feynman_kac is a second linear solver for the policy evaluation, on
 the same central rows, and agent_value applies it to the agent's side of the
 contract. agent_payoff is the agent's objective, the one that
-ModelParams.effort_response maximizes.
+ModelParams.effort_response maximizes. count_forks, set_cpus and
+assert_no_child_left serve the tests of the forked shards.
 """
 
 import math
+import os
 
 import numpy as np
+import pytest
 
 
 def bisect_root(f, lo, hi, tol=1e-13, max_iter=200):
@@ -443,3 +446,25 @@ def agent_value(params, solution, effort):
              + params.cost_impact_ratio(a) * (params.phi(effort) - params.phi(a)))
     return feynman_kac(solution.grid, params.lam, diffusion, drift, u_r - params.h(effort),
                        solution.stop, x)
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call of this process."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def set_cpus(monkeypatch, k):
+    """Make the affinity mask hold k CPUs, which sets the shard counts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,5 +1,7 @@
 """The vectorized CSV writer against Python's %-formatting, byte for byte."""
 
+import errno
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contract_solve import write_csv
+from contract_solve import cli_dispatch, report_cli, write_csv
 from contract_solve.report_cli import _CSV_BLOCK, _csv_rows
 
-from .helpers import percent_write_csv
+from .helpers import assert_no_child_left, count_forks, percent_write_csv, set_cpus
 
 
 def _formatted(x):
@@ -142,3 +144,83 @@ def test_columns_must_be_one_dimensional(tmp_path):
     with pytest.raises(ValueError, match="1-D"):
         write_csv(tmp_path / "bad.csv", ("a",), (np.float64(1.0),))
     assert not (tmp_path / "bad.csv").exists()
+
+
+def test_unquotable_text_is_rejected(tmp_path):
+    # the writer does not quote: NUL was dropped, and "," or a line break
+    # split the value across fields or rows
+    path = tmp_path / "bad.csv"
+    for value in ("x\0y", "x,y\nz", "a\rb", b"x,y"):
+        with pytest.raises(ValueError, match="text value .* holds NUL, ',', CR or LF"):
+            write_csv(path, ("a", "b"), ([0], np.array([value], dtype=object)))
+    for name in ("a,b", "a\n", "\0"):
+        with pytest.raises(ValueError, match="header name .* holds NUL, ',', CR or LF"):
+            write_csv(path, (name,), ([0],))
+    assert not path.exists()
+    write_csv(path, ("a", "b"), ([0], ["x y;é'\"\t"]))
+    assert path.read_bytes() == "a,b\n0,x y;é'\"\t\n".encode()
+
+
+SHARD_ROWS = [0, _CSV_BLOCK - 1, 2 * _CSV_BLOCK + 1, 5 * _CSV_BLOCK + 3]
+
+
+@pytest.mark.parametrize("rows", SHARD_ROWS, ids=[f"sizes{k}" for k in range(len(SHARD_ROWS))])
+def test_shard_count_does_not_change_the_bytes(tmp_path, monkeypatch, rows):
+    table = _table(np.random.default_rng(rows), rows)
+    floats = table[0]
+    floats[::5] = np.resize([0.0, -0.0, 1e-12, 1e300, np.inf, np.nan], floats[::5].size)
+    percent_write_csv(tmp_path / "oracle.csv", HEADER, table)
+    want = (tmp_path / "oracle.csv").read_bytes()
+    forks = count_forks(monkeypatch)
+    for cpus in (1, 2, 3, 5):
+        set_cpus(monkeypatch, cpus)
+        forks.clear()
+        write_csv(tmp_path / "fast.csv", HEADER, table)
+        assert (tmp_path / "fast.csv").read_bytes() == want, cpus
+        assert len(forks) == max(1, min(cpus, rows // _CSV_BLOCK)) - 1
+        assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["fast.csv", "oracle.csv"]
+
+
+def _fail_in(monkeypatch, exc, where="child"):
+    """Make _csv_rows raise exc in every forked child, or in this process."""
+    parent, csv_rows = os.getpid(), report_cli._csv_rows
+
+    def failing(columns, buf):
+        if (os.getpid() != parent) == (where == "child"):
+            raise exc
+        return csv_rows(columns, buf)
+
+    monkeypatch.setattr(report_cli, "_csv_rows", failing)
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_a_failed_shard_is_raised_and_leaves_nothing(tmp_path, monkeypatch, where):
+    set_cpus(monkeypatch, 3)
+    _fail_in(monkeypatch, KeyError("failed"), where)
+    with pytest.raises(KeyError, match="failed"):
+        write_csv(tmp_path / "x.csv", ("x",), (np.arange(3 * _CSV_BLOCK),))
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["x.csv"]  # no temporary file; x.csv is not whole
+
+
+def test_a_run_whose_writer_fails_publishes_nothing(tmp_path, monkeypatch, capsys):
+    # 64-row blocks shard every table of this run over 2 CPUs
+    monkeypatch.setattr(report_cli, "_CSV_BLOCK", 64)
+    set_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    args = ["report", "--set", "grid.n=201", "--set", "sim.n_paths=30",
+            "--set", "sweep.sigmas=1.85"]
+    assert cli_dispatch([*args, "--out", str(tmp_path / "good")]) == 0
+    assert forks
+    good = {p.name: p.read_bytes() for p in (tmp_path / "good").iterdir()}
+    _fail_in(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    assert cli_dispatch([*args, "--out", str(tmp_path / "bad")]) == 1
+    assert "[Errno 28] No space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "bad") == []
+    assert_no_child_left()
+    monkeypatch.undo()  # serial again: the sharded run wrote the serial bytes
+    assert cli_dispatch([*args, "--out", str(tmp_path / "serial")]) == 0
+    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    good.pop("manifest.json"), serial.pop("manifest.json")
+    assert good == serial

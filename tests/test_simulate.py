@@ -22,7 +22,8 @@ from contract_solve import (
     summarize_paths,
 )
 
-from .helpers import lockstep_paths, replay_bundle, split_bundles
+from .helpers import (assert_no_child_left, count_forks, lockstep_paths, replay_bundle, set_cpus,
+                      split_bundles)
 
 CFG_SMALL = SimConfig(dt=1e-3, horizon=200.0, n_paths=400, seed=20240817)
 # record buffers start at one noise block per lane; these rows outgrow that twice
@@ -261,27 +262,6 @@ class TestDeterminism:
         assert a.estimate != b.estimate
 
 
-def _count_forks(monkeypatch):
-    """A list that gets one entry per os.fork call of this process."""
-    forks, fork = [], os.fork
-
-    def counting():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
-
-
-def _set_cpus(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestShards:
     """Estimates split by path id across forked processes: the serial run's
     bits, and no process left behind."""
@@ -294,22 +274,22 @@ class TestShards:
 
     def test_shard_count_does_not_change_results(self, params, sb, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK", 64)
-        forks = _count_forks(monkeypatch)
-        _set_cpus(monkeypatch, 1)
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 1)
         serial = self._outputs(params, sb)
         assert not forks
         for k in (2, 3, 5):
-            _set_cpus(monkeypatch, k)
+            set_cpus(monkeypatch, k)
             forks.clear()
             assert self._outputs(params, sb) == serial, k
             assert len(forks) == 5 * (k - 1)  # one estimate and four incentive arms
-            _assert_no_child_left()
+            assert_no_child_left()
 
     @pytest.mark.parametrize("failing", ["child", "parent"])
     def test_a_shard_error_is_raised_and_no_child_is_left(self, params, sb, monkeypatch,
                                                           failing):
         monkeypatch.setattr(sim, "_CHUNK", 64)
-        _set_cpus(monkeypatch, 3)
+        set_cpus(monkeypatch, 3)
         run_paths = sim._run_paths
 
         def failing_run_paths(*args, first=0, **kwargs):
@@ -323,11 +303,11 @@ class TestShards:
         # the first shard to fail in id order: the parent's own, or the first child's
         assert type(info.value) is PolicyOutOfRange
         assert str(info.value) == f"failed from path {0 if failing == 'parent' else 133}"
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_fewer_than_two_pools_of_paths_run_in_process(self, params, sb, monkeypatch):
-        forks = _count_forks(monkeypatch)
-        _set_cpus(monkeypatch, 8)
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 8)
         n = 2 * sim._CHUNK
         mc_principal_value(params, sb, 0.1, SimConfig(n_paths=n - 1, seed=1))
         assert not forks
@@ -337,7 +317,7 @@ class TestShards:
         monkeypatch.delattr(os, "sched_getaffinity")
         mc_principal_value(params, sb, 0.1, SimConfig(n_paths=n, seed=1))
         assert len(forks) == 1
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestLockstepOracle:
@@ -597,7 +577,7 @@ class TestIncentives:
     def test_a_bad_deviation_effort_raises(self, params, sb, monkeypatch, where, bad):
         # 2,048 paths over 2 CPUs: the second shard runs in a forked child,
         # which must send the same error back
-        _set_cpus(monkeypatch, 2)
+        set_cpus(monkeypatch, 2)
         parent = os.getpid()
 
         def deviation(x):
@@ -609,7 +589,7 @@ class TestIncentives:
             incentive_check(params, sb, 0.1, SimConfig(n_paths=2048, seed=5), [deviation])
         assert type(info.value) is ValueError
         assert str(info.value) == f"effort map gave a = {bad}: efforts must be finite and >= 0"
-        _assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestReconstruction:

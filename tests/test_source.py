@@ -23,6 +23,27 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
+def test_one_fork_call_site():
+    # every forked shard, of an estimate or of the CSV writer, goes through
+    # simulate._run_forked, which reaps or kills each child it forks; any
+    # use of os.fork counts, so an alias cannot hide a second fork path
+    def is_fork(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and getattr(node.value, "id", None) == "os")
+
+    sites = {}  # (file, line) -> the innermost function holding it
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        sites.update({(path.name, node.lineno): "<module>" for node in ast.walk(tree)
+                      if is_fork(node)})
+        for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites.update({(path.name, node.lineno): func.name for node in ast.walk(func)
+                              if is_fork(node)})
+    assert [(name, func) for (name, _), func in sites.items()] == [
+        ("simulate.py", "_run_forked")], sites
+
+
 def test_benchmark_trace_targets_exist():
     # the traced benchmark wraps contract_solve.<layer>.<name> for every
     # entry of TARGETS in bench/spans.py and fails if one is missing; the
