@@ -6,8 +6,9 @@ directory. CSVs are the figure-reproduction interface: comma separated,
 and seed give byte-identical CSVs, so the files double as regression
 fixtures. write_csv formats a table of at least two _CSV_BLOCK blocks of
 rows across the CPUs in the affinity mask, in forked children, with the
-bytes of the serial writer: in a report run that is paths.csv alone (the
-recording run behind it stays in one process, see simulate).
+bytes of the serial writer. paths.csv holds the first _RECORDED_PATHS
+paths of the run (all of them when sim.n_paths is smaller), while the
+manifest's Monte Carlo estimate and counts cover every path.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
@@ -63,6 +64,8 @@ repeated; keys are the config-file keys.
 
 
 _CSV_BLOCK = 4096  # rows per chunk; bounds the text held in memory at once
+_RECORDED_PATHS = 100  # paths written to paths.csv, the first by id
+_RESIDUAL_BOUND = 1e-8  # acceptance criterion 05's bound on the solve's defect
 _UNQUOTABLE = frozenset("\0,\r\n")  # characters a CSV field would need quoted
 # Each field fills whole little-endian uint64 words of a chunk's row buffer;
 # its byte 0 takes the separator before it ("\n" starts a row) and unused
@@ -268,9 +271,11 @@ def write_csv(path, header, columns) -> None:
 
     The rows are split into _shard_count(rows, _CSV_BLOCK) contiguous
     ranges, run by simulate._run_forked: this process writes the header and
-    the first range into path, and a forked child each other range into an
-    unnamed temporary file in path's directory, which this process then
-    appends to path in the kernel (os.sendfile), reading none of its bytes.
+    the first range into a new file beside path, and a forked child each
+    other range into an unnamed temporary file in path's directory, which
+    this process then appends to the first in the kernel (os.sendfile),
+    reading none of its bytes. The whole file then replaces path
+    (os.replace); a write that fails removes it, leaving path as it was.
     Each range is formatted _CSV_BLOCK rows at a time into one reused row
     buffer. A row's text does not depend on where blocks or ranges are cut,
     so the bytes are the same for any range count.
@@ -301,26 +306,35 @@ def write_csv(path, header, columns) -> None:
             _unquotable(map(str, col.tolist()), "text value")
     k = _shard_count(rows, _CSV_BLOCK)
     bounds = [rows * i // k for i in range(k + 1)]
-    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
-        parts = [fh] + [stack.enter_context(tempfile.TemporaryFile(
-            dir=os.path.dirname(os.path.abspath(path)))) for _ in range(1, k)]
+    directory, base = os.path.split(os.path.abspath(path))
+    head = os.path.join(directory, f".{base}.{os.urandom(6).hex()}.tmp")
+    # a new file, with the permissions open(path, "wb") would give one
+    fh = os.fdopen(os.open(head, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    try:
+        with fh, contextlib.ExitStack() as stack:
+            parts = [fh] + [stack.enter_context(tempfile.TemporaryFile(dir=directory))
+                            for _ in range(1, k)]
 
-        def run(i):
-            out, buf = parts[i], bytearray()
-            if i == 0:
-                out.write(",".join(header).encode())
-            for start in range(bounds[i], bounds[i + 1], _CSV_BLOCK):
-                stop = min(start + _CSV_BLOCK, bounds[i + 1])
-                out.write(_csv_rows([col[start:stop] for col in columns], buf))
-            if i == k - 1:
-                out.write(b"\n")
-            out.flush()  # a child leaves by os._exit, which flushes nothing
+            def run(i):
+                out, buf = parts[i], bytearray()
+                if i == 0:
+                    out.write(",".join(header).encode())
+                for start in range(bounds[i], bounds[i + 1], _CSV_BLOCK):
+                    stop = min(start + _CSV_BLOCK, bounds[i + 1])
+                    out.write(_csv_rows([col[start:stop] for col in columns], buf))
+                if i == k - 1:
+                    out.write(b"\n")
+                out.flush()  # a child leaves by os._exit, which flushes nothing
 
-        _run_forked(run, k)
-        for part in parts[1:]:
-            size, done = os.fstat(part.fileno()).st_size, 0
-            while done < size:
-                done += os.sendfile(fh.fileno(), part.fileno(), done, size - done)
+            _run_forked(run, k)
+            for part in parts[1:]:
+                size, done = os.fstat(part.fileno()).st_size, 0
+                while done < size:
+                    done += os.sendfile(fh.fileno(), part.fileno(), done, size - done)
+        os.replace(head, path)
+    except BaseException:
+        os.unlink(head)
+        raise
 
 
 @dataclasses.dataclass(frozen=True)
@@ -406,16 +420,21 @@ def _second_best(cfg: RunConfig, outdir, solved):
         "b_hat": sol.b_hat,
         "iterations": sol.iterations,
         "residual": sol.residual,
+        "residual_within_bound": sol.residual <= _RESIDUAL_BOUND,
         "k_growth": sol.k_growth,
         "effort_convex_nodes": sol.effort_convex_nodes,
         "level_sweeps": [list(level) for level in sol.level_sweeps],
     }
+    if not diag["residual_within_bound"]:
+        print(f"warning: residual {sol.residual:.3e} is above criterion 05's bound of "
+              f"{_RESIDUAL_BOUND:g} (howard.tol = {cfg.howard_tol:g})", file=sys.stderr)
     return ["sb_solution.csv"], diag
 
 
 def _simulate(cfg: RunConfig, outdir, solved):
     sol = solved[cfg.params.sigma]
-    table = simulate_paths(cfg.params, sol, cfg.sim_x0, cfg.sim)
+    table = simulate_paths(cfg.params, sol, cfg.sim_x0, cfg.sim,
+                           n_recorded=min(_RECORDED_PATHS, cfg.sim.n_paths))
     names = ("path_id", "t", "j", "x", "dw", "stopped")
     write_csv(os.path.join(outdir, "paths.csv"), names, [getattr(table, k) for k in names])
     mc = summarize_paths(cfg.params, sol, cfg.sim, table)

@@ -18,10 +18,12 @@ time, takes the next unstarted path when it ends, and leaves the pool once
 none is left, so no arithmetic runs for finished paths. Each step locates
 the new states on the grid once (_Lookup: one division by dx gives both
 np.interp's interval for the policies and the nearest node for the stop
-flag, bitwise what interpolate_policy and in_stop_region return). A
-recording run writes each step's state, output and noise into growable
-column buffers, which simulate_paths permutes one column at a time into the
-table. Randomness is counter-based: each path draws from its own Philox
+flag, bitwise what interpolate_policy and in_stop_region return). A run
+records the paths with ids below a count: each step's state, output and
+noise go into growable column buffers sized by the recorded lanes, which
+simulate_paths permutes one column at a time into the table. In such a
+run every path, recorded or not, also gives its step count.
+Randomness is counter-based: each path draws from its own Philox
 stream keyed by (seed, path_id), so results are bitwise identical
 regardless of the pool width, which lane runs a path, or which other paths
 run alongside.
@@ -31,17 +33,18 @@ and redraws the blocks the path has already used, or, from _SNAPSHOT_BLOCK
 on, restores the state the lane saved at its previous refill, so a path's
 stream work stays linear in its length.
 
-Estimates (mc_principal_value, and each arm of incentive_check) shard the
-paths by id across the CPUs in the process's affinity mask (_run_sharded):
-this process steps the first contiguous range of ids and one forked child
-each other range, and a child sends back only its paths' payoffs and end
-flags. Since a path's stream is keyed by its id, the results are bitwise
-those of one process for any shard count. A recording run (simulate_paths)
-stays in one process: merging the children's step records here would hold
-them twice at once and raise the peak memory of the run behind paths.csv.
-It is paths.csv's formatting that is sharded, by row (report_cli.write_csv).
+Every run shards the paths by id across the CPUs in the process's affinity
+mask (_run_sharded): this process steps the first contiguous range of ids
+and one forked child each other range, and a child sends back only its
+paths' payoffs, end flags and, in a recording run, step counts. The first
+range covers every recorded path, so the step records never leave this
+process. Since a path's stream is keyed by its id, the results are bitwise
+those of one process for any shard count. An estimate (mc_principal_value,
+each arm of incentive_check) records no path; simulate_paths records the
+first n_recorded, by default all of them, which is one range in one
+process.
 _shard_count and _run_forked are the one shard-count rule and the one
-fork/join path of both.
+fork/join path of the runs and of report_cli.write_csv.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -253,21 +256,22 @@ class _Lookup:
 
 
 class _Paths:
-    """Per-path results of one run, indexed by path id; agent is None
-    unless the run accumulates it."""
+    """Per-path results of one run, indexed by path id; agent and steps are
+    None unless the run keeps them, records None unless it records a path."""
 
-    __slots__ = ("principal", "agent", "floor", "censored", "records")
+    __slots__ = ("principal", "agent", "floor", "censored", "steps", "records")
 
-    def __init__(self, n, agent):
+    def __init__(self, n, agent, steps=False):
         self.principal = np.zeros(n)
         self.agent = np.zeros(n) if agent else None
         self.floor = np.zeros(n, dtype=bool)
         self.censored = np.zeros(n, dtype=bool)
+        self.steps = np.zeros(n, dtype=np.int64) if steps else None
         self.records = None
 
 
 def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
-               cfg: SimConfig, effort_map=None, agent=False, record=False,
+               cfg: SimConfig, effort_map=None, agent=False, record=0,
                first=0, stop=None) -> _Paths:
     """Step the paths with ids first..stop - 1 (default: all cfg.n_paths)
     through a pool of _CHUNK lanes, from an x0 that passed check_start.
@@ -280,11 +284,15 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     _Lookup.locate. A lane whose path ends takes the next unstarted path id;
     once the queue is empty, finished lanes leave the pool (row is
     compacted, the noise buffer is not). The principal's payoff is always
-    accumulated; agent adds the agent's, and record adds the step records:
-    pid, j, x, dw in step order, written into four column buffers that
-    double when full and are trimmed to size at the end. The per-path
-    arrays hold path first at index 0. An effort from effort_map that is
-    negative or not finite raises ValueError.
+    kept; agent adds the agent's payoff, and a record above 0 adds each
+    path's step count and the step records of the paths with ids below
+    record: pid, j, x, dw in step order, written into four column buffers
+    of one noise block per recorded lane that double when full and are
+    trimmed to size at the end. Lanes take ids in order, so the recorded
+    lanes are those of the first paths, and once none of them is left the
+    run records no more. The per-path arrays hold path first at index 0.
+    An effort from effort_map that is negative or not finite raises
+    ValueError.
     """
     stop = cfg.n_paths if stop is None else stop
     lookup = _Lookup(solution)
@@ -294,7 +302,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     sqrt_dt = np.sqrt(dt)
     decay_d = np.exp(-params.delta * dt)
     decay_l = np.exp(-params.lam * dt)
-    out = _Paths(stop - first, agent)
+    out = _Paths(stop - first, agent, steps=record > 0)
 
     width = min(_CHUNK, stop - first)
     pid = np.arange(first, first + width)
@@ -313,12 +321,14 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     if agent:
         disc_l = np.ones(width)
         pay_a = np.zeros(width)
-    if record:
+    lanes = np.flatnonzero(pid < record)  # lanes of recorded paths, in lane order
+    recording = lanes.size > 0
+    if recording:
         x = np.zeros(width)
         # recorded path ids take the narrowest unsigned type: the records set
         # the peak memory of a recording run
-        cap, used = width * _NOISE_BLOCK, 0
-        rec = [np.empty(cap, np.min_scalar_type(stop))] + [np.empty(cap) for _ in range(3)]
+        cap, used = lanes.size * _NOISE_BLOCK, 0
+        rec = [np.empty(cap, np.min_scalar_type(record))] + [np.empty(cap) for _ in range(3)]
 
     while pid.size:
         col = step % _NOISE_BLOCK
@@ -359,16 +369,17 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         if agent:
             pay_a += disc_l * (u_r - h_applied) * dt
             disc_l *= decay_l
-        if record:
+        if recording:
             x += phi_applied * dt
             x += params.sigma * dw
-            if used + pid.size > cap:  # one doubling suffices: pid.size <= cap
+            m = lanes.size
+            if used + m > cap:  # one doubling suffices: m <= cap
                 cap *= 2
                 for buf in rec:
                     buf.resize(cap, refcheck=False)  # no view of buf exists
             for buf, v in zip(rec, (pid, j_new, x, dw)):
-                buf[used:used + pid.size] = v
-            used += pid.size
+                buf[used:used + m] = v if m == pid.size else v[lanes]
+            used += m
 
         if j_new.max() > x_max:
             raise PolicyOutOfRange("state exceeded x_max during simulation")
@@ -391,6 +402,8 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
             out.agent[ids] = pay_a[ended] + disc_l[ended] * j_settle
         out.floor[ids] = fl
         out.censored[ids] = ~done[ended]
+        if record:
+            out.steps[ids] = step[ended]
 
         fresh = ended[:stop - next_pid]
         if fresh.size:
@@ -404,7 +417,7 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
             if agent:
                 disc_l[fresh] = 1.0
                 pay_a[fresh] = 0.0
-            if record:
+            if recording:
                 x[fresh] = 0.0
         if fresh.size < ended.size:
             keep = np.ones(pid.size, dtype=bool)
@@ -413,10 +426,13 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
                 v[keep] for v in (pid, row, step, j, k, disc_d, pay_p))
             if agent:
                 disc_l, pay_a = disc_l[keep], pay_a[keep]
-            if record:
+            if recording:
                 x = x[keep]
+        if recording:
+            lanes = np.flatnonzero(pid < record)
+            recording = lanes.size > 0  # ids go in order: no recorded path is left to start
 
-    if record:
+    if record > first:  # the run recorded a path
         for buf in rec:
             buf.resize(used, refcheck=False)
         out.records = rec
@@ -493,24 +509,29 @@ def _run_forked(run, k: int) -> list:
 
 
 def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
-                 cfg: SimConfig, effort_map=None, agent=False) -> _Paths:
-    """_run_paths' per-path results for all cfg.n_paths paths, from
-    _shard_count(n_paths, _CHUNK) contiguous id ranges, so each fills at
-    least one lane pool, run by _run_forked: this process runs the first, a
-    forked child each other one."""
+                 cfg: SimConfig, effort_map=None, agent=False, record=0) -> _Paths:
+    """_run_paths' per-path results for all cfg.n_paths paths, and the step
+    records of the first record paths, from _shard_count(n_paths, _CHUNK)
+    contiguous id ranges, so each fills at least one lane pool, run by
+    _run_forked: this process runs the first, a forked child each other
+    one. The first range is widened to at least record ids, so no child
+    records a path, and a range that widening empties is dropped."""
     check_start(solution, x0)
     n = cfg.n_paths
     k = _shard_count(n, _CHUNK)
-    bounds = [n * i // k for i in range(k + 1)]
+    bounds = sorted({0, n, *(max(n * i // k, record) for i in range(1, k))})
 
     def run(i):
-        part = _run_paths(params, solution, x0, cfg, effort_map, agent,
+        part = _run_paths(params, solution, x0, cfg, effort_map, agent, record=record,
                           first=bounds[i], stop=bounds[i + 1])
-        return part.principal, part.agent, part.floor, part.censored
+        return part.principal, part.agent, part.floor, part.censored, part.steps, part.records
 
+    parts = _run_forked(run, len(bounds) - 1)
     out = _Paths(0, agent)
-    out.principal, out.agent, out.floor, out.censored = (
-        None if cols[0] is None else np.concatenate(cols) for cols in zip(*_run_forked(run, k)))
+    out.principal, out.agent, out.floor, out.censored, out.steps = (
+        None if cols[0] is None else np.concatenate(cols)
+        for cols in zip(*(part[:5] for part in parts)))
+    out.records = parts[0][5]
     return out
 
 
@@ -518,11 +539,13 @@ def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
 class PathTable(Sequence):
     """Simulated paths as flat columns in paths.csv's layout.
 
-    Per node, paths in id order: path_id, t, j, x, dw (0 on a path's first
-    row), stopped (True on the last row of a path that ended before the
-    horizon). Per path: starts (first node row), steps, payoff, floor,
-    censored. As a sequence, table[i] is path i's PathBundle of views of the
-    columns; slices and iteration act as on a list.
+    Per node, the recorded paths (ids 0 to len(table) - 1) in id order:
+    path_id, t, j, x, dw (0 on a path's first row), stopped (True on the
+    last row of a path that ended before the horizon); starts holds each
+    recorded path's first node row. Per path, every path of the run:
+    steps, payoff, floor, censored. As a sequence of the recorded paths,
+    table[i] is path i's PathBundle of views of the columns; slices and
+    iteration act as on a list.
     """
 
     path_id: np.ndarray
@@ -538,7 +561,7 @@ class PathTable(Sequence):
     censored: np.ndarray
 
     def __len__(self) -> int:
-        return self.steps.size
+        return self.starts.size
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -555,23 +578,32 @@ class PathTable(Sequence):
 
 
 def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
-                   cfg: SimConfig) -> PathTable:
+                   cfg: SimConfig, n_recorded=None) -> PathTable:
     """Euler-Maruyama paths of the contract state from x0, as one PathTable.
 
     Each path runs until it enters the stop region (nearest-node flag), is
     absorbed at the floor J = 0 (terminal payment 0, flagged), or reaches
     the horizon (flagged censored; its payoff uses the obstacle value at the
     horizon state).
+
+    Every one of cfg.n_paths paths gives the table's per-path steps, payoff,
+    floor and censored; only the first n_recorded (default: all) give node
+    rows, and these are bitwise the first rows of the table of all paths. A
+    run recording all paths is one process; one recording fewer shards the
+    rest as mc_principal_value does. n_recorded must be an integer in
+    1..n_paths, or ValueError is raised.
     """
-    check_start(solution, x0)
-    out = _run_paths(params, solution, x0, cfg, record=True)
+    n = cfg.n_paths if n_recorded is None else n_recorded
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= cfg.n_paths):
+        raise ValueError(f"n_recorded must be an integer in 1..{cfg.n_paths}, not {n!r}")
+    out = _run_sharded(params, solution, x0, cfg, record=int(n))
     pids, j, x, dw = out.records
     out.records = None  # so each step-order column is freed once its column is built
     order = np.argsort(pids, kind="stable")  # path by path, each in step order
-    steps = np.bincount(pids, minlength=cfg.n_paths)
     del pids
+    steps = out.steps[:n]
     first = np.cumsum(steps) - steps  # each path's first step row
-    starts = first + np.arange(cfg.n_paths)
+    starts = first + np.arange(n)
     src = np.insert(order, first, 0)  # node row -> step record; starts are set below
     del order
     j = j[src]
@@ -586,9 +618,9 @@ def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     t -= np.repeat(starts, sizes)
     t *= cfg.dt  # bitwise each path's np.arange(n + 1) * dt
     stopped = np.zeros(j.size, dtype=bool)
-    stopped[starts + steps] = ~out.censored  # stop region or floor
-    path_id = np.repeat(np.arange(cfg.n_paths, dtype=np.min_scalar_type(cfg.n_paths)), sizes)
-    return PathTable(path_id, t, j, x, dw, stopped, starts, steps, out.principal,
+    stopped[starts + steps] = ~out.censored[:n]  # stop region or floor
+    path_id = np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), sizes)
+    return PathTable(path_id, t, j, x, dw, stopped, starts, out.steps, out.principal,
                      out.floor, out.censored)
 
 
@@ -663,9 +695,10 @@ def _replay(params: ModelParams, solution: SecondBestSolution, table: PathTable)
     noise, state = np.zeros(len(table)), np.zeros(len(table))
     excluded = np.zeros(len(table), dtype=bool)
     j = table.j[table.starts]
+    steps = table.steps[:len(table)]
     live = np.arange(len(table))
-    for k in range(int(table.steps.max(initial=0))):
-        live = live[table.steps[live] > k]
+    for k in range(int(steps.max(initial=0))):
+        live = live[steps[live] > k]
         r, a = interpolate_policy(solution, j[live])
         run = a > 0.0
         excluded[live[~run]] = True

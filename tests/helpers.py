@@ -211,7 +211,7 @@ def split_bundles(params, solution, x0, cfg):
     """
     from contract_solve.simulate import PathBundle, _run_paths
 
-    out = _run_paths(params, solution, x0, cfg, record=True)
+    out = _run_paths(params, solution, x0, cfg, record=cfg.n_paths)
     pids, *records = out.records
     order = np.argsort(pids, kind="stable")
     j, x, dw = (v[order] for v in records)

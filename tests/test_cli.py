@@ -20,7 +20,10 @@ from contract_solve import (
     howard_solve,
     load,
     sigma_sweep,
+    simulate_paths,
+    summarize_paths,
     value_of_information,
+    write_csv,
 )
 from contract_solve import PolicyOutOfRange, SimConfig, first_best, hjbvi, report_cli
 from contract_solve.config import parse_lines, parse_overrides
@@ -251,6 +254,23 @@ class TestDispatch:
         assert code == 2
         assert capsys.readouterr().err == (
             "solver failure: NonMonotoneScheme: non-finite or non-positive diagonal\n")
+
+    def test_a_residual_above_criterion_05_is_flagged_and_warned(self, tmp_path, capsys):
+        # a loose tol certifies a loose solve: the run succeeds, says so on
+        # stderr, and the manifest carries the flag
+        for tol, within in ((None, True), ("1", False)):
+            out = tmp_path / str(tol)
+            extra = [] if tol is None else ["--set", f"howard.tol={tol}"]
+            assert cli_dispatch(["second-best", "--out", str(out), *extra]) == 0
+            diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+            assert diag["residual_within_bound"] is within
+            assert (diag["residual"] <= 1e-8) is within
+            err = capsys.readouterr().err
+            if within:
+                assert err == ""
+            else:
+                assert err == (f"warning: residual {diag['residual']:.3e} is above criterion "
+                               f"05's bound of 1e-08 (howard.tol = 1)\n")
 
     @pytest.mark.parametrize("budget", [15, 24, 32])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
@@ -586,6 +606,34 @@ class TestPathsCsv:
                           table)
         assert (out / "paths.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
+    def test_the_first_100_paths_are_written_and_the_counts_cover_all(self, tmp_path):
+        # 300 paths: paths.csv is the first 100 paths' rows of the full
+        # table, a byte prefix of the file of all paths, while the manifest
+        # reads every path as the table of all paths does
+        out = tmp_path / "report"
+        assert cli_dispatch(["report", "--out", str(out), *FAST,
+                             "--set", "sim.n_paths=300"]) == 0
+        cfg = load(None, [*FAST[1::2], "sim.n_paths=300"])
+        sol = howard_solve(cfg.params, cfg.grid, tol=cfg.howard_tol, max_iter=cfg.howard_max_iter)
+        full = simulate_paths(cfg.params, sol, cfg.sim_x0, cfg.sim)
+        names = ("path_id", "t", "j", "x", "dw", "stopped")
+        rows = int(full.starts[100])
+        write_csv(tmp_path / "first.csv", names, [getattr(full, k)[:rows] for k in names])
+        write_csv(tmp_path / "all.csv", names, [getattr(full, k) for k in names])
+        got = (out / "paths.csv").read_bytes()
+        assert got == (tmp_path / "first.csv").read_bytes()
+        assert (tmp_path / "all.csv").read_bytes().startswith(got) and rows < full.j.size
+        mc = summarize_paths(cfg.params, sol, cfg.sim, full)
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert {k: diag[k] for k in ("x0", "n_paths", "mc_estimate", "mc_std_error", "n_floor",
+                                     "n_stopped", "n_censored", "path_steps",
+                                     "censoring_bias_bound")} == {
+            "x0": cfg.sim_x0, "n_paths": 300, "mc_estimate": mc.estimate,
+            "mc_std_error": mc.std_error, "n_floor": mc.n_floor,
+            "n_stopped": 300 - mc.n_floor - mc.n_censored, "n_censored": mc.n_censored,
+            "path_steps": int(full.steps.sum()),
+            "censoring_bias_bound": mc.censoring_bias_bound}
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -664,10 +712,10 @@ class TestReportComposition:
             refs.extend(weakref.ref(sol) for sol in out)
             return out
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             gc.collect()
             live.append(sum(ref() is not None for ref in refs))
-            return simulate(*args)
+            return simulate(*args, **kwargs)
 
         monkeypatch.setattr(hjbvi, "howard_solve_many", tracked)
         monkeypatch.setattr(report_cli, "simulate_paths", counted)

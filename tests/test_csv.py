@@ -201,7 +201,19 @@ def test_a_failed_shard_is_raised_and_leaves_nothing(tmp_path, monkeypatch, wher
     with pytest.raises(KeyError, match="failed"):
         write_csv(tmp_path / "x.csv", ("x",), (np.arange(3 * _CSV_BLOCK),))
     assert_no_child_left()
-    assert os.listdir(tmp_path) == ["x.csv"]  # no temporary file; x.csv is not whole
+    assert os.listdir(tmp_path) == []  # no temporary file, and no partial x.csv
+
+
+def test_a_write_replaces_its_target_with_a_new_files_mode(tmp_path):
+    # the file is built beside the target and renamed onto it: the target
+    # takes the mode open() gives a new file, and no other file is left
+    (tmp_path / "ref.csv").write_bytes(b"")
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"old")
+    write_csv(target, ("x",), (np.arange(3),))
+    assert target.read_bytes() == b"x\n0\n1\n2\n"
+    assert target.stat().st_mode == (tmp_path / "ref.csv").stat().st_mode
+    assert sorted(os.listdir(tmp_path)) == ["ref.csv", "x.csv"]
 
 
 def test_a_run_whose_writer_fails_publishes_nothing(tmp_path, monkeypatch, capsys):

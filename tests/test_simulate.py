@@ -319,6 +319,43 @@ class TestShards:
         assert len(forks) == 1
         assert_no_child_left()
 
+    def test_a_recorded_sample_is_the_full_tables_first_paths(self, params, sb, monkeypatch):
+        # 400 paths in 64-lane pools: shard 0 holds ids 0-199 at 2 CPUs and
+        # 0-132 at 3, so K = 200 and 300 widen it (300 empties the 3-CPU
+        # run's second shard); every K is one shard at 1 CPU
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        forks = count_forks(monkeypatch)
+        set_cpus(monkeypatch, 1)
+        full = simulate_paths(params, sb, 0.1, self.CFG)
+        mc = mc_principal_value(params, sb, 0.1, self.CFG)
+        recorded = (1, 100, 200, 300, 400)
+        for cpus, n_forks in ((1, (0, 0, 0, 0, 0)), (2, (1, 1, 1, 1, 0)), (3, (2, 2, 2, 1, 0))):
+            set_cpus(monkeypatch, cpus)
+            for k, want_forks in zip(recorded, n_forks):
+                forks.clear()
+                table = simulate_paths(params, sb, 0.1, self.CFG, n_recorded=k)
+                assert len(forks) == want_forks, (cpus, k)
+                assert_no_child_left()
+                rows = full.starts[k] if k < len(full) else full.j.size
+                assert len(table) == k and np.array_equal(table.starts, full.starts[:k])
+                for name in ("path_id", "stopped"):
+                    assert np.array_equal(getattr(table, name), getattr(full, name)[:rows])
+                for name in ("t", "j", "x", "dw"):
+                    assert np.array_equal(_bits(getattr(table, name)),
+                                          _bits(getattr(full, name)[:rows])), (cpus, k, name)
+                for name in ("steps", "payoff", "floor", "censored"):
+                    assert np.array_equal(getattr(table, name), getattr(full, name)), name
+                assert summarize_paths(params, sb, self.CFG, table) == mc
+                _assert_same_bundles(table, full[:k])
+            forks.clear()
+            assert mc_principal_value(params, sb, 0.1, self.CFG) == mc
+            assert len(forks) == cpus - 1
+
+    def test_recorded_count_is_checked(self, params, sb):
+        for bad in (0, -1, self.CFG.n_paths + 1, 2.5, "100"):
+            with pytest.raises(ValueError, match="n_recorded must be an integer"):
+                simulate_paths(params, sb, 0.1, self.CFG, n_recorded=bad)
+
 
 class TestLockstepOracle:
     """The lane pool against the lockstep stepper it replaced: same bits."""
@@ -341,7 +378,7 @@ class TestLockstepOracle:
             for key in ("principal", "floor", "censored"):
                 assert np.array_equal(getattr(out, key), ref[key]), key
             # an estimate allocates nothing for the agent or for recording
-            assert (out.agent, out.records) == (None, None)
+            assert (out.agent, out.steps, out.records) == (None, None, None)
             mc = mc_principal_value(params, sb, 0.1, cfg)
             assert mc.estimate == np.mean(ref["principal"])
             assert mc.n_floor == ref["floor"].sum()
