@@ -4,11 +4,9 @@ Each subcommand writes its tables plus a manifest.json into the output
 directory. CSVs are the figure-reproduction interface: comma separated,
 17 significant digits, LF line endings, one header row. Identical config
 and seed give byte-identical CSVs, so the files double as regression
-fixtures. write_csv formats a table of at least two _CSV_BLOCK blocks of
-rows across the CPUs in the affinity mask, in forked children, with the
-bytes of the serial writer. paths.csv holds the first _RECORDED_PATHS
-paths of the run (all of them when sim.n_paths is smaller), while the
-manifest's Monte Carlo estimate and counts cover every path.
+fixtures. paths.csv holds the first _RECORDED_PATHS paths of the run (all
+of them when sim.n_paths is smaller), while the manifest's Monte Carlo
+estimate and counts cover every path.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
@@ -26,7 +24,6 @@ stdout does not change them: the list of files written is dropped.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import errno
 import json
@@ -44,8 +41,7 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid
 from .model import ModelParams
-from .simulate import (InvalidStart, PolicyOutOfRange, _run_forked, _shard_count, simulate_paths,
-                       summarize_paths)
+from .simulate import InvalidStart, PolicyOutOfRange, simulate_paths, summarize_paths
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -269,16 +265,10 @@ def write_csv(path, header, columns) -> None:
     the header alone. Each column's dtype picks its format: "%d" for
     integers and bools (1/0), "%.17g" for floats, str() otherwise.
 
-    The rows are split into _shard_count(rows, _CSV_BLOCK) contiguous
-    ranges, run by simulate._run_forked: this process writes the header and
-    the first range into a new file beside path, and a forked child each
-    other range into an unnamed temporary file in path's directory, which
-    this process then appends to the first in the kernel (os.sendfile),
-    reading none of its bytes. The whole file then replaces path
-    (os.replace); a write that fails removes it, leaving path as it was.
-    Each range is formatted _CSV_BLOCK rows at a time into one reused row
-    buffer. A row's text does not depend on where blocks or ranges are cut,
-    so the bytes are the same for any range count.
+    The rows are formatted _CSV_BLOCK rows at a time into one reused row
+    buffer and written into a new file beside path, which then replaces
+    path (os.replace); a write that fails removes it, leaving path as it
+    was.
 
     Floats get exactly the bytes of "%.17g" % x. With x = m * 2**e from
     frexp, the 17 digits N = round(x * 10**s) are m * 2**53 * 5**s shifted
@@ -304,36 +294,20 @@ def write_csv(path, header, columns) -> None:
     for col in columns:
         if col.dtype.kind not in "biuf":
             _unquotable(map(str, col.tolist()), "text value")
-    k = _shard_count(rows, _CSV_BLOCK)
-    bounds = [rows * i // k for i in range(k + 1)]
     directory, base = os.path.split(os.path.abspath(path))
-    head = os.path.join(directory, f".{base}.{os.urandom(6).hex()}.tmp")
+    temp = os.path.join(directory, f".{base}.{os.urandom(6).hex()}.tmp")
     # a new file, with the permissions open(path, "wb") would give one
-    fh = os.fdopen(os.open(head, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+    fh = os.fdopen(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
-        with fh, contextlib.ExitStack() as stack:
-            parts = [fh] + [stack.enter_context(tempfile.TemporaryFile(dir=directory))
-                            for _ in range(1, k)]
-
-            def run(i):
-                out, buf = parts[i], bytearray()
-                if i == 0:
-                    out.write(",".join(header).encode())
-                for start in range(bounds[i], bounds[i + 1], _CSV_BLOCK):
-                    stop = min(start + _CSV_BLOCK, bounds[i + 1])
-                    out.write(_csv_rows([col[start:stop] for col in columns], buf))
-                if i == k - 1:
-                    out.write(b"\n")
-                out.flush()  # a child leaves by os._exit, which flushes nothing
-
-            _run_forked(run, k)
-            for part in parts[1:]:
-                size, done = os.fstat(part.fileno()).st_size, 0
-                while done < size:
-                    done += os.sendfile(fh.fileno(), part.fileno(), done, size - done)
-        os.replace(head, path)
+        with fh:
+            fh.write(",".join(header).encode())
+            buf = bytearray()
+            for start in range(0, rows, _CSV_BLOCK):
+                fh.write(_csv_rows([col[start:start + _CSV_BLOCK] for col in columns], buf))
+            fh.write(b"\n")
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(head)
+        os.unlink(temp)
         raise
 
 

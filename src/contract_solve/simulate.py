@@ -44,7 +44,7 @@ each arm of incentive_check) records no path; simulate_paths records the
 first n_recorded, by default all of them, which is one range in one
 process.
 _shard_count and _run_forked are the one shard-count rule and the one
-fork/join path of the runs and of report_cli.write_csv.
+fork/join path of the runs.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -439,13 +439,13 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return out
 
 
-def _shard_count(n: int, unit: int) -> int:
-    """min(CPUs in the affinity mask, n // unit), at least 1: how many
-    contiguous ranges of at least unit items each a job of n items is split
-    into. 1 without os.fork or os.sched_getaffinity."""
+def _shard_count(n: int) -> int:
+    """min(CPUs in the affinity mask, n // _CHUNK), at least 1: how many
+    contiguous ranges of at least _CHUNK paths each a run of n paths is
+    split into. 1 without os.fork or os.sched_getaffinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // unit))
+    return max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK))
 
 
 def _run_forked(run, k: int) -> list:
@@ -458,7 +458,7 @@ def _run_forked(run, k: int) -> list:
     Fork, not spawn: a spawned worker would import numpy and receive its
     inputs first, which takes longer than a shard's work. A child inherits
     only the calling thread, so run() must need no lock another thread may
-    hold; element-wise numpy code and file writes take none."""
+    hold; element-wise numpy code takes none."""
     children = []  # (pid, pipe) of each child not yet reaped, in shard order
     try:
         for i in range(1, k):
@@ -511,14 +511,14 @@ def _run_forked(run, k: int) -> list:
 def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
                  cfg: SimConfig, effort_map=None, agent=False, record=0) -> _Paths:
     """_run_paths' per-path results for all cfg.n_paths paths, and the step
-    records of the first record paths, from _shard_count(n_paths, _CHUNK)
+    records of the first record paths, from _shard_count(n_paths)
     contiguous id ranges, so each fills at least one lane pool, run by
     _run_forked: this process runs the first, a forked child each other
     one. The first range is widened to at least record ids, so no child
     records a path, and a range that widening empties is dropped."""
     check_start(solution, x0)
     n = cfg.n_paths
-    k = _shard_count(n, _CHUNK)
+    k = _shard_count(n)
     bounds = sorted({0, n, *(max(n * i // k, record) for i in range(1, k))})
 
     def run(i):

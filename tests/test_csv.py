@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from contract_solve import cli_dispatch, report_cli, write_csv
 from contract_solve.report_cli import _CSV_BLOCK, _csv_rows
 
-from .helpers import assert_no_child_left, count_forks, percent_write_csv, set_cpus
+from .helpers import count_forks, percent_write_csv, set_cpus
 
 
 def _formatted(x):
@@ -91,6 +91,9 @@ def _table(rng, n):
     wide = rng.integers(-2 ** 63, 2 ** 63 - 1, n, endpoint=True)
     floats = rng.normal(size=n) * 10.0 ** rng.integers(-13, 18, n)
     floats[::7] = 0.0
+    floats[::5] = np.resize([0.0, -0.0, 1e-12, 1e300, np.inf, np.nan], floats[::5].size)
+    with np.errstate(over="ignore"):  # 1e300 is inf in float32
+        single = floats.astype(np.float32)
     return (
         floats,
         np.where(rng.random(n) < 0.5, small, wide),
@@ -100,23 +103,29 @@ def _table(rng, n):
         np.array([f"p{k}é" if k % 3 else k for k in range(n)], dtype=object),
         np.array([str(k) for k in range(n)]),
         np.array([b"b%d" % k for k in range(n)], dtype=np.bytes_),
-        floats.astype(np.float32),
+        single,
         [float(v) for v in floats],
     )
 
 
 HEADER = ("f", "i", "u", "i8", "b", "o", "s", "bytes", "f32", "list")
-ROWS = [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 3]
+ROWS = [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 3,
+        5 * _CSV_BLOCK + 3]
 
 
 @pytest.mark.parametrize("rows", ROWS, ids=[f"sizes{k}" for k in range(len(ROWS))])
-def test_writer_matches_percent_oracle(tmp_path, rows):
+def test_writer_matches_percent_oracle(tmp_path, monkeypatch, rows):
+    # one process writes every table, however many CPUs there are
     table = _table(np.random.default_rng(rows), rows)
+    set_cpus(monkeypatch, 5)
+    forks = count_forks(monkeypatch)
     write_csv(tmp_path / "fast.csv", HEADER, table)
+    assert not forks
     percent_write_csv(tmp_path / "oracle.csv", HEADER, table)
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "oracle.csv").read_bytes()
     assert fast.count(b"\n") == rows + 1
+    assert sorted(os.listdir(tmp_path)) == ["fast.csv", "oracle.csv"]
 
 
 def test_no_blocks_writes_the_header_only(tmp_path):
@@ -161,46 +170,18 @@ def test_unquotable_text_is_rejected(tmp_path):
     assert path.read_bytes() == "a,b\n0,x y;é'\"\t\n".encode()
 
 
-SHARD_ROWS = [0, _CSV_BLOCK - 1, 2 * _CSV_BLOCK + 1, 5 * _CSV_BLOCK + 3]
-
-
-@pytest.mark.parametrize("rows", SHARD_ROWS, ids=[f"sizes{k}" for k in range(len(SHARD_ROWS))])
-def test_shard_count_does_not_change_the_bytes(tmp_path, monkeypatch, rows):
-    table = _table(np.random.default_rng(rows), rows)
-    floats = table[0]
-    floats[::5] = np.resize([0.0, -0.0, 1e-12, 1e300, np.inf, np.nan], floats[::5].size)
-    percent_write_csv(tmp_path / "oracle.csv", HEADER, table)
-    want = (tmp_path / "oracle.csv").read_bytes()
-    forks = count_forks(monkeypatch)
-    for cpus in (1, 2, 3, 5):
-        set_cpus(monkeypatch, cpus)
-        forks.clear()
-        write_csv(tmp_path / "fast.csv", HEADER, table)
-        assert (tmp_path / "fast.csv").read_bytes() == want, cpus
-        assert len(forks) == max(1, min(cpus, rows // _CSV_BLOCK)) - 1
-        assert_no_child_left()
-    assert sorted(os.listdir(tmp_path)) == ["fast.csv", "oracle.csv"]
-
-
-def _fail_in(monkeypatch, exc, where="child"):
-    """Make _csv_rows raise exc in every forked child, or in this process."""
-    parent, csv_rows = os.getpid(), report_cli._csv_rows
-
+def _fail_in(monkeypatch, exc):
+    """Make _csv_rows raise exc."""
     def failing(columns, buf):
-        if (os.getpid() != parent) == (where == "child"):
-            raise exc
-        return csv_rows(columns, buf)
+        raise exc
 
     monkeypatch.setattr(report_cli, "_csv_rows", failing)
 
 
-@pytest.mark.parametrize("where", ["child", "parent"])
-def test_a_failed_shard_is_raised_and_leaves_nothing(tmp_path, monkeypatch, where):
-    set_cpus(monkeypatch, 3)
-    _fail_in(monkeypatch, KeyError("failed"), where)
+def test_a_failed_write_is_raised_and_leaves_nothing(tmp_path, monkeypatch):
+    _fail_in(monkeypatch, KeyError("failed"))
     with pytest.raises(KeyError, match="failed"):
         write_csv(tmp_path / "x.csv", ("x",), (np.arange(3 * _CSV_BLOCK),))
-    assert_no_child_left()
     assert os.listdir(tmp_path) == []  # no temporary file, and no partial x.csv
 
 
@@ -217,22 +198,9 @@ def test_a_write_replaces_its_target_with_a_new_files_mode(tmp_path):
 
 
 def test_a_run_whose_writer_fails_publishes_nothing(tmp_path, monkeypatch, capsys):
-    # 64-row blocks shard every table of this run over 2 CPUs
-    monkeypatch.setattr(report_cli, "_CSV_BLOCK", 64)
-    set_cpus(monkeypatch, 2)
-    forks = count_forks(monkeypatch)
-    args = ["report", "--set", "grid.n=201", "--set", "sim.n_paths=30",
-            "--set", "sweep.sigmas=1.85"]
-    assert cli_dispatch([*args, "--out", str(tmp_path / "good")]) == 0
-    assert forks
-    good = {p.name: p.read_bytes() for p in (tmp_path / "good").iterdir()}
     _fail_in(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
-    assert cli_dispatch([*args, "--out", str(tmp_path / "bad")]) == 1
+    args = ["report", "--set", "grid.n=201", "--set", "sim.n_paths=30",
+            "--set", "sweep.sigmas=1.85", "--out", str(tmp_path / "bad")]
+    assert cli_dispatch(args) == 1
     assert "[Errno 28] No space left on device" in capsys.readouterr().err
     assert os.listdir(tmp_path / "bad") == []
-    assert_no_child_left()
-    monkeypatch.undo()  # serial again: the sharded run wrote the serial bytes
-    assert cli_dispatch([*args, "--out", str(tmp_path / "serial")]) == 0
-    serial = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
-    good.pop("manifest.json"), serial.pop("manifest.json")
-    assert good == serial

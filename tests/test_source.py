@@ -24,9 +24,9 @@ def test_no_assert_statements():
 
 
 def test_one_fork_call_site():
-    # every forked shard, of an estimate or of the CSV writer, goes through
-    # simulate._run_forked, which reaps or kills each child it forks; any
-    # use of os.fork counts, so an alias cannot hide a second fork path
+    # every forked shard of an estimate goes through simulate._run_forked,
+    # which reaps or kills each child it forks; any use of os.fork counts,
+    # so an alias cannot hide a second fork path
     def is_fork(node):
         return (isinstance(node, ast.Attribute) and node.attr == "fork"
                 and getattr(node.value, "id", None) == "os")
