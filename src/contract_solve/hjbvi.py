@@ -56,19 +56,15 @@ and the converged boundary. To keep iteration counts small on fine grids,
 howard_solve solves a cascade of coarsened versions of the same problem,
 each level with a quarter of the next one's intervals, down to at most
 101 nodes (32/126/501/2001 at the defaults). Every level starts from the
-end state of the level before, interpolated to its nodes; before the
-first level that end state is the all-continue policy (r, a) = (0, 0),
-which interpolates to itself. The reported iteration count is the
+end state of the level before, interpolated to its nodes, bar the forced
+stop at x_max, which no other node copies; before the first level that
+end state is the all-continue policy (r, a) = (0, 0). The coarse levels
+are only warm starts, so their rows take the diffusion weight
+max(D/dx^2, |b|/(2 dx)), the least that makes them monotone; only the
+finest level's rows are central. The reported iteration count is the
 total number of sweeps across all levels, level_sweeps its split. The
-improvement step reads nothing but w, so the level sizes change the sweep
-count, not the fixed point the finest level converges to.
-
-A coarse level can break the Peclet condition that the finest one meets,
-since the cell Peclet number grows with dx (with x_max = 2 or 5 some
-levels of 32 to 126 nodes do). Such a level is only a warm start, so it
-is given up: its problem starts again from the cold start on the next
-finer level, with its sweep count and budget reset, and level_sweeps
-begins there. Only a NonMonotoneScheme on the finest level fails a solve.
+improvement step reads nothing but w, so the level sizes change the
+sweep count, not the fixed point the finest level converges to.
 
 The tridiagonal solves use elimination without pivoting: every assembled
 row is diagonally dominant by exactly delta, and identity rows pass through
@@ -82,12 +78,12 @@ problem. Every step works node by node, so each problem's sweeps are
 bitwise those of its solve alone; what the batch saves is numpy's per-call
 overhead, which dominates a sweep on the coarse levels. Each problem's
 outcome is decided by itself, in the batch's one sweep loop, at the
-evaluation or improvement that settles it: a failed scheme (the fallback
-above, or on the finest level its NonMonotoneScheme in its place), a spent
-budget (NoConvergence in its place) or convergence (a warm start for the
-next level, or its solution). A sigma that is not > 0 has ValueError in its
-place and is never swept. howard_solve is the batch of one and raises
-whatever exception takes its sigma's place.
+evaluation or improvement that settles it: a failed scheme
+(NonMonotoneScheme in its place), a spent budget (NoConvergence in its
+place) or convergence (a warm start for the next level, or its solution).
+A sigma that is not > 0 has ValueError in its place and is never swept.
+howard_solve is the batch of one and raises whatever exception takes its
+sigma's place.
 """
 
 from __future__ import annotations
@@ -352,13 +348,14 @@ def _eliminate(lo, di, up, rh, left, right):
     return sol
 
 
-def _stencil(params: ModelParams, grid: Grid, r, a):
+def _stencil(params: ModelParams, grid: Grid, r, a, coarse: bool):
     """Coefficients of every interior row at the policy (r, a), per row.
 
     Returns (d, c, f): the diffusion weight D(a)/dx^2, the drift weight
     b/(2 dx) and the running payoff phi(a) - r, so that a continuation row
     reads delta w_i - d (w_{i+1} - 2 w_i + w_{i-1}) - c (w_{i+1} - w_{i-1}) = f
-    and its cell Peclet number is |c|/d.
+    and its cell Peclet number is |c|/d. On a coarse level d is raised to
+    max(d, |c|), the least diffusion that makes the row monotone.
     """
     ri, ai = r[..., 1:-1], a[..., 1:-1]
     # an overflowing sigma makes d infinite: _evaluate's non-finite-diagonal
@@ -366,10 +363,12 @@ def _stencil(params: ModelParams, grid: Grid, r, a):
     with np.errstate(over="ignore"):
         d = _diffusion(params, ai) / grid.dx**2
     c = (params.lam * grid.x[1:-1] - params.u(ri) + params.h(ai)) / (2.0 * grid.dx)
+    if coarse:
+        d = np.maximum(d, np.abs(c))
     return d, c, params.phi(ai) - ri
 
 
-def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
+def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi, coarse: bool):
     """Solve the linear system for a fixed policy, one system per row.
 
     Continuation rows: delta w - L^{a,r} w = phi(a) - r. Stopped rows:
@@ -384,7 +383,7 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
     the monotone scheme, whose row of w is then left unsolved, or None.
     """
     stop_i = stop[..., 1:-1]
-    d, c, rhs = _stencil(params, grid, r, a)
+    d, c, rhs = _stencil(params, grid, r, a, coarse)
     lower = c - d
     diag = params.delta + 2.0 * d
     upper = -(d + c)
@@ -427,15 +426,19 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
     return w, failures
 
 
-def _max_defect(params: ModelParams, grid: Grid, w, r, a, psi):
-    """max over interior nodes of |min(delta w - H, w + U^{-1}(x))|, per row,
-    with H from _evaluate's rows at the stored policy."""
-    wi = w[..., 1:-1]
-    d, c, f = _stencil(params, grid, r, a)
-    lw = (d * (w[..., 2:] - 2.0 * wi + w[..., :-2]) + c * (w[..., 2:] - w[..., :-2]) + f
-          - params.delta * wi)
-    defect = np.minimum(-lw, wi - psi[1:-1])
-    return np.max(np.abs(defect), axis=-1)
+def _max_defect(params: ModelParams, grid: Grid, w, r, a, psi, coarse: bool):
+    """Per row, max over interior nodes of |min(delta w - H, w + U^{-1}(x))|,
+    with H from _evaluate's rows at the stored policy, and the largest of
+    these defects that exceeds its row's round-off, 8 ulps of the sum of the
+    magnitudes of the row's terms (0 when none does)."""
+    wi, up, down = w[..., 1:-1], w[..., 2:], w[..., :-2]
+    d, c, f = _stencil(params, grid, r, a, coarse)
+    lw = d * (up - 2.0 * wi + down) + c * (up - down) + f - params.delta * wi
+    defect = np.abs(np.minimum(-lw, wi - psi[1:-1]))
+    au, aw, ad = np.abs(up), np.abs(wi), np.abs(down)
+    terms = d * (au + 2.0 * aw + ad) + np.abs(c) * (au + ad) + np.abs(f) + params.delta * aw
+    above = np.where(defect > 8.0 * _EPS * terms, defect, 0.0)
+    return np.max(defect, axis=-1), np.max(above, axis=-1)
 
 
 def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid) -> float:
@@ -448,7 +451,8 @@ def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid
         raise ValueError(f"grid (x_max={grid.x_max:.6g}, n={grid.n}) is not the solution's "
                          f"(x_max={solution.grid.x_max:.6g}, n={solution.grid.n})")
     psi = -params.u_inv(grid.x)
-    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star, psi))
+    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star, psi,
+                             False)[0])
 
 
 def _level_sizes(n: int) -> list[int]:
@@ -489,22 +493,22 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     ValueError before any sweep.
 
     A problem leaves its level at the sweep that decides its outcome there.
-    One whose policy fails the scheme takes a cold start on the next level
-    or, on the finest, has its NonMonotoneScheme put in its place. One that
-    spends its budget, also with a budget of 0 on arrival, has NoConvergence
-    put in its place, with the defect of its last value and the policy
-    improved from it (with a budget of 0, its starting policy). One that
-    converged warm-starts the next level, or on the finest becomes its
-    solution. A problem has converged when an improvement left its stop set
-    as it was, its value moved less than tol, and its pointwise defect at
-    the improved policy is at most 10 tol; that defect is the solution's
-    residual. A policy that repeats exactly needs no test of its own: the
-    next sweep evaluates it to the same value and passes this one. A value
-    step below tol with the contact boundary still moving is not
-    convergence: near its fixed point the boundary recedes one node per
-    sweep with value steps of the same size as tol, and declaring
-    convergence mid-recession leaves a junction defect orders of magnitude
-    above the value step.
+    One whose policy fails the scheme (a coarse level's only by a diagonal
+    that is not finite and > 0) has its NonMonotoneScheme put in its place.
+    One that spends its budget, also with a budget of 0 on arrival, has
+    NoConvergence put in its place, with the defect of its last value and
+    the policy improved from it (with a budget of 0, its starting policy).
+    One that converged warm-starts the next level, or on the finest becomes
+    its solution. A problem has converged when an improvement left its stop
+    set as it was, its value moved less than tol, and each node's defect at
+    the improved policy is at most 10 tol or within its row's round-off (see
+    _max_defect); the largest defect is the solution's residual. A policy
+    that repeats exactly needs no test of its own: the next sweep evaluates
+    it to the same value and passes this one. A value step below tol with
+    the contact boundary still moving is not convergence: near its fixed
+    point the boundary recedes one node per sweep with value steps of the
+    same size as tol, and declaring convergence mid-recession leaves a
+    junction defect orders of magnitude above the value step.
     """
     check_limits(tol, max_iter)
     sigma = np.array(sigmas, dtype=float).reshape(-1, 1)
@@ -512,8 +516,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     n_convex = np.zeros(len(out), dtype=int)
     residual = np.zeros(len(out))  # the defect that certified each convergence
     trace = [[] for _ in out]  # (nodes, sweeps) of each level, per problem
-    # per problem, its converged state on the level before, or the zero
-    # policy of a cold start (before the first level, and after a Peclet failure)
+    # per problem, its end state on the level before (the zero policy before the first)
     level = grid
     end_r, end_a = np.zeros((2, len(out), grid.n))
     end_stop = np.zeros((len(out), grid.n), dtype=bool)
@@ -522,12 +525,13 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
         if not live.size:
             return out
         prev, level = level, (grid if size == grid.n else Grid.make(grid.x_max, size))
+        coarse = level is not grid  # a warm start only: its rows get the monotone stencil
         psi = -params.u_inv(level.x)
         # the zero policy interpolates to itself; stop[:, 0] is False already
         r = np.array([np.interp(level.x, prev.x, row) for row in end_r[live]])
         a = np.array([np.interp(level.x, prev.x, row) for row in end_a[live]])
         nearest = np.clip(np.rint(level.x / prev.dx).astype(int), 0, prev.n - 1)
-        stop = end_stop[live][:, nearest]
+        stop = end_stop[live][:, nearest] & (nearest < prev.n - 1)
         stop[:, -1] = True
         end_w, end_r, end_a = np.zeros((3, len(out), level.n))
         end_stop = np.zeros((len(out), level.n), dtype=bool)
@@ -537,36 +541,33 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
         evaluated = False  # whether w is the value of the current policy
         while live.size:  # each pass evaluates or improves, then the decided problems leave
             if not evaluated:
-                w, failures = _evaluate(batch, level, r, a, stop, psi)
-                done = np.zeros(live.size, dtype=bool)
-                leave = (budget == sweep) | np.array([f is not None for f in failures])
+                w, failures = _evaluate(batch, level, r, a, stop, psi, coarse)
+                near = np.zeros(live.size, dtype=bool)
             else:
                 sweep += 1
                 r, a, stop_new, n = _improve(batch, level, w, psi)
                 n_convex[live] += n
                 near = (stop_new == stop).all(axis=-1) & (np.abs(w - w_prev).max(axis=-1) < tol)
-                defect = np.full(live.size, np.inf)
-                if near.any():
-                    defect[near] = _max_defect(_rows(batch, near), level, w[near], r[near],
-                                               a[near], psi)
-                done = defect <= 10.0 * tol
-                stop, w_prev = stop_new, w
-                failures, leave = [None] * live.size, done | (sweep == budget)
+                stop, w_prev, failures = stop_new, w, [None] * live.size
             evaluated = not evaluated
+            failed = np.array([f is not None for f in failures])
+            spent = (budget == sweep) & ~failed
+            measure = near | spent  # the defect tests a convergence, or a spent budget reports it
+            defect, above = np.full((2, live.size), np.inf)
+            if measure.any():
+                defect[measure], above[measure] = _max_defect(
+                    _rows(batch, measure), level, w[measure], r[measure], a[measure], psi, coarse)
+            done = near & (above <= 10.0 * tol)
+            leave = done | spent | failed
             for i in np.flatnonzero(leave).tolist():
                 p = live[i]
                 if done[i]:
                     end_w[p], end_r[p], end_a[p], end_stop[p] = w[i], r[i], a[i], stop[i]
                     residual[p] = defect[i]
                     trace[p].append((level.n, sweep))
-                elif failures[i] is None:
-                    out[p] = NoConvergence(iterations=max_iter, nodes=level.n, residual=float(
-                        _max_defect(_rows(batch, [i]), level, w[[i]], r[[i]], a[[i]], psi)[0]))
-                elif level is grid:
-                    out[p] = failures[i]
-                else:  # too coarse for the Peclet condition: its end state stays
-                    # the zero policy, a cold start on the next level
-                    n_convex[p], trace[p] = 0, []
+                else:
+                    out[p] = failures[i] if failed[i] else NoConvergence(
+                        iterations=max_iter, nodes=level.n, residual=float(defect[i]))
             if leave.any():
                 stay = ~leave
                 live, budget, w, w_prev, r, a, stop = (
@@ -592,12 +593,11 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = DEFAULT_TOL,
     """Policy iteration on the discretized variational inequality.
 
     Fine grids are warm-started from a cascade of solves of the same problem
-    on coarser grids (see module docstring); the cold start is
-    continue-everywhere with (r, a) = (0, 0), and a coarse level that breaks
-    the Peclet condition hands over to a cold start on the next finer one.
-    A level converges as howard_solve_many says, and residual is the defect
-    that certified the finest level. max_iter bounds the total sweep count
-    across the levels from the cold start on, and the reported iteration
+    on coarser grids, whose rows get the least diffusion that makes them
+    monotone (see module docstring); the cold start is continue-everywhere
+    with (r, a) = (0, 0). A level converges as howard_solve_many says, and
+    residual is the defect that certified the finest level. max_iter bounds
+    the total sweep count across the levels, and the reported iteration
     count is that total, level_sweeps its split by level. The reported
     policy is the final improvement against the converged value, so r_star
     and a_star are the feedback maximizers of the discrete Hamiltonian. A

@@ -320,11 +320,12 @@ def unbatched_improve(params, grid, w, psi):
     return r, a, stop, n_int + n_end
 
 
-def whole_system_evaluate(params, grid, r, a, stop, psi):
+def whole_system_evaluate(params, grid, r, a, stop, psi, coarse):
     """hjbvi._evaluate for one problem as one elimination over every interior
     row, stopped rows as identity rows, as an oracle: hjbvi._evaluate
-    eliminates each run of central-scheme continuation rows on its own and
-    must give the same bits."""
+    eliminates each run of continuation rows on its own and must give the
+    same bits. The rows are central, or on a coarse level take the diffusion
+    weight max(D/dx^2, |b|/(2 dx))."""
     from contract_solve.hjbvi import _diffusion
 
     dx = grid.dx
@@ -332,6 +333,8 @@ def whole_system_evaluate(params, grid, r, a, stop, psi):
     ri, ai, stop_i = r[1:-1], a[1:-1], stop[1:-1]
     d = _diffusion(params, ai) / dx**2
     c = (params.lam * xi - params.u(ri) + params.h(ai)) / (2.0 * dx)
+    if coarse:
+        d = np.maximum(d, np.abs(c))
     lower = np.where(stop_i, 0.0, c - d)
     diag = np.where(stop_i, 1.0, params.delta + 2.0 * d)
     upper = np.where(stop_i, 0.0, -(d + c))

@@ -244,7 +244,7 @@ class TestDispatch:
         assert code == 2
         assert "NoConvergence" in capsys.readouterr().err
 
-        def broken(params, grid, r, a, stop, psi):
+        def broken(params, grid, r, a, stop, psi, coarse):
             # every problem's scheme fails, on every level
             return np.zeros(stop.shape), [NonMonotoneScheme("non-finite or non-positive "
                                                             "diagonal")] * len(stop)
@@ -277,9 +277,11 @@ class TestDispatch:
                                                                   budget):
         # the default cascade levels take 15/9/8/4 sweeps; the configured
         # sigma's failure is known after the batch, so report writes nothing
-        # and the defect is that of the next level's starting policy
+        # and the defect is that of the next level's starting policy (on 2001
+        # nodes 1998 and 1999 start continuing: they round to the 501-node
+        # level's end, whose forced stop the warm start does not copy)
         nodes, residual = {15: (126, "1.192e+00"), 24: (501, "9.370e-01"),
-                           32: (2001, "2.279e-11")}[budget]
+                           32: (2001, "7.173e-09")}[budget]
         for sub in ("second-best", "report"):
             out = tmp_path / sub
             code = cli_dispatch([sub, "--out", str(out), "--set", f"howard.max_iter={budget}"])
