@@ -150,10 +150,14 @@ def build(raw) -> RunConfig:
     flat = {key.replace(".", "_"): val for key, val in values.items()}
     sim = _checked("sim.", SimConfig, **{g.name: flat.pop(f"sim_{g.name}")
                                          for g in fields(SimConfig)})
-    if not values["sweep.sigmas"]:
+    sigmas = values["sweep.sigmas"]
+    if not sigmas:
         raise ConfigError("sweep.sigmas must list at least one sigma")
-    if any(s <= 0.0 for s in values["sweep.sigmas"]):
+    if any(s <= 0.0 for s in sigmas):
         raise ConfigError("sweep.sigmas must all be > 0")
+    for i, s in enumerate(sigmas):
+        if s in sigmas[:i]:
+            raise ConfigError(f"sweep.sigmas must be distinct: {s!r} is listed twice")
     for key in ("fb.x_n", "fb.t_n", "voi.x_n"):
         if values[key] < 2:
             raise ConfigError(f"{key} must be >= 2")
@@ -161,10 +165,9 @@ def build(raw) -> RunConfig:
         raise ConfigError("fb.x_min must be >= 0")
     if values["fb.x_max"] <= values["fb.x_min"]:
         raise ConfigError("fb.x_max must exceed fb.x_min")
-    if not values["fb.t_max"] > 0.0:
-        raise ConfigError("fb.t_max must be > 0")
-    if not 0.0 < values["voi.x_max"] <= values["grid.x_max"]:
-        raise ConfigError("voi.x_max must lie in (0, grid.x_max]")
+    for key in ("fb.t_max", "voi.x_max"):  # the voi stage checks voi.x_max's upper end
+        if not values[key] > 0.0:
+            raise ConfigError(f"{key} must be > 0")
 
     snapshot = {key: f"{val:.17g}" for key, val in model_raw.items()}
     for key, val in values.items():

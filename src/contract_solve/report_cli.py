@@ -430,7 +430,7 @@ def _voi(cfg: RunConfig, outdir, solved):
     sol = solved[cfg.params.sigma]
     try:
         table = value_of_information(cfg.params, np.linspace(0.0, cfg.voi_x_max, cfg.voi_x_n), sol)
-    except ValueError as exc:  # the config keeps voi.x_max <= grid.x_max, not the boundary
+    except ValueError as exc:  # past grid.x_max or the first-best boundary
         raise ConfigError(f"voi.x_max = {cfg.voi_x_max:.6g}: {exc}") from None
     write_csv(os.path.join(outdir, "voi.csv"),
               ("x", "v_fb", "v_sb", "voi"),

@@ -35,15 +35,15 @@ stream work stays linear in its length.
 
 Every run shards the paths by id across the CPUs in the process's affinity
 mask (_run_sharded): this process steps the first contiguous range of ids
-and one forked child each other range, and a child sends back only its
-paths' payoffs, end flags and, in a recording run, step counts. The first
-range covers every recorded path, so the step records never leave this
-process. Since a path's stream is keyed by its id, the results are bitwise
-those of one process for any shard count. An estimate (mc_principal_value,
-each arm of incentive_check) records no path; simulate_paths records the
-first n_recorded, by default all of them, which is one range in one
-process.
-_shard_count and _run_forked are the one shard-count rule and the one
+and one forked child each other range. Each shard returns its _Paths, the
+one per-path result type of a run, and _run_sharded joins their per-path
+columns in id order. The first range covers every recorded path, so the
+step records never leave this process. Since a path's stream is keyed by
+its id, the results are bitwise those of one process for any shard count.
+An estimate (mc_principal_value, each arm of incentive_check) records no
+path; simulate_paths records the first n_recorded, by default all of them,
+which is one range in one process.
+_run_sharded and _run_forked hold the one shard-count rule and the one
 fork/join path of the runs.
 
 Under a deviated effort the contract still pays and stops according to the
@@ -439,15 +439,6 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return out
 
 
-def _shard_count(n: int) -> int:
-    """min(CPUs in the affinity mask, n // _CHUNK), at least 1: how many
-    contiguous ranges of at least _CHUNK paths each a run of n paths is
-    split into. 1 without os.fork or os.sched_getaffinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK))
-
-
 def _run_forked(run, k: int) -> list:
     """[run(0), ..., run(k - 1)]: this process runs run(0) after forking one
     child per other i, which pickles what run(i) returns or raises into a
@@ -510,28 +501,29 @@ def _run_forked(run, k: int) -> list:
 
 def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
                  cfg: SimConfig, effort_map=None, agent=False, record=0) -> _Paths:
-    """_run_paths' per-path results for all cfg.n_paths paths, and the step
-    records of the first record paths, from _shard_count(n_paths)
-    contiguous id ranges, so each fills at least one lane pool, run by
-    _run_forked: this process runs the first, a forked child each other
-    one. The first range is widened to at least record ids, so no child
-    records a path, and a range that widening empties is dropped."""
+    """_run_paths' _Paths for all cfg.n_paths paths, with the step records
+    of the first record paths, from k = min(CPUs in the affinity mask,
+    n_paths // _CHUNK), at least 1 (1 without os.fork or
+    os.sched_getaffinity), contiguous id ranges run by _run_forked: this
+    process runs the first, a forked child each other one. The first range
+    is widened to at least record ids, so no child records a path, and a
+    range that widening empties is dropped. Each shard returns its _Paths;
+    their per-path slots are joined in id order."""
     check_start(solution, x0)
-    n = cfg.n_paths
-    k = _shard_count(n)
+    n, k = cfg.n_paths, 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK))
     bounds = sorted({0, n, *(max(n * i // k, record) for i in range(1, k))})
 
     def run(i):
-        part = _run_paths(params, solution, x0, cfg, effort_map, agent, record=record,
+        return _run_paths(params, solution, x0, cfg, effort_map, agent, record=record,
                           first=bounds[i], stop=bounds[i + 1])
-        return part.principal, part.agent, part.floor, part.censored, part.steps, part.records
 
     parts = _run_forked(run, len(bounds) - 1)
-    out = _Paths(0, agent)
-    out.principal, out.agent, out.floor, out.censored, out.steps = (
-        None if cols[0] is None else np.concatenate(cols)
-        for cols in zip(*(part[:5] for part in parts)))
-    out.records = parts[0][5]
+    out = parts[0]
+    for name in _Paths.__slots__:
+        if name != "records" and getattr(out, name) is not None:
+            setattr(out, name, np.concatenate([getattr(part, name) for part in parts]))
     return out
 
 
@@ -630,30 +622,24 @@ def _std_error(values) -> float:
     return float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
-def _mc_value(params, solution, cfg, payoffs, n_floor, n_censored) -> MCValue:
+def _mc_value(params, solution, cfg, payoffs, floor, censored) -> MCValue:
     bias = float(np.exp(-params.delta * cfg.horizon)
                  * (solution.k_growth + params.u_inv(solution.grid.x_max)))
     return MCValue(float(np.mean(payoffs)), _std_error(payoffs), len(payoffs),
-                   n_floor, n_censored, bias)
+                   int(floor.sum()), int(censored.sum()), bias)
 
 
 def mc_principal_value(params: ModelParams, solution: SecondBestSolution,
                        x0: float, cfg: SimConfig) -> MCValue:
     """Sample mean and standard error of the discounted principal payoff."""
     out = _run_sharded(params, solution, x0, cfg)
-    return _mc_value(params, solution, cfg, out.principal, int(out.floor.sum()),
-                     int(out.censored.sum()))
+    return _mc_value(params, solution, cfg, out.principal, out.floor, out.censored)
 
 
 def summarize_paths(params: ModelParams, solution: SecondBestSolution,
                     cfg: SimConfig, table: PathTable) -> MCValue:
     """The MCValue of simulate_paths' table: what mc_principal_value returns."""
-    return _mc_value(params, solution, cfg, table.payoff, int(table.floor.sum()),
-                     int(table.censored.sum()))
-
-
-def _agent_objectives(params, solution, x0, cfg, effort_map):
-    return _run_sharded(params, solution, x0, cfg, effort_map, agent=True).agent
+    return _mc_value(params, solution, cfg, table.payoff, table.floor, table.censored)
 
 
 def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float,
@@ -667,10 +653,10 @@ def incentive_check(params: ModelParams, solution: SecondBestSolution, x0: float
     with its own (much smaller) standard error. A deviation is flagged when
     its margin falls below -2 margin_se.
     """
-    base = _agent_objectives(params, solution, x0, cfg, None)
+    base = _run_sharded(params, solution, x0, cfg, agent=True).agent
     rows = []
     for dev in deviations:
-        vals = _agent_objectives(params, solution, x0, cfg, dev)
+        vals = _run_sharded(params, solution, x0, cfg, dev, agent=True).agent
         diff = base - vals
         margin = float(np.mean(diff))
         margin_se = _std_error(diff)

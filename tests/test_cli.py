@@ -105,7 +105,7 @@ class TestConfigParsing:
                            ("grid.x_max=inf", "grid.x_max"), ("grid.x_max=0", "grid.x_max"),
                            ("grid.x_max=-1", "grid.x_max"),
                            ("sweep.sigmas=inf", "sweep.sigmas"), ("sim.x0=nan", "sim.x0"),
-                           ("voi.x_max=1.5", "voi.x_max"), ("voi.x_max=0", "voi.x_max")):
+                           ("sweep.sigmas=1.5,1.5", "sweep.sigmas"), ("voi.x_max=0", "voi.x_max")):
             with pytest.raises(ConfigError, match=frag.replace(".", r"\.")):
                 load(None, [pair])
 
@@ -350,10 +350,13 @@ class TestDispatch:
             assert not out.exists() or not os.listdir(out)
 
     def test_voi_range_exits_with_config_error(self, tmp_path, capsys):
-        # beyond grid.x_max: rejected by the config itself
-        code = cli_dispatch(["voi", "--out", str(tmp_path), *FAST, "--set", "voi.x_max=1.5"])
+        # beyond grid.x_max: rejected by the voi stage
+        code = cli_dispatch(["voi", "--out", str(tmp_path / "voi"), *FAST,
+                             "--set", "voi.x_max=1.5"])
         assert code == 1
-        assert "error: voi.x_max" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: voi.x_max = 1.5: x_grid must lie within [0, 1]\n")
+        assert not (tmp_path / "voi").exists() or not os.listdir(tmp_path / "voi")
         # inside a wide grid but past the first-best boundary (about 4.55):
         # the voi stage fails, and the run publishes no file
         for sub in ("voi", "report"):
@@ -364,6 +367,14 @@ class TestDispatch:
             assert capsys.readouterr().err == (
                 "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n")
             assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("sub,x_max", [("second-best", "0.5"), ("simulate", "0.8"),
+                                           ("sweep", "0.9")])
+    def test_a_grid_narrower_than_voi_runs_without_voi(self, tmp_path, sub, x_max):
+        # voi.x_max (0.95) lies past grid.x_max, but only the voi stage reads it
+        assert cli_dispatch([sub, "--out", str(tmp_path), *FAST,
+                             "--set", f"grid.x_max={x_max}"]) == 0
+        assert "voi.csv" not in os.listdir(tmp_path)
 
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         # the config rejects it before any stage runs: report writes nothing
@@ -725,7 +736,7 @@ class TestReportComposition:
                              "--set", "sweep.sigmas=1.7,2.0"]) == 0
         assert len(refs) == 3 and live == [1]
 
-    def test_repeated_sweep_sigma_is_solved_once(self, tmp_path, monkeypatch):
+    def test_repeated_sweep_sigma_is_solved_once(self, tmp_path, monkeypatch, capsys):
         batches = []
         solve = hjbvi.howard_solve_many
 
@@ -733,17 +744,15 @@ class TestReportComposition:
             batches.append(list(sigmas))
             return solve(params, sigmas, *args, **kwargs)
 
-        once, twice = tmp_path / "once", tmp_path / "twice"
-        assert cli_dispatch(["sweep", "--out", str(once), *FAST,
-                             "--set", "sweep.sigmas=1.7,1.85"]) == 0
         monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
-        assert cli_dispatch(["sweep", "--out", str(twice), *FAST,
-                             "--set", "sweep.sigmas=1.7,1.7,1.85"]) == 0
-        assert batches == [[1.7, 1.85]]
-        # the repeated sigma's rows are written twice, as listed
-        one, two = ((out / "sweep.csv").read_bytes().splitlines() for out in (once, twice))
-        rows_17 = [row for row in one[1:] if row.startswith(b"1.7,")]
-        assert two == one[:1] + rows_17 + one[1:]
+        # the config rejects a repeated sweep sigma before any stage runs
+        out = tmp_path / "twice"
+        assert cli_dispatch(["sweep", "--out", str(out), *FAST,
+                             "--set", "sweep.sigmas=1.7,1.7,1.85"]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep.sigmas must be distinct: 1.7 is listed twice\n")
+        assert not batches and (not out.exists() or not os.listdir(out))
+        # a library call solves it once
         solved = sigma_sweep(load(None, FAST[1::2]).params, [1.7, 1.7], grid=Grid.make(1.0, 201))
-        assert batches[1:] == [[1.7]]
+        assert batches == [[1.7]]
         assert list(solved) == [1.7] and isinstance(solved[1.7], hjbvi.SecondBestSolution)

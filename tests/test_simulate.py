@@ -351,6 +351,29 @@ class TestShards:
             assert mc_principal_value(params, sb, 0.1, self.CFG) == mc
             assert len(forks) == cpus - 1
 
+    def test_every_slot_survives_a_forked_shard(self, params, sb, monkeypatch):
+        # a deviation arm that records: agent and records filled in one run
+        monkeypatch.setattr(sim, "_CHUNK", 64)
+        forks = count_forks(monkeypatch)
+        runs = []
+        for cpus in (1, 2, 3):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            runs.append(sim._run_sharded(params, sb, 0.1, self.CFG, _deviations(sb)[1],
+                                         agent=True, record=100))
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+
+        def bits(out, name):  # each column's dtype, shape and bytes
+            cols = getattr(out, name)
+            return [(c.dtype, c.shape, c.tobytes()) for c in
+                    (cols if name == "records" else [cols])]
+
+        for name in sim._Paths.__slots__:
+            assert getattr(runs[0], name) is not None, name
+            for cpus, out in zip((2, 3), runs[1:]):
+                assert bits(out, name) == bits(runs[0], name), (cpus, name)
+
     def test_recorded_count_is_checked(self, params, sb):
         for bad in (0, -1, self.CFG.n_paths + 1, 2.5, "100"):
             with pytest.raises(ValueError, match="n_recorded must be an integer"):
@@ -387,11 +410,11 @@ class TestLockstepOracle:
 
     def test_agent_objectives_under_deviations(self, params, sb, oracle):
         cfg = next(iter(oracle))
-        assert np.array_equal(sim._agent_objectives(params, sb, 0.1, cfg, None),
+        assert np.array_equal(sim._run_sharded(params, sb, 0.1, cfg, agent=True).agent,
                               oracle[cfg]["agent"])
         for dev in _deviations(sb):
             ref = lockstep_paths(params, sb, 0.1, cfg, effort_map=dev)
-            assert np.array_equal(sim._agent_objectives(params, sb, 0.1, cfg, dev),
+            assert np.array_equal(sim._run_sharded(params, sb, 0.1, cfg, dev, agent=True).agent,
                                   ref["agent"])
 
     def test_recorded_paths(self, params, sb, oracle):

@@ -23,25 +23,35 @@ def test_no_assert_statements():
     assert not found, f"assert statements in src: {found}"
 
 
-def test_one_fork_call_site():
-    # every forked shard of an estimate goes through simulate._run_forked,
-    # which reaps or kills each child it forks; any use of os.fork counts,
-    # so an alias cannot hide a second fork path
-    def is_fork(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "fork"
+def _os_sites(attr):
+    """(file, innermost function) of each read of os.<attr> in the package
+    source; any read counts, so an alias cannot hide a second site."""
+    def is_read(node):
+        return (isinstance(node, ast.Attribute) and node.attr == attr
                 and getattr(node.value, "id", None) == "os")
 
     sites = {}  # (file, line) -> the innermost function holding it
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         sites.update({(path.name, node.lineno): "<module>" for node in ast.walk(tree)
-                      if is_fork(node)})
+                      if is_read(node)})
         for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 sites.update({(path.name, node.lineno): func.name for node in ast.walk(func)
-                              if is_fork(node)})
-    assert [(name, func) for (name, _), func in sites.items()] == [
-        ("simulate.py", "_run_forked")], sites
+                              if is_read(node)})
+    return [(name, func) for (name, _), func in sites.items()]
+
+
+def test_one_fork_call_site():
+    # every forked shard of an estimate goes through simulate._run_forked,
+    # which reaps or kills each child it forks
+    assert _os_sites("fork") == [("simulate.py", "_run_forked")]
+
+
+def test_one_shard_count_rule():
+    # the CPUs a run shards its paths over are counted in simulate._run_sharded
+    # alone, so no second shard-count rule can drift from it
+    assert _os_sites("sched_getaffinity") == [("simulate.py", "_run_sharded")]
 
 
 def test_benchmark_trace_targets_exist():
