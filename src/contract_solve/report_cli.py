@@ -10,8 +10,15 @@ estimate and counts cover every path.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
-together. Before the first stage, one sigma_sweep call solves each distinct
-sigma the run's stages need (cfg's own, and sweep.sigmas for the sweep).
+together. sigma_sweep solves each distinct sigma the run's stages need
+(cfg's own, and sweep.sigmas for the sweep) once. The simulation stage's
+sigma is solved first, alone, and its start checked (check_start) before
+any stage runs. report then runs its simulation stage in a forked child
+while this process solves the other sigmas in one more sigma_sweep call
+and runs the other four stages; on one CPU (simulate._cpu_count) the two
+groups run one after the other in this process. Either way files,
+diagnostics and timings merge in stage order, and an error of the other
+stages wins over one of the simulation, as when the stages ran in order.
 The stages write into a staging directory in the output directory, and
 only a run whose every stage succeeded moves the files out of it, the
 manifest last: a run that fails writes nothing (a killed one can leave
@@ -41,7 +48,8 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid
 from .model import ModelParams
-from .simulate import InvalidStart, PolicyOutOfRange, simulate_paths, summarize_paths
+from .simulate import (InvalidStart, PolicyOutOfRange, _cpu_count, _run_forked, check_start,
+                       simulate_paths, summarize_paths)
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -342,8 +350,9 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = hjbvi.DEFAULT_TOL, max_iter: int = hjbvi.DEFAULT_MAX_ITER):
     """Second-best solves of every sigma on a shared grid, in one
-    howard_solve_many batch. This is the CLI's batch: each run solves the
-    sigmas its stages need with one call.
+    howard_solve_many batch. The CLI solves through it: one call for the
+    simulation stage's sigma, one for the sigmas the other stages still
+    need, so a run solves each distinct sigma once.
 
     Returns a dict from each distinct sigma, in input order, to its
     solution or to the exception that failed it, as howard_solve_many
@@ -360,8 +369,8 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                                                     max_iter=max_iter)))
 
 
-# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved is
-# sigma_sweep's dict for the sigmas the run needs; cfg's own sigma is a
+# A stage is (cfg, outdir, solved) -> (files, diagnostics). solved maps
+# each sigma the stage needs to sigma_sweep's result; cfg's own sigma is a
 # solution whenever a stage reads it.
 
 
@@ -476,6 +485,33 @@ _SUBCOMMANDS = {
 }
 
 
+def _solve(cfg: RunConfig, stages, solved) -> dict:
+    """Solve the sigmas stages need that solved lacks, in one sigma_sweep
+    call, into solved; returns {"solve_seconds": its time}, or {} if none
+    was missing."""
+    missing = [sg for _, _, need in stages for sg in need(cfg) if sg not in solved]
+    if not missing:
+        return {}
+    t0 = time.perf_counter()
+    # no other reference to a solution outlives solved, so the sweep stage frees its own
+    solved.update(sigma_sweep(cfg.params, missing, grid=cfg.grid, tol=cfg.howard_tol,
+                              max_iter=cfg.howard_max_iter))
+    return {"solve_seconds": time.perf_counter() - t0}
+
+
+def _run_group(cfg: RunConfig, outdir, solved, stages):
+    """(files, diagnostics, timings) of stages run in order, once _solve has
+    solved what they need."""
+    files, diag, timings = [], {}, _solve(cfg, stages, solved)
+    for key, stage, _ in stages:
+        t0 = time.perf_counter()
+        stage_files, stage_diag = stage(cfg, outdir, solved)
+        timings[f"{key}_seconds"] = time.perf_counter() - t0
+        files += stage_files
+        diag.update(stage_diag)
+    return files, diag, timings
+
+
 def _parse_argv(argv):
     if not argv:
         raise ConfigError("missing subcommand")
@@ -527,29 +563,34 @@ def cli_dispatch(argv) -> int:
         return 1
 
     stages = _SUBCOMMANDS[sub]
-    sigmas = [sg for _, _, need in stages for sg in need(cfg)]
-    files, diag, timings = [], {}, {}
+    # the simulation stage last, in a group of its own whose sigma is solved first
+    groups = [group for group in ([st for st in stages if st[0] != "sim"],
+                                  [st for st in stages if st[0] == "sim"]) if group]
+    files, diag = [], {}
     staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".contract-solve-", dir=out_dir)
         solved = {}
-        if sigmas:
-            t0 = time.perf_counter()
-            # no other reference to a solution outlives solved, so the sweep stage frees its own
-            solved = sigma_sweep(cfg.params, sigmas, grid=cfg.grid, tol=cfg.howard_tol,
-                                 max_iter=cfg.howard_max_iter)
-            timings["solve_seconds"] = time.perf_counter() - t0
+        timings = _solve(cfg, groups[-1], solved)
         own = solved.get(cfg.params.sigma)
         if isinstance(own, Exception) and any(need is _own_sigma for _, _, need in stages):
             print(f"solver failure: {type(own).__name__}: {own}", file=sys.stderr)
             return 2
-        for key, stage, _ in stages:
-            t0 = time.perf_counter()
-            stage_files, stage_diag = stage(cfg, staging, solved)
-            timings[f"{key}_seconds"] = time.perf_counter() - t0
-            files += stage_files
-            diag.update(stage_diag)
+        if any(key == "sim" for key, _, _ in stages):
+            check_start(own, cfg.sim_x0)  # a bad sim.x0 fails the run before any stage
+
+        def run(i):
+            return _run_group(cfg, staging, solved, groups[i])
+
+        # a child runs the simulation; the first error in group order is raised here
+        parts = (_run_forked(run, len(groups)) if _cpu_count() > 1
+                 else [run(i) for i in range(len(groups))])
+        for group_files, group_diag, group_timings in parts:
+            files += group_files
+            diag.update(group_diag)
+            for key, seconds in group_timings.items():
+                timings[key] = timings.get(key, 0.0) + seconds
         manifest = {
             "tool_version": __version__,
             "subcommand": sub,

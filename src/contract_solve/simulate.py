@@ -43,8 +43,9 @@ its id, the results are bitwise those of one process for any shard count.
 An estimate (mc_principal_value, each arm of incentive_check) records no
 path; simulate_paths records the first n_recorded, by default all of them,
 which is one range in one process.
-_run_sharded and _run_forked hold the one shard-count rule and the one
-fork/join path of the runs.
+_cpu_count holds the one CPU rule and _run_forked the one fork/join path,
+of these runs and of the CLI, which runs report's simulation stage in a
+child beside its other stages.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -439,18 +440,26 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     return out
 
 
+def _cpu_count() -> int:
+    """CPUs in the process's affinity mask; 1 without os.fork or
+    os.sched_getaffinity, where nothing is forked."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _run_forked(run, k: int) -> list:
     """[run(0), ..., run(k - 1)]: this process runs run(0) after forking one
     child per other i, which pickles what run(i) returns or raises into a
-    pipe (nothing if that fails) and exits. The first exception in shard
+    pipe (nothing if that fails) and exits. The first exception in index
     order is raised here, and no child outlives the call: those not yet
     reaped are killed and reaped.
 
     Fork, not spawn: a spawned worker would import numpy and receive its
-    inputs first, which takes longer than a shard's work. A child inherits
+    inputs first, which takes longer than a run's work. A child inherits
     only the calling thread, so run() must need no lock another thread may
-    hold; element-wise numpy code takes none."""
-    children = []  # (pid, pipe) of each child not yet reaped, in shard order
+    hold; element-wise numpy code and file writes take none."""
+    children = []  # (pid, pipe) of each child not yet reaped, in index order
     try:
         for i in range(1, k):
             r, w = os.pipe()
@@ -484,7 +493,7 @@ def _run_forked(run, k: int) -> list:
             children.pop(0)
             # the bytes come from this process's own fork
             result = pickle.loads(data) if data else RuntimeError(
-                f"shard {len(results)} of {k} ended without a result (wait status {status})")
+                f"run {len(results)} of {k} ended without a result (wait status {status})")
             if isinstance(result, Exception):
                 raise result
             results.append(result)
@@ -502,17 +511,15 @@ def _run_forked(run, k: int) -> list:
 def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
                  cfg: SimConfig, effort_map=None, agent=False, record=0) -> _Paths:
     """_run_paths' _Paths for all cfg.n_paths paths, with the step records
-    of the first record paths, from k = min(CPUs in the affinity mask,
-    n_paths // _CHUNK), at least 1 (1 without os.fork or
-    os.sched_getaffinity), contiguous id ranges run by _run_forked: this
+    of the first record paths, from k = min(_cpu_count(), n_paths //
+    _CHUNK), at least 1, contiguous id ranges run by _run_forked: this
     process runs the first, a forked child each other one. The first range
     is widened to at least record ids, so no child records a path, and a
     range that widening empties is dropped. Each shard returns its _Paths;
     their per-path slots are joined in id order."""
     check_start(solution, x0)
-    n, k = cfg.n_paths, 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        k = max(1, min(len(os.sched_getaffinity(0)), n // _CHUNK))
+    n = cfg.n_paths
+    k = max(1, min(_cpu_count(), n // _CHUNK))
     bounds = sorted({0, n, *(max(n * i // k, record) for i in range(1, k))})
 
     def run(i):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -27,8 +28,9 @@ from contract_solve import (
 )
 from contract_solve import PolicyOutOfRange, SimConfig, first_best, hjbvi, report_cli
 from contract_solve.config import parse_lines, parse_overrides
+from contract_solve.first_best import BracketFailure
 
-from .helpers import percent_write_csv, split_bundles
+from .helpers import assert_no_child_left, count_forks, percent_write_csv, set_cpus, split_bundles
 
 # keep every dispatch cheap: coarse grid, few paths, short profiles
 FAST = ["--set", "grid.n=201", "--set", "fb.x_n=8", "--set", "fb.t_n=9",
@@ -388,7 +390,9 @@ class TestDispatch:
     @pytest.mark.parametrize("failing", range(5))
     def test_a_failed_stage_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, failing):
         # the stage at index failing writes its files, then raises: earlier
-        # stages have written theirs too, yet out keeps exactly its old bytes
+        # stages have written theirs too, yet out keeps exactly its old bytes;
+        # the stage logs its files to a file, as the simulation stage runs in
+        # a forked child
         out = tmp_path / "out"
         out.mkdir()
         (out / "paths.csv").write_bytes(b"path_id\nold\n")
@@ -400,11 +404,12 @@ class TestDispatch:
         before = contents()
         stages = report_cli._SUBCOMMANDS["report"]
         key, stage, need = stages[failing]
-        written = []
+        written = tmp_path / "written"
 
         def fail(exc):
             def failing_stage(cfg, outdir, solved):
-                written.extend(stage(cfg, outdir, solved)[0])
+                with open(written, "a") as fh:
+                    fh.write("".join(f"{name}\n" for name in stage(cfg, outdir, solved)[0]))
                 raise exc
             return stages[:failing] + ((key, failing_stage, need),) + stages[failing + 1:]
 
@@ -412,7 +417,7 @@ class TestDispatch:
                             fail(PolicyOutOfRange("injected failure")))
         assert cli_dispatch(["report", "--out", str(out), *FAST]) == 2
         assert capsys.readouterr().err == "solver failure: PolicyOutOfRange: injected failure\n"
-        assert written and contents() == before
+        assert written.read_text() and contents() == before
         # an exception no exit code covers propagates, and still leaves nothing
         monkeypatch.setitem(report_cli._SUBCOMMANDS, "report", fail(KeyError("unexpected")))
         with pytest.raises(KeyError):
@@ -443,7 +448,9 @@ class TestDispatch:
                              "--set", "grid.x_max=5", "--set", "voi.x_max=4.9"]) == 1
         assert "x_grid must lie within" in capsys.readouterr().err
         assert calls == [1.85]
-        assert "check_start" not in vars(report_cli)
+        # only a run with the simulation stage checks sim.x0
+        assert cli_dispatch(["voi", "--out", str(tmp_path / "x0"), *FAST,
+                             "--set", "sim.x0=0.8"]) == 0
 
     def test_sweep_outputs(self, tmp_path):
         out = tmp_path / "sw"
@@ -665,12 +672,15 @@ class TestPathsCsv:
 
 class TestReportComposition:
     def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
-        sweeps, batches = [], []
+        sweeps, batches, seconds = [], [], []
         sweep, solve = report_cli.sigma_sweep, hjbvi.howard_solve_many
 
         def counted_sweep(params, sigmas, **kwargs):
             sweeps.append(list(sigmas))
-            return sweep(params, sigmas, **kwargs)
+            t0 = time.perf_counter()
+            out = sweep(params, sigmas, **kwargs)
+            seconds.append(time.perf_counter() - t0)
+            return out
 
         def counted(params, sigmas, *args, **kwargs):
             batches.append(list(sigmas))
@@ -680,14 +690,15 @@ class TestReportComposition:
         monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
         rpt = tmp_path / "report"
         assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
-        # one sigma_sweep call, one batch, one solve per distinct sigma: the
-        # sweep's 1.7 and the configured 1.85
-        assert len(sweeps) == 1 and sorted(set(sweeps[0])) == [1.7, 1.85]
-        assert len(batches) == 1 and sorted(batches[0]) == [1.7, 1.85]
+        # two sigma_sweep calls, one batch each, one solve per distinct sigma:
+        # the simulated 1.85 first and alone, then the sweep's 1.7
+        assert sweeps == batches == [[1.85], [1.7]]
         report = json.loads((rpt / "manifest.json").read_text())
         assert set(report["timings"]) == {"solve_seconds", "fb_seconds", "sb_seconds",
                                           "voi_seconds", "sweep_seconds", "sim_seconds",
                                           "total_seconds"}
+        # solve_seconds covers both calls
+        assert report["timings"]["solve_seconds"] >= sum(seconds)
 
         files, diag, n_keys = ["manifest.json"], {}, 0
         for sub in ("first-best", "second-best", "voi", "sweep", "simulate"):
@@ -716,7 +727,10 @@ class TestReportComposition:
 
     def test_only_the_own_solution_lives_through_simulate(self, tmp_path, monkeypatch):
         # nothing in cli_dispatch may keep the sweep's solutions alive past
-        # its stage, beside the solved dict
+        # its stage, beside the solved dict; on one CPU the simulation stage
+        # runs in this process, after the others (on two, its child forks
+        # before the sweep's sigmas are solved)
+        set_cpus(monkeypatch, 1)
         refs, live = [], []
         solve, simulate = hjbvi.howard_solve_many, report_cli.simulate_paths
 
@@ -756,3 +770,117 @@ class TestReportComposition:
         solved = sigma_sweep(load(None, FAST[1::2]).params, [1.7, 1.7], grid=Grid.make(1.0, 201))
         assert batches == [[1.7]]
         assert list(solved) == [1.7] and isinstance(solved[1.7], hjbvi.SecondBestSolution)
+
+
+class TestForkedReport:
+    """On more than one CPU, report runs its simulation stage in a forked
+    child beside its other stages; on one, in this process after them."""
+
+    @staticmethod
+    def _published(out):
+        return out.exists() and os.listdir(out)
+
+    def test_one_fork_at_two_cpus_and_none_at_one_give_the_same_files(self, tmp_path,
+                                                                       monkeypatch):
+        forks = count_forks(monkeypatch)
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            forks.clear()
+            assert cli_dispatch(["report", "--out", str(tmp_path / str(cpus)), *FAST]) == 0
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert names == sorted(os.listdir(tmp_path / "2")) and "paths.csv" in names
+        manifests = []
+        for name in names:
+            one, two = ((tmp_path / str(cpus) / name).read_bytes() for cpus in (1, 2))
+            if name == "manifest.json":
+                manifests = [json.loads(m) for m in (one, two)]
+            else:
+                assert one == two, name
+        assert set(manifests[0]["timings"]) == set(manifests[1]["timings"])
+        for manifest in manifests:
+            del manifest["timings"]
+        assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("failing", ["voi", "fb"])
+    def test_a_failure_beside_the_child_kills_it(self, tmp_path, monkeypatch, capsys, failing):
+        # the child sleeps in its simulation: the run ends as soon as the
+        # other stages fail, and the child is killed and reaped, not awaited
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+
+        def sleeping(*args, **kwargs):
+            time.sleep(60)
+
+        def bracket_failure(*args, **kwargs):
+            raise BracketFailure("injected bracket failure")
+
+        monkeypatch.setattr(report_cli, "simulate_paths", sleeping)
+        argv = ["report", "--out", str(tmp_path / "out"), *FAST]
+        if failing == "voi":  # past the first-best boundary
+            argv += ["--set", "grid.x_max=5", "--set", "voi.x_max=4.9"]
+            code, err = 1, "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n"
+        else:
+            monkeypatch.setattr(report_cli, "principal_value_fb", bracket_failure)
+            code, err = 2, "solver failure: BracketFailure: injected bracket failure\n"
+        t0 = time.perf_counter()
+        assert cli_dispatch(argv) == code
+        assert time.perf_counter() - t0 < 30.0
+        assert capsys.readouterr().err == err
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert not self._published(tmp_path / "out")  # no file and no staging directory
+
+    def test_a_failure_in_the_child_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the same exit code and stderr line as in process; a failure of the
+        # other stages still wins, as when the simulation stage ran last
+        forks = count_forks(monkeypatch)
+
+        def failing(*args, **kwargs):
+            raise PolicyOutOfRange("injected in the simulation")
+
+        monkeypatch.setattr(report_cli, "simulate_paths", failing)
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            for extra, code, err in (
+                    ([], 2, "solver failure: PolicyOutOfRange: injected in the simulation\n"),
+                    (["--set", "grid.x_max=5", "--set", "voi.x_max=4.9"], 1,
+                     "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n")):
+                forks.clear()
+                out = tmp_path / f"{cpus}-{code}"
+                assert cli_dispatch(["report", "--out", str(out), *FAST, *extra]) == code
+                assert capsys.readouterr().err == err
+                assert len(forks) == cpus - 1
+                assert_no_child_left()
+                assert not self._published(out)
+
+    def test_a_bad_start_fails_before_any_stage_or_fork(self, tmp_path, monkeypatch, capsys):
+        # check_start runs on the simulated sigma's solution as soon as it
+        # is solved: no stage, no other solve and no fork
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        ran, sweeps = [], []
+        sweep = report_cli.sigma_sweep
+
+        def counted_sweep(params, sigmas, **kwargs):
+            sweeps.append(list(sigmas))
+            return sweep(params, sigmas, **kwargs)
+
+        def recorded(key, stage):
+            def run(cfg, outdir, solved):
+                ran.append(key)
+                return stage(cfg, outdir, solved)
+            return run
+
+        monkeypatch.setattr(report_cli, "sigma_sweep", counted_sweep)
+        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report",
+                            tuple((key, recorded(key, stage), need)
+                                  for key, stage, need in report_cli._SUBCOMMANDS["report"]))
+        out = tmp_path / "out"
+        assert cli_dispatch(["report", "--out", str(out), *FAST, "--set", "sim.x0=0.8"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: sim\.x0 = 0\.8 must lie strictly inside "
+                            r"\(0, b_hat = 0\.\d+\)\n", err), err
+        assert not ran and not forks and sweeps == [[1.85]]
+        assert not self._published(out)
