@@ -10,19 +10,20 @@ estimate and counts cover every path.
 
 _SUBCOMMANDS maps each subcommand to its stages, run in order over one
 per-run dict of second-best solutions by sigma; report is the five stages
-together. sigma_sweep solves each distinct sigma the run's stages need
-(cfg's own, and sweep.sigmas for the sweep) once. The simulation stage's
-sigma is solved first, alone, and its start checked (check_start) before
-any stage runs. report then runs its simulation stage in a forked child
-while this process solves the other sigmas in one more sigma_sweep call
-and runs the other four stages; on one CPU (simulate._cpu_count) the two
-groups run one after the other in this process. Either way files,
-diagnostics and timings merge in stage order, and an error of the other
-stages wins over one of the simulation, as when the stages ran in order.
-The stages write into a staging directory in the output directory, and
-only a run whose every stage succeeded moves the files out of it, the
-manifest last: a run that fails writes nothing (a killed one can leave
-its .contract-solve-* staging directory behind).
+together. Before the first stage, one sigma_sweep call solves each
+distinct sigma the run's stages need (cfg's own, and sweep.sigmas for the
+sweep), and a run with the simulation stage checks sim.x0 against cfg's
+own solution (check_start). When report's simulation would run as one
+shard on more than one CPU (simulate._shard_count, _cpu_count), that call
+solves cfg's own sigma alone; report then runs its simulation stage in a
+forked child while this process solves the other sigmas in one more
+sigma_sweep call and runs the other four stages. Files, diagnostics and
+timings merge in stage order, and an error of the other stages wins over
+one of the simulation, as when the stages run in order. The stages write
+into a staging directory in the output directory, and only a run whose
+every stage succeeded moves the files out of it, the manifest last: a run
+that fails writes nothing (a killed one can leave its .contract-solve-*
+staging directory behind).
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
 out of range, output directory not writable), 2 solver failure. A closed
@@ -48,8 +49,8 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid
 from .model import ModelParams
-from .simulate import (InvalidStart, PolicyOutOfRange, _cpu_count, _run_forked, check_start,
-                       simulate_paths, summarize_paths)
+from .simulate import (InvalidStart, PolicyOutOfRange, _cpu_count, _run_forked, _shard_count,
+                       check_start, simulate_paths, summarize_paths)
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -350,9 +351,9 @@ def value_of_information(params: ModelParams, x_grid, solution) -> VoiTable:
 def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = hjbvi.DEFAULT_TOL, max_iter: int = hjbvi.DEFAULT_MAX_ITER):
     """Second-best solves of every sigma on a shared grid, in one
-    howard_solve_many batch. The CLI solves through it: one call for the
-    simulation stage's sigma, one for the sigmas the other stages still
-    need, so a run solves each distinct sigma once.
+    howard_solve_many batch. The CLI solves through it, each distinct sigma
+    once: with one call, or, when report's simulation runs beside its other
+    stages, one for the simulated sigma and one for the rest.
 
     Returns a dict from each distinct sigma, in input order, to its
     solution or to the exception that failed it, as howard_solve_many
@@ -563,29 +564,28 @@ def cli_dispatch(argv) -> int:
         return 1
 
     stages = _SUBCOMMANDS[sub]
-    # the simulation stage last, in a group of its own whose sigma is solved first
-    groups = [group for group in ([st for st in stages if st[0] != "sim"],
-                                  [st for st in stages if st[0] == "sim"]) if group]
+    sim = tuple(st for st in stages if st[0] == "sim")
+    rest = tuple(st for st in stages if st[0] != "sim")  # report's last stage is sim
+    # a simulation of one shard leaves the other CPUs idle, so with another
+    # CPU it runs in a child beside the other stages, its sigma solved
+    # first; one that shards itself forks its own and runs last, in process
+    beside = bool(sim and rest) and _cpu_count() > 1 and _shard_count(cfg.sim.n_paths) == 1
     files, diag = [], {}
     staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".contract-solve-", dir=out_dir)
         solved = {}
-        timings = _solve(cfg, groups[-1], solved)
+        timings = _solve(cfg, sim if beside else stages, solved)
         own = solved.get(cfg.params.sigma)
         if isinstance(own, Exception) and any(need is _own_sigma for _, _, need in stages):
             print(f"solver failure: {type(own).__name__}: {own}", file=sys.stderr)
             return 2
-        if any(key == "sim" for key, _, _ in stages):
+        if sim:
             check_start(own, cfg.sim_x0)  # a bad sim.x0 fails the run before any stage
-
-        def run(i):
-            return _run_group(cfg, staging, solved, groups[i])
-
-        # a child runs the simulation; the first error in group order is raised here
-        parts = (_run_forked(run, len(groups)) if _cpu_count() > 1
-                 else [run(i) for i in range(len(groups))])
+        # beside: the other stages' error, raised first, wins over the child's
+        parts = (_run_forked(lambda i: _run_group(cfg, staging, solved, (rest, sim)[i]), 2)
+                 if beside else [_run_group(cfg, staging, solved, stages)])
         for group_files, group_diag, group_timings in parts:
             files += group_files
             diag.update(group_diag)

@@ -672,6 +672,7 @@ class TestPathsCsv:
 
 class TestReportComposition:
     def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
+        set_cpus(monkeypatch, 2)
         sweeps, batches, seconds = [], [], []
         sweep, solve = report_cli.sigma_sweep, hjbvi.howard_solve_many
 
@@ -773,21 +774,52 @@ class TestReportComposition:
 
 
 class TestForkedReport:
-    """On more than one CPU, report runs its simulation stage in a forked
-    child beside its other stages; on one, in this process after them."""
+    """On more than one CPU, report runs a simulation stage of one shard in
+    a forked child beside its other stages; on one CPU, or when the
+    simulation shards itself, in this process after them."""
 
     @staticmethod
     def _published(out):
         return out.exists() and os.listdir(out)
 
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        sweeps, sweep = [], report_cli.sigma_sweep
+
+        def counted_sweep(params, sigmas, **kwargs):
+            sweeps.append(sorted(set(sigmas)))
+            return sweep(params, sigmas, **kwargs)
+
+        monkeypatch.setattr(report_cli, "sigma_sweep", counted_sweep)
+        return sweeps
+
+    @staticmethod
+    def _record_stages(monkeypatch, forks):
+        """A list that gets (stage key, forks made so far) as each report
+        stage starts."""
+        ran = []
+
+        def recorded(key, stage):
+            def run(cfg, outdir, solved):
+                ran.append((key, len(forks)))
+                return stage(cfg, outdir, solved)
+            return run
+
+        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report",
+                            tuple((key, recorded(key, stage), need)
+                                  for key, stage, need in report_cli._SUBCOMMANDS["report"]))
+        return ran
+
     def test_one_fork_at_two_cpus_and_none_at_one_give_the_same_files(self, tmp_path,
                                                                        monkeypatch):
-        forks = count_forks(monkeypatch)
-        for cpus in (2, 1):
+        # on one CPU nothing runs beside the solve, so one batch solves all
+        forks, sweeps = count_forks(monkeypatch), self._count_sweeps(monkeypatch)
+        for cpus, solves in ((2, [[1.85], [1.7]]), (1, [[1.7, 1.85]])):
             set_cpus(monkeypatch, cpus)
             forks.clear()
+            sweeps.clear()
             assert cli_dispatch(["report", "--out", str(tmp_path / str(cpus)), *FAST]) == 0
-            assert len(forks) == cpus - 1
+            assert len(forks) == cpus - 1 and sweeps == solves
             assert_no_child_left()
         names = sorted(os.listdir(tmp_path / "1"))
         assert names == sorted(os.listdir(tmp_path / "2")) and "paths.csv" in names
@@ -855,28 +887,37 @@ class TestForkedReport:
                 assert_no_child_left()
                 assert not self._published(out)
 
+    def test_a_sharded_simulation_runs_after_the_other_stages(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # a simulation that shards itself already uses every CPU: report
+        # solves in one batch and forks nothing of its own, so the only
+        # child is the simulation's shard, forked after the other stages; a
+        # failing voi stage ends the run before any fork
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(contract_solve.simulate, "_CHUNK", 8)
+        argv = ["report", *FAST, "--set", "sim.n_paths=300"]  # 2 shards, 100 paths recorded
+        forks, sweeps = count_forks(monkeypatch), self._count_sweeps(monkeypatch)
+        ran = self._record_stages(monkeypatch, forks)
+        assert cli_dispatch([*argv, "--out", str(tmp_path / "ok")]) == 0
+        assert ran == [(key, 0) for key in ("fb", "sb", "voi", "sweep", "sim")]
+        assert len(forks) == 1 and sweeps == [[1.7, 1.85]]
+        assert_no_child_left()
+        forks.clear()
+        out = tmp_path / "voi"
+        assert cli_dispatch([*argv, "--out", str(out),
+                             "--set", "grid.x_max=5", "--set", "voi.x_max=4.9"]) == 1
+        assert capsys.readouterr().err == (
+            "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n")
+        assert not forks
+        assert_no_child_left()
+        assert not self._published(out)
+
     def test_a_bad_start_fails_before_any_stage_or_fork(self, tmp_path, monkeypatch, capsys):
         # check_start runs on the simulated sigma's solution as soon as it
         # is solved: no stage, no other solve and no fork
         set_cpus(monkeypatch, 2)
-        forks = count_forks(monkeypatch)
-        ran, sweeps = [], []
-        sweep = report_cli.sigma_sweep
-
-        def counted_sweep(params, sigmas, **kwargs):
-            sweeps.append(list(sigmas))
-            return sweep(params, sigmas, **kwargs)
-
-        def recorded(key, stage):
-            def run(cfg, outdir, solved):
-                ran.append(key)
-                return stage(cfg, outdir, solved)
-            return run
-
-        monkeypatch.setattr(report_cli, "sigma_sweep", counted_sweep)
-        monkeypatch.setitem(report_cli._SUBCOMMANDS, "report",
-                            tuple((key, recorded(key, stage), need)
-                                  for key, stage, need in report_cli._SUBCOMMANDS["report"]))
+        forks, sweeps = count_forks(monkeypatch), self._count_sweeps(monkeypatch)
+        ran = self._record_stages(monkeypatch, forks)
         out = tmp_path / "out"
         assert cli_dispatch(["report", "--out", str(out), *FAST, "--set", "sim.x0=0.8"]) == 1
         err = capsys.readouterr().err
