@@ -2,7 +2,7 @@
 
 Each subcommand writes its tables plus a manifest.json into the output
 directory. CSVs are the figure-reproduction interface: comma separated,
-17 significant digits, LF line endings, one header row. Identical config
+floats as "%.17g", LF line endings, one header row. Identical config
 and seed give byte-identical CSVs, so the files double as regression
 fixtures. paths.csv holds the first _RECORDED_PATHS paths of the run (all
 of them when sim.n_paths is smaller), while the manifest's Monte Carlo
@@ -72,186 +72,19 @@ _CSV_BLOCK = 4096  # rows per chunk; bounds the text held in memory at once
 _RECORDED_PATHS = 100  # paths written to paths.csv, the first by id
 _RESIDUAL_BOUND = 1e-8  # acceptance criterion 05's bound on the solve's defect
 _UNQUOTABLE = frozenset("\0,\r\n")  # characters a CSV field would need quoted
-# Each field fills whole little-endian uint64 words of a chunk's row buffer;
-# its byte 0 takes the separator before it ("\n" starts a row) and unused
-# bytes stay NUL. A float field is 4 words: byte 1 the sign, 2-6 the "0.000"
-# prefix, 7 the first digit, 8-24 the other 16 digits with the point slotted
-# in, 25-28 the "e-dd" exponent. An int field has the sign in byte 3 and its
-# digits from byte 4.
-_FLOAT_WORDS = 4
-# uint64 operands stay uint64: numpy 1.x promotes uint64 with a Python int to float64
-_U0, _U1, _U8, _U32, _U56, _U63 = (np.uint64(k) for k in (0, 1, 8, 32, 56, 63))
-_LO32, _ZEROS = np.uint64(0xFFFFFFFF), np.uint64(0x3030303030303030)
-_E4, _E8, _E16, _E17 = (np.uint64(10 ** k) for k in (4, 8, 16, 17))
-_MINUS, _ZERO = np.uint64(ord("-")), np.uint64(ord("0"))
-_POW5 = np.array([5 ** k for k in range(28)], dtype=np.uint64)  # 5**27 < 2**63
-# 4 ASCII digits of 0..9999 packed little-endian, the first digit lowest
-_QUAD = sum((np.arange(10000, dtype=np.uint64) // np.uint64(10 ** (3 - i)) % np.uint64(10)
-             + _ZERO) << np.uint64(8 * i) for i in range(4))
+_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # by dtype kind; "%s" otherwise
 
 
-def _word(text: bytes) -> int:
-    return int.from_bytes(text.ljust(8, b"\0"), "little")
-
-
-def _below(c: int, k: int) -> int:
-    """Mask of the bytes of word k that hold slots 0..c-1 of a run of words."""
-    return (1 << 8 * min(max(c - 8 * k, 0), 8)) - 1
-
-
-def _eight_digits(h):
-    """The 8 ASCII digits of each h < 10**8 as a word, the first digit lowest."""
-    q = h // _E4
-    return _QUAD.take(q) | (_QUAD.take(h - q * _E4) << _U32)
-
-
-# by decimal exponent + 10, for exponents -10..14: the prefix bytes of word 0,
-# the exponent bytes of word 3 and the tail slot of the point (16: no point)
-_PREFIX = np.array([_word(b"\0\0" + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b""))
-                    for k in range(-10, 15)], dtype=np.uint64)
-_EXPONENT = np.array([_word(b"\0" + (b"e-%02d" % -k if k < -4 else b""))
-                      for k in range(-10, 15)], dtype=np.uint64)
-_POINT = np.array([k if k >= 0 else 0 if k < -4 else 16 for k in range(-10, 15)])
-# by the count c of tail digits kept: the masks of tail words 0 and 1
-_KEEP = np.array([[_below(c, 0), _below(c, 1)] for c in range(17)], dtype=np.uint64)
-# by point slot p, + 17 if the point is written: the masks of the tail slots
-# below p in tail words 0 and 1, and the point's byte in tail words 0, 1, 2
-_SPLIT = np.array([[_below(p, 0), _below(p, 1)]
-                   + [dot * ((_below(p + 1, k) ^ _below(p, k)) & 0x2E2E2E2E2E2E2E2E)
-                      for k in range(3)]
-                   for dot in (0, 1) for p in range(17)], dtype=np.uint64)
-
-
-def _scaled(mant, exp2, scale):
-    """floor(mant * 5**scale / 2**k), k = 53 - exp2 - scale in [0, 63], and
-    whether it rounds up, half to even; the product is held in two uint64
-    limbs, so it is exact."""
-    b = _POW5.take(scale)
-    a_lo, a_hi, b_lo, b_hi = mant & _LO32, mant >> _U32, b & _LO32, b >> _U32
-    low = a_lo * b_lo
-    cross = (low >> _U32) + a_hi * b_lo + a_lo * b_hi  # < 2**63 + 2**53 + 2**32
-    lo = (cross << _U32) | (low & _LO32)
-    hi = (cross >> _U32) + a_hi * b_hi
-    k = (53 - exp2 - scale).astype(np.uint64)
-    q = (lo >> k) | ((hi << _U1) << (_U63 - k))
-    rem = lo & ((_U1 << k) - _U1)
-    half = (_U1 << k) >> _U1
-    return q, (rem > half) | ((rem == half) & (rem != _U0) & ((q & _U1) == _U1))
-
-
-def _float_words(x):
-    """The 4 field words of "%.17g" % v for each v of the float64 array x,
-    and the indices of the values left to the fallback."""
-    mag = np.abs(x)
-    fast = (mag >= 1e-10) & (mag < 1e15)
-    zero = mag == 0.0
-    v = np.where(fast, mag, 1.0)
-    m, exp2 = np.frexp(v)
-    mant = (m * 2.0 ** 53).astype(np.uint64)  # v = mant * 2**(exp2 - 53)
-    scale = 16 - np.floor(np.log10(v)).astype(np.int64)
-    q, up = _scaled(mant, exp2, scale)
-    while True:  # log10 may be off by one next to a power of ten
-        low, high = q < _E16, q >= _E17
-        fix = np.flatnonzero(low | high)
-        if not fix.size:
-            break
-        scale[fix] += low[fix].astype(np.int64) - high[fix]
-        q[fix], up[fix] = _scaled(mant[fix], exp2[fix], scale[fix])
-    num = q + up  # 17 digits; no double in range rounds up to 10**17
-    exp10 = 26 - scale  # decimal exponent + 10
-    num[zero] = _U0
-    exp10[zero] = 10
-
-    first = num // _E16
-    tail = num - first * _E16  # the other 16 digits: two words of 8 ASCII digits
-    hi8 = tail // _E8
-    t0, t1 = _eight_digits(hi8), _eight_digits(tail - hi8 * _E8)
-    # 1 + index of the highest nonzero tail digit (0 if none): each byte of
-    # t ^ _ZEROS is at most 9, so the float's exponent finds it exactly
-    z0, z1 = ((t ^ _ZEROS).astype(np.float64) for t in (t0, t1))
-    last = (np.frexp(z1 * 2.0 ** 64 + z0)[1] + 7) // 8
-    kept = _KEEP.take(np.maximum(last, exp10 - 10), axis=0)  # integer digits stay
-    t0 &= kept[:, 0]
-    t1 &= kept[:, 1]
-    point = _POINT.take(exp10)
-    split = _SPLIT.take(point + 17 * (last > point), axis=0)
-    up0, up1 = t0 & ~split[:, 0], t1 & ~split[:, 1]  # slots from the point on move up a byte
-    return [np.where(np.signbit(x), _MINUS << _U8, _U0) | _PREFIX.take(exp10)
-            | ((first + _ZERO) << _U56),
-            (t0 & split[:, 0]) | (up0 << _U8) | split[:, 2],
-            (t1 & split[:, 1]) | (up1 << _U8) | (up0 >> _U56) | split[:, 3],
-            (up1 >> _U56) | split[:, 4] | _EXPONENT.take(exp10)], np.flatnonzero(~fast & ~zero)
-
-
-def _int_words(col):
-    """The field words of "%d" % v for each integer or bool v of col: byte 3
-    the sign, then groups of 4 digits from byte 4, leading zeros NUL."""
-    neg = col < 0
-    u = col.astype(np.uint64)  # two's complement for negatives
-    mag = np.where(neg, ~u + _U1, u)
-    groups = -(-len(str(int(mag.max()))) // 4)
-    ndigits = 1 + sum((mag >= np.uint64(10 ** k)).astype(np.int64) for k in range(1, 4 * groups))
-    lead = 4 * groups + 4 - ndigits  # bytes before the first digit
-    quads = []
-    for _ in range(groups):
-        q = mag // _E4
-        quads.insert(0, _QUAD.take(mag - q * _E4))
-        mag = q
-    quads.append(_U0)
-    low_bytes = _KEEP[:9, 0]  # _KEEP's word-0 column: the low 0..8 bytes
-    words = [(quads[0] << _U32) & ~low_bytes.take(np.minimum(lead, 8))
-             | np.where(neg, _MINUS << np.uint64(24), _U0)]
-    for k in range(1, (groups + 2) // 2):
-        words.append((quads[2 * k - 1] | (quads[2 * k] << _U32))
-                      & ~low_bytes.take(np.clip(lead - 8 * k, 0, 8)))
-    return words
-
-
-def _text(col):
-    """str(v) of each value of col, UTF-8 encoded, as NUL-padded rows of bytes."""
-    text = np.array([str(v).encode() for v in col.tolist()], dtype=np.bytes_)
-    return text.view(np.uint8).reshape(col.size, -1)
-
-
-def _csv_rows(columns, buf: bytearray) -> bytearray:
-    """CSV rows of equal-length columns, each led by "\\n": every value's text
-    goes into fixed, NUL-padded byte slots of whole words of the row buffer
-    buf (resized to fit, every byte rewritten), then one bytes.translate
-    drops the NULs."""
-    n = len(columns[0])
-    plan = []  # (words, dtype kind, data); floats are formatted while filling
-    for col in columns:
-        kind = col.dtype.kind
-        if kind == "f":
-            plan.append((_FLOAT_WORDS, kind, col.astype(np.float64, copy=False)))
-        elif kind in "biu":
-            words = _int_words(col)
-            plan.append((len(words), kind, words))
-        else:
-            text = _text(col)
-            plan.append(((text.shape[1] + 8) // 8, kind, text))
-    starts = np.cumsum([0] + [width for width, _, _ in plan])
-    size = 8 * n * int(starts[-1])
-    del buf[size:]
-    buf.extend(bytes(size - len(buf)))
-    words = np.frombuffer(buf, dtype="<u8").reshape(n, -1)
-    chars = words.view(np.uint8)
-    for at, (width, kind, data) in zip(starts, plan):
-        if kind == "f":
-            field, slow = _float_words(data)
-        elif kind in "biu":
-            field, slow = data, ()
-        else:
-            words[:, at:at + width] = 0
-            chars[:, 8 * at + 1:8 * at + 1 + data.shape[1]] = data
-            continue
-        for k, w in enumerate(field):
-            words[:, at + k] = w
-        if len(slow):
-            text = np.array([b"\0%.17g" % v for v in data[slow].tolist()], dtype="S32")
-            words[slow, at:at + _FLOAT_WORDS] = text.view("<u8").reshape(-1, _FLOAT_WORDS)
-    chars[:, 8 * starts[:-1]] = np.array([10] + [44] * (len(plan) - 1), dtype=np.uint8)
-    return buf.translate(None, b"\0")
+def _csv_rows(columns) -> bytes:
+    """CSV rows of equal-length columns, each led by "\\n", UTF-8 encoded:
+    one %-format of the row format repeated per row over the columns'
+    values interleaved row by row. Caller text only fills "%s" fields."""
+    width = len(columns)
+    row = "\n" + ",".join(_FORMATS.get(col.dtype.kind, "%s") for col in columns)
+    values = [None] * (len(columns[0]) * width)
+    for j, col in enumerate(columns):
+        values[j::width] = col.tolist()
+    return ((row * len(columns[0])) % tuple(values)).encode()
 
 
 def _unquotable(texts, what):
@@ -264,7 +97,7 @@ def _unquotable(texts, what):
 
 
 def write_csv(path, header, columns) -> None:
-    """One header row plus data rows, LF endings, 17 significant digits.
+    """One header row plus data rows, LF endings, floats as "%.17g".
 
     columns is one table of equal-length 1-D columns (arrays or sequences),
     one per header name, written row by row; a column count other than the
@@ -272,24 +105,12 @@ def write_csv(path, header, columns) -> None:
     a header name or text value holding NUL, ",", CR or LF raise ValueError
     before the file is opened. A table of zero rows (or no columns) gives
     the header alone. Each column's dtype picks its format: "%d" for
-    integers and bools (1/0), "%.17g" for floats, str() otherwise.
+    integers and bools (1/0), "%.17g" for floats, "%s" otherwise.
 
-    The rows are formatted _CSV_BLOCK rows at a time into one reused row
-    buffer and written into a new file beside path, which then replaces
+    The rows are formatted _CSV_BLOCK rows at a time, one %-format per
+    block, and written into a new file beside path, which then replaces
     path (os.replace); a write that fails removes it, leaving path as it
     was.
-
-    Floats get exactly the bytes of "%.17g" % x. With x = m * 2**e from
-    frexp, the 17 digits N = round(x * 10**s) are m * 2**53 * 5**s shifted
-    right by k = 53 - e - s bits: the product is held exactly in two uint64
-    limbs and rounded half to even, as the correctly rounded dtoa behind
-    "%.17g" does. The scale s = 16 - floor(log10|x|) is corrected until
-    10**16 <= floor(x * 10**s) < 10**17, so a log10 off by one next to a
-    power of ten does no harm. On [1e-10, 1e15), 5**s fits in one limb,
-    0 <= k <= 63, and no double lies within half a unit of the 17th digit
-    below a power of ten, so rounding never carries to 10**17. Other
-    magnitudes and non-finite values fall back to "%.17g" per value; +-0.0
-    take the fast path.
     """
     columns = [np.asarray(col) for col in columns]
     if columns and len(columns) != len(header):
@@ -310,9 +131,8 @@ def write_csv(path, header, columns) -> None:
     try:
         with fh:
             fh.write(",".join(header).encode())
-            buf = bytearray()
             for start in range(0, rows, _CSV_BLOCK):
-                fh.write(_csv_rows([col[start:start + _CSV_BLOCK] for col in columns], buf))
+                fh.write(_csv_rows([col[start:start + _CSV_BLOCK] for col in columns]))
             fh.write(b"\n")
         os.replace(temp, path)
     except BaseException:

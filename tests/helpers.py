@@ -10,11 +10,12 @@ replay_bundle (the principal's replay of one path, one step at a time),
 discretize (the variational-inequality defect,
 one node at a time), hamiltonian_max (the best response at one point),
 unbatched_improve (the Howard improvement sweep), whole_system_evaluate (the
-policy evaluation of one problem in one elimination) and percent_write_csv
-(the CSV writer); the Howard oracles assemble the central-difference rows of
-hjbvi. feynman_kac is a second linear solver for the policy evaluation, on
-the same central rows, and agent_value applies it to the agent's side of the
-contract. agent_payoff is the agent's objective, the one that
+policy evaluation of one problem in one elimination); the Howard oracles
+assemble the central-difference rows of hjbvi. percent_write_csv writes the
+CSV writer's table value by value, without its per-block format. feynman_kac
+is a second linear solver for the policy evaluation, on the same central
+rows, and agent_value applies it to the agent's side of the contract.
+agent_payoff is the agent's objective, the one that
 ModelParams.effort_response maximizes. count_forks, set_cpus and
 assert_no_child_left serve the tests of the forked shards.
 """
@@ -362,23 +363,20 @@ _PERCENT_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.17g"}  # other dtyp
 
 
 def percent_write_csv(path, header, columns):
-    """The CSV writer by Python %-formatting, as a bitwise oracle.
+    """The CSV writer by Python %-formatting, value by value, as a bitwise oracle.
 
     Same contract as contract_solve.write_csv: one header row, then the rows
     of one table of equal-length columns; the column dtype picks "%d" for
-    integers and bools, "%.17g" for floats and "%s" otherwise.
+    integers and bools, "%.17g" for floats and "%s" otherwise. Each value is
+    formatted on its own and a row is their ",".join, so no block-wide
+    format string is shared with the production writer.
     """
     columns = [np.asarray(col) for col in columns]
-    row = ",".join(_PERCENT_FORMATS.get(col.dtype.kind, "%s") for col in columns) + "\n"
-    width = len(columns)
+    formats = [_PERCENT_FORMATS.get(col.dtype.kind, "%s") for col in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]) if columns else 0, 4096):
-            parts = [col[start:start + 4096].tolist() for col in columns]
-            flat = [None] * (len(parts[0]) * width)
-            for j, part in enumerate(parts):
-                flat[j::width] = part
-            fh.write((row * len(parts[0])) % tuple(flat))
+        for row in zip(*(col.tolist() for col in columns)):
+            fh.write(",".join(fmt % (v,) for fmt, v in zip(formats, row)) + "\n")
 
 
 def feynman_kac(grid, discount, diffusion, drift, payoff, stop, stopped):

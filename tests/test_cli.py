@@ -274,6 +274,22 @@ class TestDispatch:
                 assert err == (f"warning: residual {diag['residual']:.3e} is above criterion "
                                f"05's bound of 1e-08 (howard.tol = 1)\n")
 
+    def test_a_changed_tol_shows_in_a_manifest_diff(self, tmp_path):
+        # a tighter tol costs sweeps and buys residual; both read from the
+        # deterministic diagnostics of two manifests, without a debugger
+        diag = {}
+        for tol in ("1e-9", "1e-7"):
+            out = tmp_path / tol
+            assert cli_dispatch(["second-best", "--out", str(out),
+                                 "--set", f"howard.tol={tol}"]) == 0
+            diag[tol] = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        tight, loose = diag["1e-9"], diag["1e-7"]
+        assert (tight["iterations"], loose["iterations"]) == (36, 33)
+        assert tight["level_sweeps"] != loose["level_sweeps"]
+        assert [sum(n for _, n in d["level_sweeps"]) for d in (tight, loose)] == [36, 33]
+        assert (f"{tight['residual']:.1e}", f"{loose['residual']:.1e}") == ("2.2e-11", "4.8e-08")
+        assert tight["residual_within_bound"] and not loose["residual_within_bound"]
+
     @pytest.mark.parametrize("budget", [15, 24, 32])
     def test_budget_spent_at_a_level_boundary_is_a_solver_failure(self, tmp_path, capsys,
                                                                   budget):
