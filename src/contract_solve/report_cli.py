@@ -8,21 +8,15 @@ fixtures. paths.csv holds the first _RECORDED_PATHS paths of the run (all
 of them when sim.n_paths is smaller), while the manifest's Monte Carlo
 estimate and counts cover every path.
 
-_SUBCOMMANDS maps each subcommand to its stages, run in order over one
-per-run dict of second-best solutions by sigma; report is the five stages
-together. Before the first stage, one sigma_sweep call solves each
-distinct sigma the run's stages need (cfg's own, and sweep.sigmas for the
-sweep), and a run with the simulation stage checks sim.x0 against cfg's
-own solution (check_start). When report's simulation would run as one
-shard on more than one CPU (simulate._shard_count, _cpu_count), that call
-solves cfg's own sigma alone; report then runs its simulation stage in a
-forked child while this process solves the other sigmas in one more
-sigma_sweep call and runs the other four stages. Files, diagnostics and
-timings merge in stage order, and an error of the other stages wins over
-one of the simulation, as when the stages run in order. The stages write
-into a staging directory in the output directory, and only a run whose
-every stage succeeded moves the files out of it, the manifest last: a run
-that fails writes nothing (a killed one can leave its .contract-solve-*
+_SUBCOMMANDS maps each subcommand to its stages, run in order in this
+process over one per-run dict of second-best solutions by sigma; report
+is the five stages together. Before the first stage, one sigma_sweep call
+solves each distinct sigma the run's stages need (cfg's own, and
+sweep.sigmas for the sweep), and a run with the simulation stage checks
+sim.x0 against cfg's own solution (check_start). The stages write into a
+staging directory in the output directory, and only a run whose every
+stage succeeded moves the files out of it, the manifest last: a run that
+fails writes nothing (a killed one can leave its .contract-solve-*
 staging directory behind).
 
 Exit codes: 0 success, 1 validation problem (bad flag, unknown key, value
@@ -49,8 +43,7 @@ from .first_best import BracketFailure, continuation_boundary, principal_value_f
 from . import hjbvi
 from .hjbvi import Grid
 from .model import ModelParams
-from .simulate import (InvalidStart, PolicyOutOfRange, _cpu_count, _run_forked, _shard_count,
-                       check_start, simulate_paths, summarize_paths)
+from .simulate import InvalidStart, PolicyOutOfRange, check_start, simulate_paths, summarize_paths
 
 _USAGE = """\
 usage: contract-solve <subcommand> [--config FILE] [--out DIR] [--set KEY=VALUE]...
@@ -172,8 +165,7 @@ def sigma_sweep(params: ModelParams, sigmas, *, grid: Grid,
                 tol: float = hjbvi.DEFAULT_TOL, max_iter: int = hjbvi.DEFAULT_MAX_ITER):
     """Second-best solves of every sigma on a shared grid, in one
     howard_solve_many batch. The CLI solves through it, each distinct sigma
-    once: with one call, or, when report's simulation runs beside its other
-    stages, one for the simulated sigma and one for the rest.
+    once, in one call per run.
 
     Returns a dict from each distinct sigma, in input order, to its
     solution or to the exception that failed it, as howard_solve_many
@@ -306,31 +298,18 @@ _SUBCOMMANDS = {
 }
 
 
-def _solve(cfg: RunConfig, stages, solved) -> dict:
-    """Solve the sigmas stages need that solved lacks, in one sigma_sweep
-    call, into solved; returns {"solve_seconds": its time}, or {} if none
-    was missing."""
-    missing = [sg for _, _, need in stages for sg in need(cfg) if sg not in solved]
-    if not missing:
-        return {}
+def _solve(cfg: RunConfig, stages):
+    """(solved, timings): each distinct sigma stages need, solved in one
+    sigma_sweep call, and {"solve_seconds": its time}, or ({}, {}) if they
+    need none."""
+    sigmas = list(dict.fromkeys(sg for _, _, need in stages for sg in need(cfg)))
+    if not sigmas:
+        return {}, {}
     t0 = time.perf_counter()
     # no other reference to a solution outlives solved, so the sweep stage frees its own
-    solved.update(sigma_sweep(cfg.params, missing, grid=cfg.grid, tol=cfg.howard_tol,
-                              max_iter=cfg.howard_max_iter))
-    return {"solve_seconds": time.perf_counter() - t0}
-
-
-def _run_group(cfg: RunConfig, outdir, solved, stages):
-    """(files, diagnostics, timings) of stages run in order, once _solve has
-    solved what they need."""
-    files, diag, timings = [], {}, _solve(cfg, stages, solved)
-    for key, stage, _ in stages:
-        t0 = time.perf_counter()
-        stage_files, stage_diag = stage(cfg, outdir, solved)
-        timings[f"{key}_seconds"] = time.perf_counter() - t0
-        files += stage_files
-        diag.update(stage_diag)
-    return files, diag, timings
+    solved = sigma_sweep(cfg.params, sigmas, grid=cfg.grid, tol=cfg.howard_tol,
+                         max_iter=cfg.howard_max_iter)
+    return solved, {"solve_seconds": time.perf_counter() - t0}
 
 
 def _parse_argv(argv):
@@ -384,33 +363,24 @@ def cli_dispatch(argv) -> int:
         return 1
 
     stages = _SUBCOMMANDS[sub]
-    sim = tuple(st for st in stages if st[0] == "sim")
-    rest = tuple(st for st in stages if st[0] != "sim")  # report's last stage is sim
-    # a simulation of one shard leaves the other CPUs idle, so with another
-    # CPU it runs in a child beside the other stages, its sigma solved
-    # first; one that shards itself forks its own and runs last, in process
-    beside = bool(sim and rest) and _cpu_count() > 1 and _shard_count(cfg.sim.n_paths) == 1
     files, diag = [], {}
     staging = None
     try:
         os.makedirs(out_dir, exist_ok=True)
         staging = tempfile.mkdtemp(prefix=".contract-solve-", dir=out_dir)
-        solved = {}
-        timings = _solve(cfg, sim if beside else stages, solved)
+        solved, timings = _solve(cfg, stages)
         own = solved.get(cfg.params.sigma)
         if isinstance(own, Exception) and any(need is _own_sigma for _, _, need in stages):
             print(f"solver failure: {type(own).__name__}: {own}", file=sys.stderr)
             return 2
-        if sim:
+        if any(key == "sim" for key, _, _ in stages):
             check_start(own, cfg.sim_x0)  # a bad sim.x0 fails the run before any stage
-        # beside: the other stages' error, raised first, wins over the child's
-        parts = (_run_forked(lambda i: _run_group(cfg, staging, solved, (rest, sim)[i]), 2)
-                 if beside else [_run_group(cfg, staging, solved, stages)])
-        for group_files, group_diag, group_timings in parts:
-            files += group_files
-            diag.update(group_diag)
-            for key, seconds in group_timings.items():
-                timings[key] = timings.get(key, 0.0) + seconds
+        for key, stage, _ in stages:
+            t0 = time.perf_counter()
+            stage_files, stage_diag = stage(cfg, staging, solved)
+            timings[f"{key}_seconds"] = time.perf_counter() - t0
+            files += stage_files
+            diag.update(stage_diag)
         manifest = {
             "tool_version": __version__,
             "subcommand": sub,

@@ -43,10 +43,8 @@ its id, the results are bitwise those of one process for any shard count.
 An estimate (mc_principal_value, each arm of incentive_check) records no
 path; simulate_paths records the first n_recorded, by default all of them,
 which is one range in one process.
-_cpu_count and _shard_count hold the one CPU rule and _run_forked the one
-fork/join path, of these runs and of the CLI, which runs report's
-simulation stage in a child beside its other stages when it would run as
-one shard.
+_cpu_count holds the one CPU rule and _run_forked the one fork/join path;
+the CLI forks nothing of its own.
 
 Under a deviated effort the contract still pays and stops according to the
 book-kept state it infers from observed output, so the state follows the
@@ -449,11 +447,6 @@ def _cpu_count() -> int:
     return 1
 
 
-def _shard_count(n: int) -> int:
-    """Shards of an n-path run: min(_cpu_count(), n // _CHUNK), at least 1."""
-    return max(1, min(_cpu_count(), n // _CHUNK))
-
-
 def _run_forked(run, k: int) -> list:
     """[run(0), ..., run(k - 1)]: this process runs run(0) after forking one
     child per other i, which pickles what run(i) returns or raises into a
@@ -517,15 +510,15 @@ def _run_forked(run, k: int) -> list:
 def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
                  cfg: SimConfig, effort_map=None, agent=False, record=0) -> _Paths:
     """_run_paths' _Paths for all cfg.n_paths paths, with the step records
-    of the first record paths, from k = _shard_count(n_paths) contiguous
-    id ranges run by _run_forked: this process runs the first, a forked
-    child each other one. The first range is widened to at least record
-    ids, so no child records a path, and a range that widening empties is
-    dropped. Each shard returns its _Paths; their per-path slots are joined
-    in id order."""
+    of the first record paths, from k = min(_cpu_count(), n_paths // _CHUNK)
+    contiguous id ranges (at least one) run by _run_forked: this process
+    runs the first, a forked child each other one. The first range is
+    widened to at least record ids, so no child records a path, and a range
+    that widening empties is dropped. Each shard returns its _Paths; their
+    per-path slots are joined in id order."""
     check_start(solution, x0)
     n = cfg.n_paths
-    k = _shard_count(n)
+    k = max(1, min(_cpu_count(), n // _CHUNK))
     bounds = sorted({0, n, *(max(n * i // k, record) for i in range(1, k))})
 
     def run(i):

@@ -688,7 +688,6 @@ class TestPathsCsv:
 
 class TestReportComposition:
     def test_report_is_its_stages_run_together(self, tmp_path, monkeypatch):
-        set_cpus(monkeypatch, 2)
         sweeps, batches, seconds = [], [], []
         sweep, solve = report_cli.sigma_sweep, hjbvi.howard_solve_many
 
@@ -705,17 +704,20 @@ class TestReportComposition:
 
         monkeypatch.setattr(report_cli, "sigma_sweep", counted_sweep)
         monkeypatch.setattr(hjbvi, "howard_solve_many", counted)
-        rpt = tmp_path / "report"
-        assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
-        # two sigma_sweep calls, one batch each, one solve per distinct sigma:
-        # the simulated 1.85 first and alone, then the sweep's 1.7
-        assert sweeps == batches == [[1.85], [1.7]]
-        report = json.loads((rpt / "manifest.json").read_text())
-        assert set(report["timings"]) == {"solve_seconds", "fb_seconds", "sb_seconds",
-                                          "voi_seconds", "sweep_seconds", "sim_seconds",
-                                          "total_seconds"}
-        # solve_seconds covers both calls
-        assert report["timings"]["solve_seconds"] >= sum(seconds)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            sweeps.clear()
+            batches.clear()
+            seconds.clear()
+            rpt = tmp_path / f"report-{cpus}"
+            assert cli_dispatch(["report", "--out", str(rpt), *FAST]) == 0
+            # one sigma_sweep call, one batch, one solve per distinct sigma
+            assert sweeps == batches == [[1.85, 1.7]]
+            report = json.loads((rpt / "manifest.json").read_text())
+            assert set(report["timings"]) == {"solve_seconds", "fb_seconds", "sb_seconds",
+                                              "voi_seconds", "sweep_seconds", "sim_seconds",
+                                              "total_seconds"}
+            assert report["timings"]["solve_seconds"] >= sum(seconds)
 
         files, diag, n_keys = ["manifest.json"], {}, 0
         for sub in ("first-best", "second-best", "voi", "sweep", "simulate"):
@@ -744,10 +746,7 @@ class TestReportComposition:
 
     def test_only_the_own_solution_lives_through_simulate(self, tmp_path, monkeypatch):
         # nothing in cli_dispatch may keep the sweep's solutions alive past
-        # its stage, beside the solved dict; on one CPU the simulation stage
-        # runs in this process, after the others (on two, its child forks
-        # before the sweep's sigmas are solved)
-        set_cpus(monkeypatch, 1)
+        # its stage, beside the solved dict
         refs, live = [], []
         solve, simulate = hjbvi.howard_solve_many, report_cli.simulate_paths
 
@@ -763,9 +762,13 @@ class TestReportComposition:
 
         monkeypatch.setattr(hjbvi, "howard_solve_many", tracked)
         monkeypatch.setattr(report_cli, "simulate_paths", counted)
-        assert cli_dispatch(["report", "--out", str(tmp_path), *FAST,
-                             "--set", "sweep.sigmas=1.7,2.0"]) == 0
-        assert len(refs) == 3 and live == [1]
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            refs.clear()
+            live.clear()
+            assert cli_dispatch(["report", "--out", str(tmp_path / str(cpus)), *FAST,
+                                 "--set", "sweep.sigmas=1.7,2.0"]) == 0
+            assert len(refs) == 3 and live == [1]
 
     def test_repeated_sweep_sigma_is_solved_once(self, tmp_path, monkeypatch, capsys):
         batches = []
@@ -789,10 +792,9 @@ class TestReportComposition:
         assert list(solved) == [1.7] and isinstance(solved[1.7], hjbvi.SecondBestSolution)
 
 
-class TestForkedReport:
-    """On more than one CPU, report runs a simulation stage of one shard in
-    a forked child beside its other stages; on one CPU, or when the
-    simulation shards itself, in this process after them."""
+class TestReportProcesses:
+    """report runs its stages in order in this process at any CPU count;
+    the only children are the shards of a simulation that shards itself."""
 
     @staticmethod
     def _published(out):
@@ -826,16 +828,14 @@ class TestForkedReport:
                                   for key, stage, need in report_cli._SUBCOMMANDS["report"]))
         return ran
 
-    def test_one_fork_at_two_cpus_and_none_at_one_give_the_same_files(self, tmp_path,
-                                                                       monkeypatch):
-        # on one CPU nothing runs beside the solve, so one batch solves all
+    def test_a_one_shard_report_forks_nothing_at_one_or_two_cpus(self, tmp_path,
+                                                                  monkeypatch):
         forks, sweeps = count_forks(monkeypatch), self._count_sweeps(monkeypatch)
-        for cpus, solves in ((2, [[1.85], [1.7]]), (1, [[1.7, 1.85]])):
+        for cpus in (2, 1):
             set_cpus(monkeypatch, cpus)
-            forks.clear()
             sweeps.clear()
             assert cli_dispatch(["report", "--out", str(tmp_path / str(cpus)), *FAST]) == 0
-            assert len(forks) == cpus - 1 and sweeps == solves
+            assert not forks and sweeps == [[1.7, 1.85]]
             assert_no_child_left()
         names = sorted(os.listdir(tmp_path / "1"))
         assert names == sorted(os.listdir(tmp_path / "2")) and "paths.csv" in names
@@ -851,57 +851,39 @@ class TestForkedReport:
             del manifest["timings"]
         assert manifests[0] == manifests[1]
 
-    @pytest.mark.parametrize("failing", ["voi", "fb"])
-    def test_a_failure_beside_the_child_kills_it(self, tmp_path, monkeypatch, capsys, failing):
-        # the child sleeps in its simulation: the run ends as soon as the
-        # other stages fail, and the child is killed and reaped, not awaited
-        set_cpus(monkeypatch, 2)
+    def test_a_failing_stage_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a failing stage's own exit code and stderr line, and nothing
+        # published; a voi failure wins over the simulation's, as voi runs first
         forks = count_forks(monkeypatch)
 
-        def sleeping(*args, **kwargs):
-            time.sleep(60)
+        def failing(exc):
+            def run(*args, **kwargs):
+                raise exc
+            return run
 
-        def bracket_failure(*args, **kwargs):
-            raise BracketFailure("injected bracket failure")
-
-        monkeypatch.setattr(report_cli, "simulate_paths", sleeping)
-        argv = ["report", "--out", str(tmp_path / "out"), *FAST]
-        if failing == "voi":  # past the first-best boundary
-            argv += ["--set", "grid.x_max=5", "--set", "voi.x_max=4.9"]
-            code, err = 1, "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n"
-        else:
-            monkeypatch.setattr(report_cli, "principal_value_fb", bracket_failure)
-            code, err = 2, "solver failure: BracketFailure: injected bracket failure\n"
-        t0 = time.perf_counter()
-        assert cli_dispatch(argv) == code
-        assert time.perf_counter() - t0 < 30.0
-        assert capsys.readouterr().err == err
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert not self._published(tmp_path / "out")  # no file and no staging directory
-
-    def test_a_failure_in_the_child_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys):
-        # the same exit code and stderr line as in process; a failure of the
-        # other stages still wins, as when the simulation stage ran last
-        forks = count_forks(monkeypatch)
-
-        def failing(*args, **kwargs):
-            raise PolicyOutOfRange("injected in the simulation")
-
-        monkeypatch.setattr(report_cli, "simulate_paths", failing)
+        monkeypatch.setattr(report_cli, "simulate_paths",
+                            failing(PolicyOutOfRange("injected in the simulation")))
         for cpus in (2, 1):
             set_cpus(monkeypatch, cpus)
             for extra, code, err in (
                     ([], 2, "solver failure: PolicyOutOfRange: injected in the simulation\n"),
                     (["--set", "grid.x_max=5", "--set", "voi.x_max=4.9"], 1,
                      "error: voi.x_max = 4.9: x_grid must lie within [0, 4.54837]\n")):
-                forks.clear()
                 out = tmp_path / f"{cpus}-{code}"
                 assert cli_dispatch(["report", "--out", str(out), *FAST, *extra]) == code
                 assert capsys.readouterr().err == err
-                assert len(forks) == cpus - 1
+                assert not forks
                 assert_no_child_left()
                 assert not self._published(out)
+        monkeypatch.setattr(report_cli, "principal_value_fb",
+                            failing(BracketFailure("injected bracket failure")))
+        out = tmp_path / "fb"
+        assert cli_dispatch(["report", "--out", str(out), *FAST]) == 2
+        assert capsys.readouterr().err == (
+            "solver failure: BracketFailure: injected bracket failure\n")
+        assert not forks
+        assert_no_child_left()
+        assert not self._published(out)
 
     def test_a_sharded_simulation_runs_after_the_other_stages(self, tmp_path, monkeypatch,
                                                                capsys):
@@ -929,8 +911,8 @@ class TestForkedReport:
         assert not self._published(out)
 
     def test_a_bad_start_fails_before_any_stage_or_fork(self, tmp_path, monkeypatch, capsys):
-        # check_start runs on the simulated sigma's solution as soon as it
-        # is solved: no stage, no other solve and no fork
+        # check_start runs on the simulated sigma's solution right after the
+        # one batch: no stage and no fork
         set_cpus(monkeypatch, 2)
         forks, sweeps = count_forks(monkeypatch), self._count_sweeps(monkeypatch)
         ran = self._record_stages(monkeypatch, forks)
@@ -939,5 +921,5 @@ class TestForkedReport:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: sim\.x0 = 0\.8 must lie strictly inside "
                             r"\(0, b_hat = 0\.\d+\)\n", err), err
-        assert not ran and not forks and sweeps == [[1.85]]
+        assert not ran and not forks and sweeps == [[1.7, 1.85]]
         assert not self._published(out)

@@ -49,9 +49,9 @@ def test_one_fork_call_site():
 
 
 def test_one_shard_count_rule():
-    # the CPUs a run shards its paths over, and whether report forks its
-    # simulation stage, are counted in simulate._cpu_count alone, so no
-    # second CPU rule can drift from it
+    # the CPUs a run shards its paths over are counted in
+    # simulate._cpu_count alone, so no second CPU rule can drift from it;
+    # report forks nothing of its own
     assert _os_sites("sched_getaffinity") == [("simulate.py", "_cpu_count")]
 
 
