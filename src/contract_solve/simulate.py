@@ -15,10 +15,12 @@ and the solution (interpolate_policy, the last t, u_inv of the settled state).
 
 Paths run through a fixed pool of _CHUNK lanes: a lane steps one path at a
 time, takes the next unstarted path when it ends, and leaves the pool once
-none is left, so no arithmetic runs for finished paths. Each step locates
-the new states on the grid once (_Lookup: one division by dx gives both
-np.interp's interval for the policies and the nearest node for the stop
-flag, bitwise what interpolate_policy and in_stop_region return). A run
+none is left, so no arithmetic runs for finished paths. A lane is one
+column of two tables (ids and counters; float state): a new path is one
+column write, and finished lanes leave with one take per table. Each step
+locates the new states on the grid once (_Lookup: one division by dx gives
+both np.interp's interval for the policies and the nearest node for the
+stop flag, bitwise what interpolate_policy and in_stop_region return). A run
 records the paths with ids below a count: each step's state, output and
 noise go into growable column buffers sized by the recorded lanes, which
 simulate_paths permutes one column at a time into the table. In such a
@@ -276,21 +278,24 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     """Step the paths with ids first..stop - 1 (default: all cfg.n_paths)
     through a pool of _CHUNK lanes, from an x0 that passed check_start.
 
-    A lane's own step count picks its noise column and its censoring step;
-    its noise row is noise[row[lane]], refilled with its path's next
+    The pool is two tables with one column per lane, whose rows each step
+    binds to their names: lane (pid, noise row, step) and state (j, disc_d,
+    pay_p, disc_l, pay_a, x). A lane's step count picks its noise column
+    and its censoring step; its noise row is refilled with its path's next
     _NOISE_BLOCK normals at each multiple of the block: the one place the
-    run's one generator is positioned on a path's stream. Each step
-    finds the grid interval and the stop node of the new states with one
-    _Lookup.locate. A lane whose path ends takes the next unstarted path id;
-    once the queue is empty, finished lanes leave the pool (row is
-    compacted, the noise buffer is not). The principal's payoff is always
-    kept; agent adds the agent's payoff, and a record above 0 adds each
-    path's step count and the step records of the paths with ids below
-    record: pid, j, x, dw in step order, written into four column buffers
-    of one noise block per recorded lane that double when full and are
-    trimmed to size at the end. Lanes take ids in order, so the recorded
-    lanes are those of the first paths, and once none of them is left the
-    run records no more. The per-path arrays hold path first at index 0.
+    run's one generator is positioned on a path's stream. Each step finds
+    the grid interval k and the stop node of the new states with one
+    _Lookup.locate. A lane whose path ends takes the next unstarted path
+    id, step 0, k0 and a new path's state column; once the queue is empty,
+    finished lanes leave the pool, one take per table (the noise buffer
+    stays). The principal's payoff is always kept; agent adds the agent's
+    payoff, and a record above 0 adds each path's step count and the step
+    records of the paths with ids below record: pid, j, x, dw in step
+    order, written into four column buffers of one noise block per recorded
+    lane that double when full and are trimmed to size at the end. Lanes
+    take ids in order, so the recorded lanes are those of the first paths,
+    and once none of them is left the run records no more. The per-path
+    arrays hold path first at index 0.
     An effort from effort_map that is negative or not finite raises
     ValueError.
     """
@@ -305,32 +310,28 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     out = _Paths(stop - first, agent, steps=record > 0)
 
     width = min(_CHUNK, stop - first)
-    pid = np.arange(first, first + width)
     next_pid = first + width
     gen = np.random.Generator(np.random.Philox(0))
     start = _philox_start(cfg.seed)
     skipped = np.empty((_SNAPSHOT_BLOCK - 1) * _NOISE_BLOCK)
     snapshots = {}  # row -> gen.bit_generator.state after the row's last refill
     noise = np.empty((width, _NOISE_BLOCK))
-    row = np.arange(width)  # lane -> row of noise
-    step = np.zeros(width, dtype=np.int64)
-    j = np.full(width, float(x0))
+    lane = np.stack([np.arange(first, next_pid), np.arange(width), np.zeros(width, np.int64)])
+    # a new path's state; disc_d, disc_l are e^{-delta t}, e^{-lam t} at a step's start
+    fresh = np.array([[float(x0)], [1.0], [0.0], [1.0], [0.0], [0.0]])
+    state = fresh.repeat(width, axis=1)
     k = np.full(width, k0)
-    disc_d = np.ones(width)   # e^{-delta t} at the current step's left endpoint
-    pay_p = np.zeros(width)
-    if agent:
-        disc_l = np.ones(width)
-        pay_a = np.zeros(width)
-    lanes = np.flatnonzero(pid < record)  # lanes of recorded paths, in lane order
+    lanes = np.flatnonzero(lane[0] < record)  # lanes of recorded paths, in lane order
     recording = lanes.size > 0
     if recording:
-        x = np.zeros(width)
         # recorded path ids take the narrowest unsigned type: the records set
         # the peak memory of a recording run
         cap, used = lanes.size * _NOISE_BLOCK, 0
         rec = [np.empty(cap, np.min_scalar_type(record))] + [np.empty(cap) for _ in range(3)]
 
-    while pid.size:
+    while lane.size:
+        pid, row, step = lane
+        j, disc_d, pay_p, disc_l, pay_a, x = state
         col = step % _NOISE_BLOCK
         due = np.nonzero(col == 0)[0]
         if due.size:  # most steps refill no lane while the pool drains
@@ -351,18 +352,19 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         u_r = params.u(r)
         h_a = params.h(a)
         phi_a = params.phi(a)
-        j_new = j + (params.lam * j - u_r + h_a) * dt
         if effort_map is None:
             a_applied, phi_applied, h_applied = a, phi_a, h_a
-        else:
+        else:  # read j before it moves
             a_applied = np.asarray(effort_map(j), dtype=float)
             if not (a_applied.min() >= 0.0 and a_applied.max() < np.inf):  # NaN fails too
                 bad = a_applied[~((a_applied >= 0.0) & (a_applied < np.inf))]
                 raise ValueError(f"effort map gave a = {float(bad.flat[0])}: "
                                  f"efforts must be finite and >= 0")
             phi_applied, h_applied = params.phi(a_applied), params.h(a_applied)
-            j_new += params.cost_impact_ratio(a) * (phi_applied - phi_a) * dt
-        j_new += params.exposure(a) * dw
+        j += (params.lam * j - u_r + h_a) * dt
+        if effort_map is not None:
+            j += params.cost_impact_ratio(a) * (phi_applied - phi_a) * dt
+        j += params.exposure(a) * dw
 
         pay_p += disc_d * (phi_applied - r) * dt
         disc_d *= decay_d
@@ -377,16 +379,15 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
                 cap *= 2
                 for buf in rec:
                     buf.resize(cap, refcheck=False)  # no view of buf exists
-            for buf, v in zip(rec, (pid, j_new, x, dw)):
+            for buf, v in zip(rec, (pid, j, x, dw)):
                 buf[used:used + m] = v if m == pid.size else v[lanes]
             used += m
 
-        if j_new.max() > x_max:
+        if j.max() > x_max:
             raise PolicyOutOfRange("state exceeded x_max during simulation")
-        k, stopped = lookup.locate(j_new)
-        floored = j_new <= 0.0
+        k, stopped = lookup.locate(j)
+        floored = j <= 0.0
         done = floored | stopped  # the floor wins; a floored lane's stop flag is moot
-        j = j_new
         step += 1
         ended = np.nonzero(done | (step > last))[0]  # step > last: censored
         if not ended.size:
@@ -405,31 +406,20 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         if record:
             out.steps[ids] = step[ended]
 
-        fresh = ended[:stop - next_pid]
-        if fresh.size:
-            pid[fresh] = np.arange(next_pid, next_pid + fresh.size)
-            next_pid += fresh.size
-            step[fresh] = 0
-            j[fresh] = x0
-            k[fresh] = k0
-            disc_d[fresh] = 1.0
-            pay_p[fresh] = 0.0
-            if agent:
-                disc_l[fresh] = 1.0
-                pay_a[fresh] = 0.0
-            if recording:
-                x[fresh] = 0.0
-        if fresh.size < ended.size:
+        new = ended[:stop - next_pid]
+        if new.size:
+            pid[new] = np.arange(next_pid, next_pid + new.size)
+            next_pid += new.size
+            step[new] = 0
+            k[new] = k0
+            state[:, new] = fresh
+        if new.size < ended.size:
             keep = np.ones(pid.size, dtype=bool)
-            keep[ended[fresh.size:]] = False
-            pid, row, step, j, k, disc_d, pay_p = (
-                v[keep] for v in (pid, row, step, j, k, disc_d, pay_p))
-            if agent:
-                disc_l, pay_a = disc_l[keep], pay_a[keep]
-            if recording:
-                x = x[keep]
+            keep[ended[new.size:]] = False
+            keep = np.flatnonzero(keep)  # a boolean index on a table is 4x slower than take
+            lane, state, k = lane.take(keep, axis=1), state.take(keep, axis=1), k.take(keep)
         if recording:
-            lanes = np.flatnonzero(pid < record)
+            lanes = np.flatnonzero(lane[0] < record)
             recording = lanes.size > 0  # ids go in order: no recorded path is left to start
 
     if record > first:  # the run recorded a path
@@ -457,7 +447,7 @@ def _run_forked(run, k: int) -> list:
     Fork, not spawn: a spawned worker would import numpy and receive its
     inputs first, which takes longer than a run's work. A child inherits
     only the calling thread, so run() must need no lock another thread may
-    hold; element-wise numpy code and file writes take none."""
+    hold; element-wise numpy code takes none."""
     children = []  # (pid, pipe) of each child not yet reaped, in index order
     try:
         for i in range(1, k):

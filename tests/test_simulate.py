@@ -417,6 +417,27 @@ class TestLockstepOracle:
             assert np.array_equal(sim._run_sharded(params, sb, 0.1, cfg, dev, agent=True).agent,
                                   ref["agent"])
 
+    def test_recording_deviation_arm(self, params, sb, monkeypatch):
+        # agent, a deviated effort and records: every row of the lane state is
+        # live; 16 lanes for 64 paths, so the pool both refills and drains
+        monkeypatch.setattr(sim, "_CHUNK", 16)
+        cfg = SimConfig(n_paths=64, seed=123)
+        for dev in _deviations(sb):
+            out = sim._run_paths(params, sb, 0.1, cfg, dev, agent=True, record=cfg.n_paths)
+            ref = lockstep_paths(params, sb, 0.1, cfg, effort_map=dev)
+            for key in ("principal", "agent"):
+                assert np.array_equal(_bits(getattr(out, key)), _bits(ref[key])), key
+            for key in ("floor", "censored"):
+                assert np.array_equal(getattr(out, key), ref[key]), key
+            pids, *records = out.records
+            order = np.argsort(pids, kind="stable")
+            assert np.array_equal(out.steps, [p[2].size for p in ref["paths"]])
+            cuts = np.cumsum(out.steps)[:-1]
+            per_path = zip(*(np.split(v[order], cuts) for v in records))
+            for pid, ((j, x, dw), want) in enumerate(zip(per_path, ref["paths"])):
+                for got, w in zip((j, x, dw), (want[0][1:], want[1][1:], want[2])):
+                    assert np.array_equal(_bits(got), _bits(w)), pid
+
     def test_recorded_paths(self, params, sb, oracle):
         for cfg, ref in oracle.items():
             _assert_matches_lockstep(params, sb, simulate_paths(params, sb, 0.1, cfg), ref, cfg)
