@@ -295,8 +295,11 @@ def _improve(params: ModelParams, grid: Grid, w: np.ndarray, psi: np.ndarray):
     central slope (w_{i+1} - w_{i-1})/(2 dx) and the second difference, so
     the rent and effort maximizers there (see _best_effort) maximize it
     exactly. The two ends take their one-sided slope and their neighbour's
-    second difference, for reporting only. One vectorized _best_response
-    call serves every node of every problem.
+    second difference. The solve does not read them (its end rows are
+    Dirichlet), but the simulation does: interpolate_policy and the
+    stepper's _Lookup interpolate between an end node and its neighbour, so
+    node 0's r and a steer paths at states in (0, dx), near the floor. One
+    vectorized _best_response call serves every node of every problem.
 
     w holds one row per problem (1-D for a scalar sigma). Returns (r, a,
     stop, n_convex) over the whole grid, n_convex counting per row the

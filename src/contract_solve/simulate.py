@@ -58,10 +58,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import os
 import pickle
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,8 +328,10 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         rec = [np.empty(cap, np.min_scalar_type(record))] + [np.empty(cap) for _ in range(3)]
 
     while lane.size:
-        pid, row, step = lane
-        j, disc_d, pay_p, disc_l, pay_a, x = state
+        # indexed, not unpacked: unpacking a table iterates it, twice as slow
+        pid, row, step = lane[0], lane[1], lane[2]
+        j, disc_d, pay_p = state[0], state[1], state[2]
+        disc_l, pay_a, x = state[3], state[4], state[5]
         col = step % _NOISE_BLOCK
         due = np.nonzero(col == 0)[0]
         if due.size:  # most steps refill no lane while the pool drains
@@ -524,16 +524,15 @@ def _run_sharded(params: ModelParams, solution: SecondBestSolution, x0: float,
 
 
 @dataclass(frozen=True, eq=False)
-class PathTable(Sequence):
+class PathTable:
     """Simulated paths as flat columns in paths.csv's layout.
 
     Per node, the recorded paths (ids 0 to len(table) - 1) in id order:
     path_id, t, j, x, dw (0 on a path's first row), stopped (True on the
     last row of a path that ended before the horizon); starts holds each
     recorded path's first node row. Per path, every path of the run:
-    steps, payoff, floor, censored. As a sequence of the recorded paths,
-    table[i] is path i's PathBundle of views of the columns; slices and
-    iteration act as on a list.
+    steps, payoff, floor, censored. Iteration yields each recorded path's
+    PathBundle of views of the columns, in id order.
     """
 
     path_id: np.ndarray
@@ -551,18 +550,13 @@ class PathTable(Sequence):
     def __len__(self) -> int:
         return self.starts.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if not -len(self) <= i < len(self):
-            raise IndexError(f"path {i} of {len(self)}")
-        i %= len(self)
-        s, n = int(self.starts[i]), int(self.steps[i])
-        nodes = slice(s, s + n + 1)
-        return PathBundle(i, self.t[nodes], self.j[nodes], self.x[nodes],
-                          self.dw[s + 1:s + n + 1], float(self.payoff[i]),
-                          bool(self.floor[i]), bool(self.censored[i]))
+    def __iter__(self):
+        # starts covers the recorded paths only, so zip stops after the last
+        for i, (s, n) in enumerate(zip(self.starts.tolist(), self.steps.tolist())):
+            nodes = slice(s, s + n + 1)
+            yield PathBundle(i, self.t[nodes], self.j[nodes], self.x[nodes],
+                             self.dw[s + 1:s + n + 1], float(self.payoff[i]),
+                             bool(self.floor[i]), bool(self.censored[i]))
 
 
 def simulate_paths(params: ModelParams, solution: SecondBestSolution, x0: float,

@@ -541,6 +541,28 @@ class TestDispatch:
         missing = [name for name in names if not callable(getattr(contract_solve, name, None))]
         assert not missing, f"README imports names the package does not export: {missing}"
 
+    def test_readme_stop_set_table_is_the_solvers(self):
+        # each cell: a sigma's interior stop set (the stopped nodes below
+        # grid.x_max) on 2,001 nodes, one batch per column
+        readme = README.read_text(encoding="utf-8")
+        start = readme.index("| sigma | `grid.x_max")
+        lines = readme[start:readme.index("\n\n", start)].splitlines()
+        x_maxes = [float(v) for v in re.findall(r"`grid\.x_max = ([\d.]+)`", lines[0])]
+        cells = {float(sigma): cols for sigma, *cols in
+                 ([c.strip() for c in line.strip("|").split("|")] for line in lines[2:])}
+        assert list(cells) == [1.5, 1.85, 2.2] and x_maxes == [1.0, 2.0, 5.0]
+        for col, x_max in enumerate(x_maxes):
+            grid = Grid.make(x_max, 2001)
+            x = grid.x[1:-1]
+            sols = hjbvi.howard_solve_many(contract_solve.default_params(), list(cells), grid)
+            for (sigma, cols), sol in zip(cells.items(), sols):
+                assert not isinstance(sol, Exception), (sigma, x_max, sol)
+                want = np.zeros(x.size, dtype=bool)
+                if cols[col] != "none":
+                    lo, hi = (float(v) for v in cols[col].strip("[]").split(","))
+                    want = (x > lo - grid.dx / 2) & (x < hi + grid.dx / 2)
+                assert np.array_equal(sol.stop[1:-1], want), (sigma, x_max, x[sol.stop[1:-1]])
+
     def test_first_best_outputs(self, tmp_path, capsys):
         out = tmp_path / "fb"
         assert cli_dispatch(["first-best", "--out", str(out), *FAST]) == 0

@@ -146,3 +146,8 @@ def test_benchmark_counters_read_real_results(tmp_path):
     for name, (args, out, want) in calls.items():
         assert counters[name][1](args, out) == want, name
     assert table.steps.sum() > len(table) > 1
+    # a partly recorded table, report's shape: the counter sees the recorded paths only
+    partial = cs.simulate_paths(params, sol, 0.1, cfg, n_recorded=20)
+    want = partial.steps[:len(partial)].sum()
+    assert counters["simulate.simulate_paths"][1]((params, sol, 0.1, cfg), partial) == want
+    assert 0 < want < partial.steps.sum()
