@@ -243,6 +243,7 @@ def _simulate(cfg: RunConfig, outdir, solved):
         "n_stopped": mc.n_paths - mc.n_floor - mc.n_censored,
         "n_censored": mc.n_censored,
         "path_steps": int(table.steps.sum()),
+        "max_path_steps": int(table.steps.max()),
         "censoring_bias_bound": mc.censoring_bias_bound,
     }
     return ["paths.csv"], diag

@@ -25,15 +25,14 @@ records the paths with ids below a count: each step's state, output and
 noise go into growable column buffers sized by the recorded lanes, which
 simulate_paths permutes one column at a time into the table. In such a
 run every path, recorded or not, also gives its step count.
-Randomness is counter-based: each path draws from its own Philox
-stream keyed by (seed, path_id), so results are bitwise identical
-regardless of the pool width, which lane runs a path, or which other paths
-run alongside.
-Deviation arms reuse the same streams (common random numbers). One
-generator serves the whole pool: each refill re-keys it to the lane's path
-and redraws the blocks the path has already used, or, from _SNAPSHOT_BLOCK
-on, restores the state the lane saved at its previous refill, so a path's
-stream work stays linear in its length.
+Randomness is counter-based: block b of a path's noise is the first
+_NOISE_BLOCK normals of Philox keyed by (seed << 64) | path_id at counter
+b << 128, so results are bitwise identical regardless of the pool width,
+which lane runs a path, or which other paths run alongside. The block size
+is part of the stream's definition. Deviation arms reuse the same streams
+(common random numbers). One generator serves the whole pool: each refill
+seeks it to its block's key and counter (_seek), one state set, and draws
+the block once.
 
 Every run shards the paths by id across the CPUs in the process's affinity
 mask (_run_sharded): this process steps the first contiguous range of ids
@@ -68,8 +67,7 @@ from .hjbvi import SecondBestSolution
 from .model import ModelParams
 
 _CHUNK = 1024         # lanes in the pool
-_NOISE_BLOCK = 64     # normals drawn per lane per refill
-_SNAPSHOT_BLOCK = 8   # from this block on, a refill restores its lane's saved state
+_NOISE_BLOCK = 64     # normals per block of a path's stream: a refill draws one block
 
 
 class PolicyOutOfRange(ValueError):
@@ -196,10 +194,10 @@ def check_start(solution: SecondBestSolution, x0: float) -> None:
 
 
 def _philox_start(seed: int) -> dict:
-    """Philox start state for _rekey: 128-bit key (path id low word, seed
-    high word), counter 0, empty buffer. One per run: _rekey writes its key.
-    The words are Python ints in lists, which the state setter reads faster
-    than numpy arrays."""
+    """Philox state for _seek: 128-bit key (path id low word, seed high
+    word), 256-bit counter (block in word 2), empty buffer. One per run:
+    _seek writes its path id and block. The words are Python ints in lists,
+    which the state setter reads faster than numpy arrays."""
     return {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": [0, int(seed)]},
@@ -207,10 +205,15 @@ def _philox_start(seed: int) -> dict:
     }
 
 
-def _rekey(gen: np.random.Generator, start: dict, path_id: int) -> None:
-    """Reset gen in place to Philox(key=(seed << 64) | path_id)'s start state;
-    the setter copies the words, so start can be reused for the next refill."""
-    start["state"]["key"][0] = path_id
+def _seek(gen: np.random.Generator, start: dict, path_id: int, block: int) -> None:
+    """Set gen in place to Philox(key=(seed << 64) | path_id,
+    counter=block << 128)'s start state, where the path's block begins. A
+    block's normals advance counter word 0 only, far short of a carry into
+    word 2, so blocks never overlap. The setter copies the words, so start
+    can be reused for the next refill."""
+    state = start["state"]
+    state["key"][0] = path_id
+    state["counter"][2] = block
     gen.bit_generator.state = start
 
 
@@ -279,21 +282,21 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     The pool is two tables with one column per lane, whose rows each step
     binds to their names: lane (pid, noise row, step) and state (j, disc_d,
     pay_p, disc_l, pay_a, x). A lane's step count picks its noise column
-    and its censoring step; its noise row is refilled with its path's next
-    _NOISE_BLOCK normals at each multiple of the block: the one place the
-    run's one generator is positioned on a path's stream. Each step finds
-    the grid interval k and the stop node of the new states with one
-    _Lookup.locate. A lane whose path ends takes the next unstarted path
-    id, step 0, k0 and a new path's state column; once the queue is empty,
-    finished lanes leave the pool, one take per table (the noise buffer
-    stays). The principal's payoff is always kept; agent adds the agent's
-    payoff, and a record above 0 adds each path's step count and the step
-    records of the paths with ids below record: pid, j, x, dw in step
-    order, written into four column buffers of one noise block per recorded
-    lane that double when full and are trimmed to size at the end. Lanes
-    take ids in order, so the recorded lanes are those of the first paths,
-    and once none of them is left the run records no more. The per-path
-    arrays hold path first at index 0.
+    and its censoring step; at each multiple of _NOISE_BLOCK its noise row
+    is refilled with that block of its path's stream: _seek, the one place
+    the run's one generator is positioned, addresses it by path id and
+    block number. Each step finds the grid interval k and the stop node of
+    the new states with one _Lookup.locate. A lane whose path ends takes
+    the next unstarted path id, step 0, k0 and a new path's state column;
+    once the queue is empty, finished lanes leave the pool, one take per
+    table (the noise buffer stays). The principal's payoff is always kept;
+    agent adds the agent's payoff, and a record above 0 adds each path's
+    step count and the step records of the paths with ids below record:
+    pid, j, x, dw in step order, written into four column buffers of one
+    noise block per recorded lane that double when full and are trimmed to
+    size at the end. Lanes take ids in order, so the recorded lanes are
+    those of the first paths, and once none of them is left the run records
+    no more. The per-path arrays hold path first at index 0.
     An effort from effort_map that is negative or not finite raises
     ValueError.
     """
@@ -311,8 +314,6 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
     next_pid = first + width
     gen = np.random.Generator(np.random.Philox(0))
     start = _philox_start(cfg.seed)
-    skipped = np.empty((_SNAPSHOT_BLOCK - 1) * _NOISE_BLOCK)
-    snapshots = {}  # row -> gen.bit_generator.state after the row's last refill
     noise = np.empty((width, _NOISE_BLOCK))
     lane = np.stack([np.arange(first, next_pid), np.arange(width), np.zeros(width, np.int64)])
     # a new path's state; disc_d, disc_l are e^{-delta t}, e^{-lam t} at a step's start
@@ -337,15 +338,8 @@ def _run_paths(params: ModelParams, solution: SecondBestSolution, x0: float,
         if due.size:  # most steps refill no lane while the pool drains
             for i, p, b in zip(row[due].tolist(), pid[due].tolist(),
                                (step[due] // _NOISE_BLOCK).tolist()):
-                if b < _SNAPSHOT_BLOCK:  # redraw the path's first b blocks
-                    _rekey(gen, start, p)
-                    if b:
-                        gen.standard_normal(out=skipped[:b * _NOISE_BLOCK])
-                else:
-                    gen.bit_generator.state = snapshots[i]
+                _seek(gen, start, p, b)
                 gen.standard_normal(out=noise[i])
-                if b + 1 >= _SNAPSHOT_BLOCK:
-                    snapshots[i] = gen.bit_generator.state
         dw = noise[row, col] * sqrt_dt
 
         r, a = lookup.policy(j, k)

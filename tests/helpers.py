@@ -104,16 +104,20 @@ def agent_payoff(params, a, z):
     return -params.h(a) + np.asarray(z, dtype=float) * params.phi(a) / params.sigma
 
 
-def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=512):
+def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=None):
     """Per-path results of the lockstep Euler-Maruyama stepper, as an oracle.
 
     Paths run in chunks of `width` that step together until the chunk's
     slowest path ends; finished lanes keep computing under np.where but never
-    feed back. Each path draws `block` normals at a time from Philox keyed by
-    (seed << 64) | path_id. Returns a dict of per-path arrays (principal,
-    agent, tau, terminal, floor, censored) and, under "paths", one tuple
-    (j, x, dw, r, a) of step arrays per path.
+    feed back. Block b of a path's noise is the first `block` (default: the
+    stepper's _NOISE_BLOCK) normals of a new Philox keyed by
+    (seed << 64) | path_id with counter b << 128. Returns a dict of per-path
+    arrays (principal, agent, tau, terminal, floor, censored) and, under
+    "paths", one tuple (j, x, dw, r, a) of step arrays per path.
     """
+    from contract_solve import simulate
+
+    block = simulate._NOISE_BLOCK if block is None else block
     g = solution.grid
     n_steps, dt = cfg.n_steps, cfg.dt
     sqrt_dt = np.sqrt(dt)
@@ -128,8 +132,7 @@ def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=
     for first in range(0, cfg.n_paths, width):
         ids = range(first, min(first + width, cfg.n_paths))
         c = len(ids)
-        gens = [np.random.Generator(np.random.Philox(key=(int(cfg.seed) << 64) | pid))
-                for pid in ids]
+        keys = [(int(cfg.seed) << 64) | pid for pid in ids]
         noise = np.empty((c, block))
         j = np.full(c, float(x0))
         x = np.zeros(c)
@@ -145,7 +148,9 @@ def lockstep_paths(params, solution, x0, cfg, effort_map=None, width=256, block=
             if not alive.any():
                 break
             if k % block == 0:
-                for i, gen in enumerate(gens):
+                counter = (k // block) << 128
+                for i, key in enumerate(keys):
+                    gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
                     noise[i] = gen.standard_normal(block)
             dw = noise[:, k % block] * sqrt_dt
             r = np.interp(j, g.x, solution.r_star)

@@ -640,6 +640,8 @@ class TestPathsCsv:
         assert diag["n_censored"] > 0 and diag["n_stopped"] > 0
         assert diag["n_stopped"] + diag["n_floor"] == sum(r[5] == "1" for r in rows)
         assert diag["path_steps"] == len(rows) - 30  # one first row per path
+        per_path = np.bincount([int(r[0]) for r in rows])
+        assert diag["max_path_steps"] == per_path.max() - 1  # every path is recorded
         assert not {"n_stopped", "path_steps"} & set(manifest["timings"])
 
     def test_bytes_match_bundles_written_directly(self, tmp_path):
@@ -682,14 +684,15 @@ class TestPathsCsv:
         assert got == (tmp_path / "first.csv").read_bytes()
         assert (tmp_path / "all.csv").read_bytes().startswith(got) and rows < full.j.size
         mc = summarize_paths(cfg.params, sol, cfg.sim, full)
+        assert full.steps.max() > full.steps[:100].max()  # the longest path is not written
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert {k: diag[k] for k in ("x0", "n_paths", "mc_estimate", "mc_std_error", "n_floor",
                                      "n_stopped", "n_censored", "path_steps",
-                                     "censoring_bias_bound")} == {
+                                     "max_path_steps", "censoring_bias_bound")} == {
             "x0": cfg.sim_x0, "n_paths": 300, "mc_estimate": mc.estimate,
             "mc_std_error": mc.std_error, "n_floor": mc.n_floor,
             "n_stopped": 300 - mc.n_floor - mc.n_censored, "n_censored": mc.n_censored,
-            "path_steps": int(full.steps.sum()),
+            "path_steps": int(full.steps.sum()), "max_path_steps": int(full.steps.max()),
             "censoring_bias_bound": mc.censoring_bias_bound}
 
     def test_byte_identical_reruns(self, tmp_path):

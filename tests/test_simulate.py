@@ -75,12 +75,10 @@ def _count_normals(monkeypatch):
     return drawn
 
 
-def _normals_per_run(steps, block, snapshot_block):
-    """Normals a run draws: each path draws its ceil(steps / block) blocks
-    once, and a refill of block b < snapshot_block first redraws the b
-    blocks before it."""
-    return sum(block * (b + 1 if b < snapshot_block else 1)
-               for n in steps.tolist() for b in range(-(-n // block)))
+def _normals_per_run(steps, block):
+    """Normals a run draws: each path draws each of its ceil(steps / block)
+    blocks once."""
+    return block * sum(-(-n // block) for n in steps.tolist())
 
 
 def _pool_outputs(params, sb):
@@ -218,45 +216,35 @@ class TestDeterminism:
         assert est1.std_error == est2.std_error
 
     def test_chunk_width_does_not_change_results(self, params, sb, monkeypatch):
-        # widths from one lane to more lanes than paths; 1024 is the default
+        # widths from one lane to more lanes than paths; 1024 is the default.
+        # Some path draws three blocks, so a lane seeks mid-path twice.
         base = _pool_outputs(params, sb)
+        assert base[2].steps.max() > 2 * sim._NOISE_BLOCK
         for width in (1, 61, 1024, 4096):
             monkeypatch.setattr(sim, "_CHUNK", width)
             _assert_same_pool_outputs(_pool_outputs(params, sb), base, width)
 
-    def test_snapshot_block_does_not_change_results(self, params, sb, monkeypatch):
-        # a path of three blocks restores a saved state at its last refill
-        # when the snapshot block is 1 or 2, and redraws its first two
-        # blocks there at the default and at 64
-        base = _pool_outputs(params, sb)
-        assert base[2].steps.max() > 2 * sim._NOISE_BLOCK
-        for snapshot_block in (1, 2, 64):
-            monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
-            _assert_same_pool_outputs(_pool_outputs(params, sb), base, snapshot_block)
-
-    def test_normals_drawn_are_linear_past_the_snapshot_block(self, params, sb, monkeypatch):
-        # 4-normal blocks: paths run to 79 blocks, so a redraw on every
-        # refill would make the work per path quadratic in its length
+    def test_each_block_is_drawn_once(self, params, sb, monkeypatch):
+        # 4-normal blocks: paths run to dozens of blocks, and a redraw of a
+        # path's earlier blocks at a refill would show as extra normals
         monkeypatch.setattr(sim, "_NOISE_BLOCK", 4)
         drawn = _count_normals(monkeypatch)
-        cfg = SimConfig(n_paths=300, seed=123)
-        for snapshot_block in (1, 3, 8, 100):
-            monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
-            drawn.clear()
-            steps = simulate_paths(params, sb, 0.1, cfg).steps
-            assert -(-steps.max() // 4) > 8
-            assert sum(drawn) == _normals_per_run(steps, 4, snapshot_block), snapshot_block
-        assert sum(drawn) > 8 * _normals_per_run(steps, 4, 1)  # all refills redraw at 100
+        steps = simulate_paths(params, sb, 0.1, SimConfig(n_paths=300, seed=123)).steps
+        assert -(-steps.max() // 4) > 8
+        assert sum(drawn) == _normals_per_run(steps, 4)
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-    def test_rekey_is_the_keyed_philox_stream(self, seed):
+    def test_seek_is_the_block_of_the_keyed_philox_stream(self, seed):
+        # block 3124 is the last of the default 200,000-step horizon
         gen = np.random.Generator(np.random.Philox(0))
         start = sim._philox_start(seed)
-        for path_id in (0, 1, 9_999):
+        for path_id, block in itertools.product((0, 1, 9_999), (0, 1, 7, 8, 3_124)):
             gen.standard_normal(3)  # leave state and buffer behind
-            sim._rekey(gen, start, path_id)
-            want = np.random.Generator(np.random.Philox(key=(seed << 64) | path_id))
-            assert np.array_equal(gen.standard_normal(1_000), want.standard_normal(1_000))
+            sim._seek(gen, start, path_id, block)
+            want = np.random.Generator(np.random.Philox(key=(seed << 64) | path_id,
+                                                        counter=block << 128))
+            assert np.array_equal(gen.standard_normal(1_000), want.standard_normal(1_000)), (
+                path_id, block)
 
     def test_seed_changes_draws(self, params, sb):
         a = mc_principal_value(params, sb, 0.1, SimConfig(n_paths=200, seed=1))
@@ -447,10 +435,11 @@ class TestLockstepOracle:
 
     @pytest.mark.parametrize("snapshot_block", [1, 3])
     def test_paths_past_the_snapshot_block(self, params, sb, monkeypatch, snapshot_block):
-        # 4-normal blocks: nearly every path passes the snapshot block, so
-        # its early refills redraw and its later ones restore a saved state
+        # 4-normal blocks: the median path refills past block 1 and block 3,
+        # where an earlier refill scheme switched from redrawing a path's
+        # blocks to restoring a saved state; each block is now seeked at its
+        # own counter, so paths on both sides must still match the oracle
         monkeypatch.setattr(sim, "_NOISE_BLOCK", 4)
-        monkeypatch.setattr(sim, "_SNAPSHOT_BLOCK", snapshot_block)
         for cfg in (SimConfig(n_paths=300, seed=123),
                     SimConfig(dt=1e-3, horizon=0.05, n_paths=64, seed=3)):
             ref = lockstep_paths(params, sb, 0.1, cfg, block=4)

@@ -55,6 +55,28 @@ def test_one_shard_count_rule():
     assert _os_sites("sched_getaffinity") == [("simulate.py", "_cpu_count")]
 
 
+def test_one_generator_positioning_site():
+    # the Monte Carlo noise is addressed by Philox key and counter: only
+    # simulate._seek sets the generator's state, and nothing reads it back,
+    # so neither a redraw of earlier blocks nor a saved state (the getter
+    # costs about 3 µs a call) can come back unnoticed
+    path = SRC / "simulate.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+    def is_state(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "state"
+                and getattr(node.value, "attr", None) == "bit_generator")
+
+    sites = {node: "<module>" for node in ast.walk(tree) if is_state(node)}
+    for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            sites.update({node: func.name for node in ast.walk(func) if is_state(node)})
+    sets = [func for node, func in sites.items() if isinstance(node.ctx, ast.Store)]
+    reads = [node.lineno for node in sites if not isinstance(node.ctx, ast.Store)]
+    assert sets == ["_seek"], sets
+    assert not reads, f"simulate.py reads bit_generator.state at lines {reads}"
+
+
 def test_benchmark_trace_targets_exist():
     # the traced benchmark wraps contract_solve.<layer>.<name> for every
     # entry of TARGETS in bench/spans.py and fails if one is missing; the
