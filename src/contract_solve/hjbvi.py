@@ -26,26 +26,28 @@ with x_max: on 2001 nodes, sigma 1.5, 1.85 and 2.2 stop on [0.6005, 0.716],
 [0.4655, 0.9995] and [0.389, 0.9995] with x_max = 1, on none, [0.465, 0.59]
 and [0.389, 0.82] with x_max = 2, and nowhere inside [0, 5) with x_max = 5.
 
-Discretization is central: second and first differences both centred at
-the node, so a continuation row reads
+Discretization is as central as monotonicity allows (Wang & Forsyth 2008,
+maximal use of central differencing for HJB equations): a continuation row
+reads
 
-    delta w_i - D (w_{i+1} - 2 w_i + w_{i-1})/dx^2 - b (w_{i+1} - w_{i-1})/(2 dx) = phi(a) - r
+    delta w_i - d (w_{i+1} - 2 w_i + w_{i-1}) - c (w_{i+1} - w_{i-1}) = phi(a) - r
 
-with D = 1/2 exposure(a)^2 and drift b = lam x - U(r) + h(a). The
-off-diagonals -D/dx^2 +- b/(2 dx) are non-positive, which makes the scheme
-monotone, exactly when the cell Peclet number |b| dx/(2 D) is at most 1; a
-continuation row that breaks this fails its problem with NonMonotoneScheme
-(Wang & Forsyth 2008, maximal use of central differencing for HJB equations). Each
-policy-iteration round evaluates the current policy exactly (one
-tridiagonal solve, with stopped nodes replaced by identity rows) and then
-improves it node by node. A row's discrete Hamiltonian is the continuous
-one at the central slope and second difference, so one maximization per
-node gives its exact maximizer, a function of w alone. The rent maximizer
-is closed form, r* = (U')^{-1}(-1/w') when w' < 0; the effort maximizer has
-no closed form and is the root of its first-order condition, found by
-safeguarded Newton steps (see _best_effort). Stopping beats continuing at a
-node when psi_i - w_i exceeds the continuation row's defect H_i - delta w_i,
-the usual policy-iteration treatment of the obstacle.
+with drift weight c = b/(2 dx), b = lam x - U(r) + h(a), and diffusion
+weight d = max(D/dx^2, |c|), D = 1/2 exposure(a)^2: its off-diagonals
+-d +- c are never positive. A row whose cell Peclet number |b| dx/(2 D) is
+at most 1 is central, any other first-order (upwind once D underflows to
+0), as happens next to x_max on wide domains (added_diffusion_rows counts
+them). Each policy-iteration round evaluates the current policy exactly
+(one tridiagonal solve, with stopped nodes replaced by identity rows) and
+then improves it node by node against the central Hamiltonian: at the
+central slope and second difference it is a central row's discrete one, so
+one maximization per node gives its exact maximizer, a function of w
+alone. The rent maximizer is closed form,
+r* = (U')^{-1}(-1/w') when w' < 0; the effort maximizer has no closed form
+and is the root of its first-order condition, found by safeguarded Newton
+steps (see _best_effort). Stopping beats continuing at a node when
+psi_i - w_i exceeds the continuation row's defect H_i - delta w_i, the
+usual policy-iteration treatment of the obstacle.
 
 Convergence behaviour worth knowing about: the contact set can only recede
 one node per sweep. Releasing a stopped node is triggered by the kink its
@@ -58,13 +60,11 @@ each level with a quarter of the next one's intervals, down to at most
 101 nodes (32/126/501/2001 at the defaults). Every level starts from the
 end state of the level before, interpolated to its nodes, bar the forced
 stop at x_max, which no other node copies; before the first level that
-end state is the all-continue policy (r, a) = (0, 0). The coarse levels
-are only warm starts, so their rows take the diffusion weight
-max(D/dx^2, |b|/(2 dx)), the least that makes them monotone; only the
-finest level's rows are central. The reported iteration count is the
-total number of sweeps across all levels, level_sweeps its split. The
-improvement step reads nothing but w, so the level sizes change the
-sweep count, not the fixed point the finest level converges to.
+end state is the all-continue policy (r, a) = (0, 0). The reported
+iteration count is the total number of sweeps across all levels,
+level_sweeps its split. The improvement step reads nothing but w, so the
+level sizes change the sweep count, not the fixed point the finest level
+converges to.
 
 The tridiagonal solves use elimination without pivoting: every assembled
 row is diagonally dominant by exactly delta, and identity rows pass through
@@ -123,7 +123,8 @@ class NoConvergence(RuntimeError):
 
 
 class NonMonotoneScheme(RuntimeError):
-    """The discretized operator of a policy evaluation is not a monotone scheme."""
+    """A policy evaluation has a diagonal that is not finite and > 0, as an
+    overflowing sigma or an infinite drift gives; finite rows are monotone."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +161,7 @@ class SecondBestSolution:
     residual: float
     effort_convex_nodes: int  # effort maximizations on the w'' >= 0 branch, all sweeps
     level_sweeps: tuple  # (nodes, sweeps) of each cascade level from the cold start on
+    added_diffusion_rows: int  # first-order continuation rows of the stored policy
 
 
 def _diffusion(params: ModelParams, a):
@@ -351,27 +353,26 @@ def _eliminate(lo, di, up, rh, left, right):
     return sol
 
 
-def _stencil(params: ModelParams, grid: Grid, r, a, coarse: bool):
+def _stencil(params: ModelParams, grid: Grid, r, a):
     """Coefficients of every interior row at the policy (r, a), per row.
 
-    Returns (d, c, f): the diffusion weight D(a)/dx^2, the drift weight
-    b/(2 dx) and the running payoff phi(a) - r, so that a continuation row
-    reads delta w_i - d (w_{i+1} - 2 w_i + w_{i-1}) - c (w_{i+1} - w_{i-1}) = f
-    and its cell Peclet number is |c|/d. On a coarse level d is raised to
-    max(d, |c|), the least diffusion that makes the row monotone.
+    Returns (d, c, f, added): the diffusion weight max(D(a)/dx^2, |c|), the
+    drift weight c = b/(2 dx), the running payoff phi(a) - r (a continuation
+    row reads delta w_i - d (w_{i+1} - 2 w_i + w_{i-1}) - c (w_{i+1} - w_{i-1}) = f),
+    and added, true where the cell Peclet number |c| dx^2/D(a) is above 1,
+    so d is |c|, the least diffusion that makes the row monotone.
     """
     ri, ai = r[..., 1:-1], a[..., 1:-1]
     # an overflowing sigma makes d infinite: _evaluate's non-finite-diagonal
     # check rejects that row, so the overflow itself is not worth a warning
     with np.errstate(over="ignore"):
-        d = _diffusion(params, ai) / grid.dx**2
+        central = _diffusion(params, ai) / grid.dx**2
     c = (params.lam * grid.x[1:-1] - params.u(ri) + params.h(ai)) / (2.0 * grid.dx)
-    if coarse:
-        d = np.maximum(d, np.abs(c))
-    return d, c, params.phi(ai) - ri
+    abs_c = np.abs(c)
+    return np.maximum(central, abs_c), c, params.phi(ai) - ri, abs_c > central
 
 
-def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi, coarse: bool):
+def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi):
     """Solve the linear system for a fixed policy, one system per row.
 
     Continuation rows: delta w - L^{a,r} w = phi(a) - r. Stopped rows:
@@ -382,32 +383,28 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi, coarse: bool):
     of one elimination over the whole system with identity rows at stopped
     nodes: an identity row comes through elimination as psi and restarts it.
     No pivoting: rows are diagonally dominant by exactly delta. Returns
-    (w, failures): per row, the NonMonotoneScheme of a policy that breaks
-    the monotone scheme, whose row of w is then left unsolved, or None.
+    (w, failures): per row, None, or a NonMonotoneScheme whose row of w is
+    left unsolved.
     """
     stop_i = stop[..., 1:-1]
-    d, c, rhs = _stencil(params, grid, r, a, coarse)
-    lower = c - d
+    d, c, rhs, _ = _stencil(params, grid, r, a)
+    # d >= |c| makes both off-diagonals non-positive, and every row sums to
+    # (delta + 2d) + (c - d) - (d + c) = delta. An infinite drift makes one of
+    # them inf - inf, a NaN not worth a warning: that row fails by its diagonal
+    with np.errstate(invalid="ignore"):
+        lower = c - d
+        upper = -(d + c)
     diag = params.delta + 2.0 * d
-    upper = -(d + c)
 
-    # monotone scheme: non-positive off-diagonals on continuation rows (the
-    # Peclet condition |c| <= d). Dominance needs no check: by construction
-    # every row sums to diag + lower + upper = (delta + 2d) + (c - d) - (d + c) = delta
     m = grid.n - 2
-    d, c, stop_i, lower, diag, upper, rhs = (
-        v.reshape(-1, m) for v in (d, c, stop_i, lower, diag, upper, rhs))
-    bad_diag = ~(np.isfinite(diag) & (diag > 0.0)).all(axis=1)
-    steep = ~stop_i & ~(np.abs(c) <= d)
-    failed = bad_diag | steep.any(axis=1)
+    stop_i, lower, diag, upper, rhs = (v.reshape(-1, m) for v in (stop_i, lower, diag, upper, rhs))
+    bad = ~(np.isfinite(diag) & (diag > 0.0))
+    failed = bad.any(axis=1)
     failures = [None] * len(failed)
     for p in np.flatnonzero(failed).tolist():
-        j = int(np.argmax(steep[p]))
-        with np.errstate(divide="ignore"):  # D underflows to 0 for sigma below ~1e-160
-            failures[p] = NonMonotoneScheme(
-                "non-finite or non-positive diagonal" if bad_diag[p] else
-                f"cell Peclet number {abs(c[p, j]) / d[p, j]:.3g} > 1 at node {j + 1} "
-                f"(x = {grid.x[j + 1]:.6g})")
+        j = int(np.argmax(bad[p])) + 1
+        failures[p] = NonMonotoneScheme(
+            f"non-finite or non-positive diagonal at node {j} (x = {grid.x[j]:.6g})")
 
     # fold the Dirichlet ends into the right-hand side (w_0 = 0 adds nothing)
     rhs[:, -1] -= upper[:, -1] * psi[-1]
@@ -429,19 +426,21 @@ def _evaluate(params: ModelParams, grid: Grid, r, a, stop, psi, coarse: bool):
     return w, failures
 
 
-def _max_defect(params: ModelParams, grid: Grid, w, r, a, psi, coarse: bool):
+def _max_defect(params: ModelParams, grid: Grid, w, r, a, stop, psi):
     """Per row, max over interior nodes of |min(delta w - H, w + U^{-1}(x))|,
-    with H from _evaluate's rows at the stored policy, and the largest of
-    these defects that exceeds its row's round-off, 8 ulps of the sum of the
-    magnitudes of the row's terms (0 when none does)."""
+    with H from _evaluate's rows at the stored policy; the largest of these
+    defects that exceeds its row's round-off, 8 ulps of the sum of the
+    magnitudes of the row's terms (0 when none does); and the number of the
+    policy's continuation rows that are first-order."""
     wi, up, down = w[..., 1:-1], w[..., 2:], w[..., :-2]
-    d, c, f = _stencil(params, grid, r, a, coarse)
+    d, c, f, added = _stencil(params, grid, r, a)
     lw = d * (up - 2.0 * wi + down) + c * (up - down) + f - params.delta * wi
     defect = np.abs(np.minimum(-lw, wi - psi[1:-1]))
     au, aw, ad = np.abs(up), np.abs(wi), np.abs(down)
     terms = d * (au + 2.0 * aw + ad) + np.abs(c) * (au + ad) + np.abs(f) + params.delta * aw
     above = np.where(defect > 8.0 * _EPS * terms, defect, 0.0)
-    return np.max(defect, axis=-1), np.max(above, axis=-1)
+    return (np.max(defect, axis=-1), np.max(above, axis=-1),
+            (added & ~stop[..., 1:-1]).sum(axis=-1))
 
 
 def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid) -> float:
@@ -454,8 +453,8 @@ def residual_check(solution: SecondBestSolution, params: ModelParams, grid: Grid
         raise ValueError(f"grid (x_max={grid.x_max:.6g}, n={grid.n}) is not the solution's "
                          f"(x_max={solution.grid.x_max:.6g}, n={solution.grid.n})")
     psi = -params.u_inv(grid.x)
-    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star, psi,
-                             False)[0])
+    return float(_max_defect(params, grid, solution.w, solution.r_star, solution.a_star,
+                             solution.stop, psi)[0])
 
 
 def _level_sizes(n: int) -> list[int]:
@@ -496,16 +495,16 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     ValueError before any sweep.
 
     A problem leaves its level at the sweep that decides its outcome there.
-    One whose policy fails the scheme (a coarse level's only by a diagonal
-    that is not finite and > 0) has its NonMonotoneScheme put in its place.
-    One that spends its budget, also with a budget of 0 on arrival, has
-    NoConvergence put in its place, with the defect of its last value and
-    the policy improved from it (with a budget of 0, its starting policy).
-    One that converged warm-starts the next level, or on the finest becomes
+    One whose policy has a diagonal that is not finite and > 0 has its
+    NonMonotoneScheme put in its place. One that spends its budget, also
+    with a budget of 0 on arrival, has NoConvergence put in its place, with
+    the defect of its last value and the policy improved from it (with a
+    budget of 0, its starting policy). One that converged warm-starts the next level, or on the finest becomes
     its solution. A problem has converged when an improvement left its stop
     set as it was, its value moved less than tol, and each node's defect at
     the improved policy is at most 10 tol or within its row's round-off (see
-    _max_defect); the largest defect is the solution's residual. A policy
+    _max_defect); the largest defect is the solution's residual, and the
+    policy's first-order continuation rows its added_diffusion_rows. A policy
     that repeats exactly needs no test of its own: the next sweep evaluates
     it to the same value and passes this one. A value step below tol with
     the contact boundary still moving is not convergence: near its fixed
@@ -518,6 +517,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
     out = [None if s > 0.0 else ValueError("sigma must be > 0") for s in sigma.ravel().tolist()]
     n_convex = np.zeros(len(out), dtype=int)
     residual = np.zeros(len(out))  # the defect that certified each convergence
+    added = np.zeros(len(out), dtype=int)  # and its policy's first-order continuation rows
     trace = [[] for _ in out]  # (nodes, sweeps) of each level, per problem
     # per problem, its end state on the level before (the zero policy before the first)
     level = grid
@@ -528,7 +528,6 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
         if not live.size:
             return out
         prev, level = level, (grid if size == grid.n else Grid.make(grid.x_max, size))
-        coarse = level is not grid  # a warm start only: its rows get the monotone stencil
         psi = -params.u_inv(level.x)
         # the zero policy interpolates to itself; stop[:, 0] is False already
         r = np.array([np.interp(level.x, prev.x, row) for row in end_r[live]])
@@ -544,7 +543,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
         evaluated = False  # whether w is the value of the current policy
         while live.size:  # each pass evaluates or improves, then the decided problems leave
             if not evaluated:
-                w, failures = _evaluate(batch, level, r, a, stop, psi, coarse)
+                w, failures = _evaluate(batch, level, r, a, stop, psi)
                 near = np.zeros(live.size, dtype=bool)
             else:
                 sweep += 1
@@ -556,17 +555,18 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
             failed = np.array([f is not None for f in failures])
             spent = (budget == sweep) & ~failed
             measure = near | spent  # the defect tests a convergence, or a spent budget reports it
-            defect, above = np.full((2, live.size), np.inf)
+            defect, above, raised = np.full((3, live.size), np.inf)
             if measure.any():
-                defect[measure], above[measure] = _max_defect(
-                    _rows(batch, measure), level, w[measure], r[measure], a[measure], psi, coarse)
+                defect[measure], above[measure], raised[measure] = _max_defect(
+                    _rows(batch, measure), level, w[measure], r[measure], a[measure],
+                    stop[measure], psi)
             done = near & (above <= 10.0 * tol)
             leave = done | spent | failed
             for i in np.flatnonzero(leave).tolist():
                 p = live[i]
                 if done[i]:
                     end_w[p], end_r[p], end_a[p], end_stop[p] = w[i], r[i], a[i], stop[i]
-                    residual[p] = defect[i]
+                    residual[p], added[p] = defect[i], raised[i]
                     trace[p].append((level.n, sweep))
                 else:
                     out[p] = failures[i] if failed[i] else NoConvergence(
@@ -586,7 +586,7 @@ def howard_solve_many(params: ModelParams, sigmas, grid: Grid, tol: float = DEFA
             stop=end_stop[p].copy(), b_hat=float(grid.x[first_stop[i]]),
             k_growth=max(0.0, float(growth[i])), iterations=sum(k for _, k in trace[p]),
             residual=float(residual[p]), effort_convex_nodes=int(n_convex[p]),
-            level_sweeps=tuple(trace[p]),
+            level_sweeps=tuple(trace[p]), added_diffusion_rows=int(added[p]),
         )
     return out
 
@@ -596,20 +596,17 @@ def howard_solve(params: ModelParams, grid: Grid, tol: float = DEFAULT_TOL,
     """Policy iteration on the discretized variational inequality.
 
     Fine grids are warm-started from a cascade of solves of the same problem
-    on coarser grids, whose rows get the least diffusion that makes them
-    monotone (see module docstring); the cold start is continue-everywhere
-    with (r, a) = (0, 0). A level converges as howard_solve_many says, and
-    residual is the defect that certified the finest level. max_iter bounds
-    the total sweep count across the levels, and the reported iteration
-    count is that total, level_sweeps its split by level. The reported
-    policy is the final improvement against the converged value, so r_star
-    and a_star are the feedback maximizers of the discrete Hamiltonian. A
-    budget that runs out, even exactly at a level boundary, raises
-    NoConvergence, and a finest level that breaks the Peclet condition
-    NonMonotoneScheme; a sigma that is not > 0, a tol that is not finite and
-    > 0, or a max_iter that is not an integer >= 1, raises ValueError. This
-    is howard_solve_many's batch of one, and it raises the exception that
-    the batch puts in its sigma's place.
+    on coarser grids, all with the one monotone stencil (see module
+    docstring); the cold start is continue-everywhere with (r, a) = (0, 0).
+    A level converges as howard_solve_many says, and residual is the defect
+    that certified the finest level. max_iter bounds the total sweep count
+    across the levels, and the reported iteration count is that total,
+    level_sweeps its split by level. The reported policy is the final
+    improvement against the converged value, so r_star and a_star are the
+    feedback maximizers of the discrete Hamiltonian. A budget that runs out,
+    even exactly at a level boundary, raises NoConvergence; tol, max_iter
+    and sigma are checked as howard_solve_many says. This is its batch of
+    one, and it raises the exception that the batch puts in its sigma's place.
     """
     solution, = howard_solve_many(params, [params.sigma], grid, tol=tol, max_iter=max_iter)
     if isinstance(solution, Exception):

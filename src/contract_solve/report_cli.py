@@ -220,6 +220,7 @@ def _second_best(cfg: RunConfig, outdir, solved):
         "k_growth": sol.k_growth,
         "effort_convex_nodes": sol.effort_convex_nodes,
         "level_sweeps": [list(level) for level in sol.level_sweeps],
+        "added_diffusion_rows": sol.added_diffusion_rows,
     }
     if not diag["residual_within_bound"]:
         print(f"warning: residual {sol.residual:.3e} is above criterion 05's bound of "

@@ -10,11 +10,12 @@ replay_bundle (the principal's replay of one path, one step at a time),
 discretize (the variational-inequality defect,
 one node at a time), hamiltonian_max (the best response at one point),
 unbatched_improve (the Howard improvement sweep), whole_system_evaluate (the
-policy evaluation of one problem in one elimination); the Howard oracles
-assemble the central-difference rows of hjbvi. percent_write_csv writes the
-CSV writer's table value by value, without its per-block format. feynman_kac
-is a second linear solver for the policy evaluation, on the same central
-rows, and agent_value applies it to the agent's side of the contract.
+policy evaluation of one problem in one elimination); discretize assembles
+hjbvi's central rows, whole_system_evaluate its rows of added diffusion too.
+percent_write_csv writes the CSV writer's table value by value, without its
+per-block format. feynman_kac is a second linear solver for the policy
+evaluation, on central rows only, and agent_value applies it to the agent's
+side of the contract.
 agent_payoff is the agent's objective, the one that
 ModelParams.effort_response maximizes. count_forks, set_cpus and
 assert_no_child_left serve the tests of the forked shards.
@@ -281,7 +282,7 @@ def hamiltonian_max(params, x, dw, d2w):
 def discretize(params, grid, w, i, r, a):
     """Central-scheme value of L^{a,r} w(x_i) + phi(a) - r - delta w_i at one
     node, as a bitwise oracle for hjbvi._max_defect (same arithmetic, same
-    operation order).
+    operation order) on a row whose cell Peclet number is at most 1.
 
     Second and first differences both centred at the node:
     D/dx^2 (w_{i+1} - 2 w_i + w_{i-1}) + b/(2 dx) (w_{i+1} - w_{i-1}).
@@ -326,12 +327,12 @@ def unbatched_improve(params, grid, w, psi):
     return r, a, stop, n_int + n_end
 
 
-def whole_system_evaluate(params, grid, r, a, stop, psi, coarse):
+def whole_system_evaluate(params, grid, r, a, stop, psi):
     """hjbvi._evaluate for one problem as one elimination over every interior
     row, stopped rows as identity rows, as an oracle: hjbvi._evaluate
     eliminates each run of continuation rows on its own and must give the
-    same bits. The rows are central, or on a coarse level take the diffusion
-    weight max(D/dx^2, |b|/(2 dx))."""
+    same bits. Every row takes the diffusion weight max(D/dx^2, |b|/(2 dx)):
+    central where the cell Peclet number is at most 1, first-order above."""
     from contract_solve.hjbvi import _diffusion
 
     dx = grid.dx
@@ -339,8 +340,7 @@ def whole_system_evaluate(params, grid, r, a, stop, psi, coarse):
     ri, ai, stop_i = r[1:-1], a[1:-1], stop[1:-1]
     d = _diffusion(params, ai) / dx**2
     c = (params.lam * xi - params.u(ri) + params.h(ai)) / (2.0 * dx)
-    if coarse:
-        d = np.maximum(d, np.abs(c))
+    d = np.maximum(d, np.abs(c))
     lower = np.where(stop_i, 0.0, c - d)
     diag = np.where(stop_i, 1.0, params.delta + 2.0 * d)
     upper = np.where(stop_i, 0.0, -(d + c))
@@ -392,8 +392,10 @@ def feynman_kac(grid, discount, diffusion, drift, payoff, stop, stopped):
         discount v_i - diffusion_i v''_i - drift_i v'_i = payoff_i
 
     with central second and first differences, the scheme of hjbvi's
-    policy evaluation. v_0 = 0, and v_i = stopped_i at stopped nodes and at
-    x_max. diffusion, drift, payoff, stop and stopped are arrays over the
+    policy evaluation where every row is central. It stays an oracle of
+    central rows only, and serves solutions with no first-order row
+    (added_diffusion_rows 0). v_0 = 0, and v_i = stopped_i at stopped nodes
+    and at x_max. diffusion, drift, payoff, stop and stopped are arrays over the
     whole grid; their end entries other than stopped[-1] are not read. A row
     whose cell Peclet number |drift| dx/(2 diffusion) exceeds 1 would have a
     positive off-diagonal and raises ValueError. Every row of the full

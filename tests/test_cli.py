@@ -175,7 +175,8 @@ class TestSigmaSweep:
         assert list(solved) == [1.85, bad, 1.7]
         failed = solved.pop(bad)
         assert isinstance(failed, NonMonotoneScheme)
-        assert str(failed) == "non-finite or non-positive diagonal"
+        # named on the 51-node level, where the cascade of 201 nodes starts
+        assert str(failed) == "non-finite or non-positive diagonal at node 1 (x = 0.02)"
         alone = sigma_sweep(params, [1.85, 1.7], grid=g)
         for sg, sol in solved.items():
             for name in ("w", "r_star", "a_star", "stop"):
@@ -246,7 +247,7 @@ class TestDispatch:
         assert code == 2
         assert "NoConvergence" in capsys.readouterr().err
 
-        def broken(params, grid, r, a, stop, psi, coarse):
+        def broken(params, grid, r, a, stop, psi):
             # every problem's scheme fails, on every level
             return np.zeros(stop.shape), [NonMonotoneScheme("non-finite or non-positive "
                                                             "diagonal")] * len(stop)
@@ -334,17 +335,17 @@ class TestDispatch:
             assert cli_dispatch([sub, "--out", str(out), *FAST,
                                  "--set", "sweep.sigmas=1.85,1e300"]) == 0
             diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-            assert diag["sweep_failures"] == [
-                "1e+300: NonMonotoneScheme: non-finite or non-positive diagonal"]
+            assert diag["sweep_failures"] == ["1e+300: NonMonotoneScheme: non-finite or "
+                                              "non-positive diagonal at node 1 (x = 0.02)"]
             assert (out / "sweep.csv").read_bytes() == (alone / "sweep.csv").read_bytes()
 
-    def test_an_underflowing_sweep_sigma_fails_without_a_warning(self, tmp_path, capsys):
+    def test_an_underflowing_sweep_sigma_solves_without_a_warning(self, tmp_path, capsys):
+        # D underflows to 0 at sigma 1e-200: every continuation row is upwind
         out = tmp_path / "sw"
         assert cli_dispatch(["sweep", "--out", str(out),
                              "--set", "sweep.sigmas=1e-200,1.85"]) == 0
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diag["sweep_failures"] == [
-            "1e-200: NonMonotoneScheme: cell Peclet number inf > 1 at node 1 (x = 0.0005)"]
+        assert diag["sweep_failures"] == []
         assert capsys.readouterr().err == ""
 
     def test_simulate_start_out_of_range(self, tmp_path, capsys):
@@ -590,6 +591,7 @@ class TestDispatch:
         assert manifest["config"]["grid.n"] == "201"
         assert "diagnostics" in manifest and "timings" in manifest
         assert manifest["diagnostics"]["effort_convex_nodes"] > 0
+        assert manifest["diagnostics"]["added_diffusion_rows"] == 0
         levels = manifest["diagnostics"]["level_sweeps"]  # [nodes, sweeps] per level
         assert [n for n, _ in levels] == [51, 201]
         assert sum(k for _, k in levels) == manifest["diagnostics"]["iterations"]

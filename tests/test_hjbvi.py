@@ -221,6 +221,16 @@ class TestHowardSolve:
         assert isinstance(sb.effort_convex_nodes, int)
         assert 0 < sb.effort_convex_nodes <= sb.grid.n * sb.iterations
 
+    @pytest.mark.parametrize("sigma", [1.5, 1.85, 2.2])
+    def test_every_row_is_central_at_the_defaults(self, params, sb_for_sigma, sigma):
+        # the largest cell Peclet number of a continuation row is 0.002, at 1.5
+        sol = sb_for_sigma(sigma)
+        d, c, _, added = hjbvi._stencil(dataclasses.replace(params, sigma=sigma), sol.grid,
+                                        sol.r_star, sol.a_star)
+        cont = ~sol.stop[1:-1]
+        assert sol.added_diffusion_rows == 0 == added[cont].sum()
+        assert np.max((np.abs(c) / d)[cont]) < 0.003
+
     def test_converged_residual(self, params, grid, sb):
         assert sb.residual <= 1e-8
         assert residual_check(sb, params, grid) <= 1e-8
@@ -344,30 +354,30 @@ class TestHowardSolve:
         with pytest.raises(ValueError, match=r"^sigma must be > 0$"):
             howard_solve(dataclasses.replace(params, sigma=sigma), grid)
 
-    def test_an_underflowing_diffusion_fails_without_a_warning(self, params, grid):
-        # D underflows to 0 at sigma 1e-200, so the Peclet number is inf; the
-        # repo's pytest filter would raise a divide warning from the text
-        with pytest.raises(NonMonotoneScheme) as exc:
-            howard_solve(dataclasses.replace(params, sigma=1e-200), grid)
-        assert str(exc.value) == "cell Peclet number inf > 1 at node 1 (x = 0.0005)"
+    def test_an_underflowing_diffusion_solves_without_a_warning(self, params, grid):
+        # D underflows to 0 at sigma 1e-200, so every continuation row is
+        # upwind; the repo's pytest filter turns any RuntimeWarning into an error
+        sol = howard_solve(dataclasses.replace(params, sigma=1e-200), grid)
+        assert (sol.iterations, sol.b_hat) == (139, 1.0)
+        assert sol.residual <= 1e-8
+        assert sol.added_diffusion_rows == grid.n - 2
 
     def test_non_monotone_scheme_raises(self, params):
         g = Grid.make(x_max=1.0, n=21)
         r = np.full(g.n, 0.1)
-        r[5] = np.inf  # U(r) = inf makes that row's drift, so its Peclet number, infinite
+        r[5] = np.inf  # U(r) = inf makes that row's drift -inf, so d = |c| = inf
         a = np.full(g.n, 1.0)
         stop = np.zeros(g.n, dtype=bool)
         # the failure is returned for its row, which is left unsolved
-        w, (failure,) = _evaluate(params, g, r, a, stop, -g.x**4, False)
+        w, (failure,) = _evaluate(params, g, r, a, stop, -g.x**4)
         assert isinstance(failure, NonMonotoneScheme)
-        assert str(failure) == "cell Peclet number inf > 1 at node 5 (x = 0.25)"
+        assert str(failure) == "non-finite or non-positive diagonal at node 5 (x = 0.25)"
         assert np.array_equal(w, -g.x**4)
-        # a coarse level's rows are monotone whatever their drift, so only an
-        # infinite diagonal fails them, as an overflowing sigma's does
+        # an overflowing sigma makes every diagonal infinite: the first is named
         r[5] = 0.1
         w, (failure,) = _evaluate(dataclasses.replace(params, sigma=1e300), g, r, a, stop,
-                                  -g.x**4, True)
-        assert str(failure) == "non-finite or non-positive diagonal"
+                                  -g.x**4)
+        assert str(failure) == "non-finite or non-positive diagonal at node 1 (x = 0.05)"
         assert np.array_equal(w, -g.x**4)
 
 
@@ -382,7 +392,7 @@ def _halving(limit):
 
 
 _FIELDS = ("w", "r_star", "a_star", "stop", "b_hat", "k_growth", "iterations", "residual",
-           "effort_convex_nodes", "level_sweeps")
+           "effort_convex_nodes", "level_sweeps", "added_diffusion_rows")
 
 
 def _assert_same_solution(got, want):
@@ -471,23 +481,24 @@ class TestRunEvaluate:
     whole system with identity rows."""
 
     def test_every_sweep_of_a_batch(self, params, grid, monkeypatch):
-        # with x_max = 10 the coarse levels raise the diffusion of steep rows
+        # with x_max = 10 every level has rows of added diffusion
         calls, real = _recording(monkeypatch, "_evaluate")
         howard_solve_many(params, [1.5, 1.85, 2.2], grid)
         assert len(calls) == 43
         wide = Grid.make(10.0, 2001)
         howard_solve_many(params, [1.5, 1.85, 2.2], wide)
-        assert len(calls) == 43 + 81
-        assert [args[-1] for args in calls] == [args[1].n < 2001 for args in calls]
-        for batch, grid_, r, a, stop, psi, coarse in calls:
-            got, failures = real(batch, grid_, r, a, stop, psi, coarse)
+        assert len(calls) == 43 + 87
+        added = set()
+        for batch, grid_, r, a, stop, psi in calls:
+            got, failures = real(batch, grid_, r, a, stop, psi)
+            assert failures == [None] * r.shape[0]
+            if (hjbvi._stencil(batch, grid_, r, a)[3] & ~stop[:, 1:-1]).any():
+                added.add(grid_.n)
             for p in range(r.shape[0]):
-                if failures[p] is None:
-                    want = whole_system_evaluate(_row_params(batch, p), grid_, r[p], a[p],
-                                                 stop[p], psi, coarse)
-                    assert np.array_equal(got[p], want)
-                else:  # only 1.5, at its finest level's Peclet failure next to x = 10
-                    assert not coarse and batch.sigma[p, 0] == 1.5
+                want = whole_system_evaluate(_row_params(batch, p), grid_, r[p], a[p], stop[p],
+                                             psi)
+                assert np.array_equal(got[p], want)
+        assert added == {32, 126, 501, 2001}
 
     def test_scattered_stop_set(self, params, grid, sb):
         # runs that start at the left end, end at the right end, and single
@@ -496,12 +507,11 @@ class TestRunEvaluate:
         stop = np.random.default_rng(5).random(grid.n) < 0.5
         stop[[0, 1, 2, 5, -2]] = [False, False, True, True, False]
         stop[-1] = True
-        for coarse in (False, True):
-            got, failures = _evaluate(params, grid, sb.r_star, sb.a_star, stop, psi, coarse)
-            want = whole_system_evaluate(params, grid, sb.r_star, sb.a_star, stop, psi, coarse)
-            assert failures == [None]
-            assert np.array_equal(got, want)
-            assert np.array_equal(got[stop], psi[stop])
+        got, failures = _evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        want = whole_system_evaluate(params, grid, sb.r_star, sb.a_star, stop, psi)
+        assert failures == [None]
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[stop], psi[stop])
 
 
 class TestHowardSolveMany:
@@ -551,8 +561,8 @@ class TestHowardSolveMany:
         # the reported defect is that of the last value and the policy improved from it
         batch, grid_, w, psi = with_15[-1]
         assert batch.sigma.ravel().tolist() == [1.5, 1.2]
-        r, a, _, _ = real(*with_15[-1])
-        assert failed.residual == hjbvi._max_defect(batch, grid_, w, r, a, psi, True)[0][0]
+        r, a, stop, _ = real(*with_15[-1])
+        assert failed.residual == hjbvi._max_defect(batch, grid_, w, r, a, stop, psi)[0][0]
 
     def test_a_sigma_not_above_zero_keeps_its_place_unswept(self, params, grid, sb_for_sigma,
                                                           monkeypatch):
@@ -611,15 +621,22 @@ class TestRobustness:
         # same spacing, smaller domain; the free boundary must not move
         clipped = howard_solve(params, Grid.make(x_max=0.8, n=1601))
         assert abs(clipped.b_hat - sb.b_hat) <= 2.0 * sb.grid.dx
+        # and wider: up to x_max = 2 the stop set still starts at 0.4655 and w
+        # below it keeps its values, but from 2.5 on nothing inside stops, and
+        # w(0.1) = 0.0220172 against 0.0137498 (the truncation bias)
+        below = sb.grid.x < sb.b_hat
+        for x_max, n in ((1.5, 3001), (2.0, 4001)):
+            wide = howard_solve(params, Grid.make(x_max, n))
+            assert wide.b_hat == sb.b_hat == 0.4655
+            assert np.max(np.abs(wide.w[:below.size][below] - sb.w[below])) <= 1e-14
+        wide = howard_solve(params, Grid.make(2.5, 5001))
+        assert wide.b_hat == 2.5
+        assert (round(wide.w[200], 7), round(sb.w[200], 7)) == (0.0220172, 0.0137498)
 
 
 _WIDE_GRIDS = [(1.0, 2001), (2.0, 2001), (5.0, 2001), (1.2, 2401), (5.0, 201), (10.0, 2001),
                (20.0, 4001), (3.0, 6001)]
 _WIDE_SIGMAS = [1.2, 1.5, 1.85, 2.2, 3.0]
-# the finest-level Peclet failures next to the obstacle end, the only failures
-# of the table with max_iter = 400
-_WIDE_FAILURES = {(5.0, 201, 1.2), (5.0, 201, 1.5), (10.0, 2001, 1.2), (10.0, 2001, 1.5),
-                  (20.0, 4001, 1.2), (20.0, 4001, 1.5), (20.0, 4001, 1.85), (20.0, 4001, 2.2)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -629,35 +646,42 @@ def _wide_batch(x_max, n):
 
 
 class TestCoarseLevels:
-    """Every level but the finest is only a warm start, so its rows take the
-    least diffusion that makes them monotone: every problem starts on the
-    first level, and only the finest level's central rows can fail it."""
+    """Every level assembles the one monotone stencil, so every problem starts
+    on the first level and solves, with a first-order row wherever the cell
+    Peclet number is above 1."""
 
     @pytest.mark.parametrize("x_max, n", _WIDE_GRIDS)
     @pytest.mark.parametrize("sigma", _WIDE_SIGMAS)
     def test_every_solve_runs_the_whole_cascade(self, x_max, n, sigma):
         got = _wide_batch(x_max, n)[_WIDE_SIGMAS.index(sigma)]
-        if (x_max, n, sigma) in _WIDE_FAILURES:
-            assert isinstance(got, NonMonotoneScheme)
-            assert str(got).startswith("cell Peclet number")
-        else:
-            assert isinstance(got, hjbvi.SecondBestSolution), got
-            assert [m for m, _ in got.level_sweeps] == hjbvi._level_sizes(n)
+        assert isinstance(got, hjbvi.SecondBestSolution), got
+        assert [m for m, _ in got.level_sweeps] == hjbvi._level_sizes(n)
+
+    @pytest.mark.parametrize("x_max, n", _WIDE_GRIDS)
+    def test_first_order_rows_are_few_and_next_to_x_max(self, params, x_max, n):
+        # the counted rows are the continuation rows of the stored policy
+        # that _stencil marks; at most 3 per solve, all within 3 nodes of x_max
+        for sigma, sol in zip(_WIDE_SIGMAS, _wide_batch(x_max, n)):
+            p = dataclasses.replace(params, sigma=sigma)
+            added = hjbvi._stencil(p, sol.grid, sol.r_star, sol.a_star)[3] & ~sol.stop[1:-1]
+            nodes = np.flatnonzero(added) + 1
+            assert sol.added_diffusion_rows == nodes.size <= 3
+            assert (nodes >= n - 4).all(), nodes
 
     def test_a_coarse_levels_rows_are_monotone(self, params, monkeypatch):
         # on [0, 10] the zero policy's drift lam x breaks the central rows
-        # of the 32-node level; raised to max(d, |c|) they are monotone
+        # of the 32-node level; raised to max(d, |c|) they are monotone, as
+        # every level's rows are
         calls, real = _recording(monkeypatch, "_evaluate")
         sol = howard_solve(params, Grid.make(10.0, 2001))
         assert sol.level_sweeps[0][0] == 32
         steep = 0
-        for batch, level, r, a, stop, psi, coarse in calls:
-            assert coarse == (level.n < 2001)
-            d, c, _ = hjbvi._stencil(batch, level, r, a, coarse)
+        for batch, level, r, a, stop, psi in calls:
+            d, c, _, added = hjbvi._stencil(batch, level, r, a)
             cont = ~stop[..., 1:-1]
             assert ((c - d)[cont] <= 0.0).all() and ((-(d + c))[cont] <= 0.0).all()
-            central, _, _ = hjbvi._stencil(batch, level, r, a, False)
-            steep += int((cont & (np.abs(c) > central)).sum())
+            assert np.array_equal(d[added], np.abs(c[added]))
+            steep += int((cont & added).sum())
         assert steep > 0
 
     def test_a_wide_domain_solves_from_the_first_level(self, params):
@@ -673,16 +697,17 @@ class TestCoarseLevels:
 
     def test_a_coarse_level_too_coarse_for_the_scheme(self, params, monkeypatch):
         # with x_max = 5, 51 nodes break the central scheme at sigma 1.85 and
-        # 2.2, yet as the first level of the 51/201-node cascade they solve,
-        # and the cascade lands on the one-level solve's fixed point
+        # 2.2: solved alone they keep 2 and 1 first-order rows, yet as the
+        # first level of the 51/201-node cascade they lead to a solve with
+        # none, and the cascade lands on the one-level solve's fixed point
         g = Grid.make(5.0, 201)
         solos = {}
-        for sigma in (1.85, 2.2):
+        for sigma, rows in ((1.85, 2), (2.2, 1)):
             p = dataclasses.replace(params, sigma=sigma)
-            with pytest.raises(NonMonotoneScheme, match="Peclet"):
-                howard_solve(p, Grid.make(5.0, 51))
+            assert howard_solve(p, Grid.make(5.0, 51)).added_diffusion_rows == rows
             solos[sigma] = howard_solve(p, g)
             assert solos[sigma].level_sweeps[0][0] == 51
+            assert solos[sigma].added_diffusion_rows == 0
         monkeypatch.setattr(hjbvi, "_level_sizes", lambda n: [n])
         for sigma, got in solos.items():
             want = howard_solve(dataclasses.replace(params, sigma=sigma), g)
@@ -691,12 +716,9 @@ class TestCoarseLevels:
             assert np.max(np.abs(got.w - want.w)) <= 1e-12
 
     def test_a_batch_gives_each_sigma_its_route(self, params, monkeypatch):
-        # on 201 nodes 1.85 and 3.0 solve from 51 nodes and 1.2 breaks the
-        # scheme on 201 nodes, which fails it alone; on 2001 nodes all three
-        # solve from 32
-        routes = {201: (51, 51, "NonMonotoneScheme: cell Peclet number 1.07 > 1 at node 194 "
-                                "(x = 4.85)"),
-                  2001: (32, 32, 32)}
+        # on 201 nodes 1.85, 3.0 and 1.2 solve from 51 nodes, 1.2 with 2
+        # first-order rows next to x_max; on 2001 nodes all three solve from 32
+        routes = {201: ((51, 0), (51, 0), (51, 2)), 2001: ((32, 0), (32, 0), (32, 0))}
         calls, solve_many = [], hjbvi.howard_solve_many
 
         def counted(*args, **kwargs):
@@ -709,16 +731,22 @@ class TestCoarseLevels:
             del calls[:]
             sols = hjbvi.howard_solve_many(params, [1.85, 3.0, 1.2], g)
             assert len(calls) == 1  # no sigma is solved again on its own
-            for sigma, got, want in zip((1.85, 3.0, 1.2), sols, route):
-                if isinstance(want, str):
-                    assert f"{type(got).__name__}: {got}" == want
-                    with pytest.raises(type(got)) as alone:
-                        howard_solve(dataclasses.replace(params, sigma=sigma), g)
-                    assert str(alone.value) == str(got)
-                else:
-                    assert got.level_sweeps[0][0] == want
-                    _assert_same_solution(
-                        got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
+            for sigma, got, (first, rows) in zip((1.85, 3.0, 1.2), sols, route):
+                assert (got.level_sweeps[0][0], got.added_diffusion_rows) == (first, rows)
+                _assert_same_solution(
+                    got, howard_solve(dataclasses.replace(params, sigma=sigma), g))
+
+    def test_a_far_domain_converges_as_dx_halves(self, params):
+        # on [0, 10], w on [0, 1] moves less at the second halving of dx
+        # (2001 -> 4001 -> 8001 nodes) than at the first, first-order rows
+        # next to x_max included
+        sigmas = [1.2, 1.5, 1.85, 2.2, 2.5]
+        values = [[sol.w[:(n - 1) // 10 + 1]
+                   for sol in howard_solve_many(params, sigmas, Grid.make(10.0, n))]
+                  for n in (2001, 4001, 8001)]
+        for coarse, mid, fine in zip(*values):
+            first = np.max(np.abs(mid[::2] - coarse))
+            assert np.max(np.abs(fine[::2] - mid)) < first < 1e-5
 
     @pytest.mark.parametrize("x_max", [2.0, 5.0])
     def test_wide_grids_keep_the_halving_routes_solution(self, params, monkeypatch, x_max):

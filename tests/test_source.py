@@ -77,6 +77,26 @@ def test_one_generator_positioning_site():
     assert not reads, f"simulate.py reads bit_generator.state at lines {reads}"
 
 
+def test_one_stencil_route():
+    # every cascade level assembles the one monotone stencil: no function
+    # takes a coarse flag that would choose another, and a scheme fails only
+    # by its diagonal, named at one site
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in (SRC / "hjbvi.py", ROOT / "tests" / "helpers.py")}
+    flags = [f"{name}:{func.name}" for name, tree in trees.items() for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(arg.arg == "coarse" for arg in ast.walk(func.args)
+                     if isinstance(arg, ast.arg))]
+    assert not flags, f"functions with a coarse parameter: {flags}"
+    tree = trees["hjbvi.py"]
+    sites = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "NonMonotoneScheme"}
+    for func in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            sites.update({node: func.name for node in ast.walk(func) if node in sites})
+    assert list(sites.values()) == ["_evaluate"], sorted(sites.values())
+
+
 def test_benchmark_trace_targets_exist():
     # the traced benchmark wraps contract_solve.<layer>.<name> for every
     # entry of TARGETS in bench/spans.py and fails if one is missing; the
